@@ -26,10 +26,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
 
-SUITES = ("colchete", "section", "action", "center", "gammaP2", "gamma2P2",
-          "klein-collapse", "klein-derived", "torus-derived",
-          "bnT1-instances", "nonorientable", "separation")
-
 
 def _fmt_invariants(inv) -> str:
     return (f"free_rank={inv.free_rank} "
@@ -217,8 +213,7 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
     b = Word.from_syms(Sym("b"))
 
     def sigma_ab():
-        img = NilpotentImage(list(p3.generators), 1)
-        img.add_words(list(p3.relators))
+        img = NilpotentImage.of(p3.generators, 1, p3.relators)
         w = ~s2 * s1
         return img.contains_word(w), "s2^-1*s1 is nonzero in the abelianization"
     result.run("klein-collapse-sigma-abelianized", sigma_ab)
@@ -227,10 +222,8 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
                      list(p3.relators) + [s1 * ~s2])
     battery = [("s1-s2", commutator(s1, s2)), ("a-s1", commutator(a, s1)),
                ("b-s1", commutator(b, s1)), ("b-a", commutator(b, a))]
-    img1 = NilpotentImage(list(q.generators), 1)
-    img1.add_words(list(q.relators))
-    img3 = NilpotentImage(list(q.generators), 3)
-    img3.add_words(list(q.relators))
+    img1 = NilpotentImage.of(q.generators, 1, q.relators)
+    img3 = NilpotentImage.of(q.generators, 3, q.relators)
     models = []
     for deg in range(1, args.hom_degree + 1):
         models.extend(hom_search(q, deg))
@@ -348,8 +341,7 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
         tm_images[Sym("s", (i,))] = TorusMetabelianElement(n, k=1)
 
     def abelianized():
-        img = NilpotentImage(list(p.generators), 1)
-        img.add_words(list(p.relators))
+        img = NilpotentImage.of(p.generators, 1, p.relators)
         bad = [print_word(w)[:60] for w in instances if not img.contains_word(w)]
         return not bad, f"{len(bad)} instances with nonzero image" if bad else f"{len(instances)} instances"
     result.run("bnT1-instances-abelianized", abelianized)
@@ -362,8 +354,7 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
     result.run("bnT1-instances-metabelian", metabelian)
 
     def class2():
-        img = NilpotentImage(list(p.generators), 2)
-        img.add_words(list(p.relators))
+        img = NilpotentImage.of(p.generators, 2, p.relators)
         bad = [print_word(w)[:60] for w in instances if not img.contains_word(w)]
         return not bad, f"{len(bad)} escaping instances" if bad else f"{len(instances)} instances"
     result.run("bnT1-instances-class2", class2)
@@ -429,6 +420,8 @@ _SUITE_IMPL = {
     "separation": _suite_separation,
 }
 
+SUITES = tuple(_SUITE_IMPL)
+
 
 # -- subcommands ------------------------------------------------------------
 
@@ -455,7 +448,7 @@ def _cmd_nq(args) -> int:
 
 def _cmd_tower(args) -> int:
     stages = two_quotient_tower(catalog(args.family, args.n, args.g),
-                                args.depth_pos)
+                                args.depth)
     print("orders=" + str([m.npoints for m in stages]))
     return 0
 
@@ -471,8 +464,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bounds = {"max_cosets": args.max_cosets, "class": args.class_bound,
-              "depth": args.depth, "seed": args.seed,
+    bounds = {"class": args.class_bound, "depth": args.depth,
               "hom_degree": args.hom_degree}
     result = SuiteResult(args.suite, bounds)
     _SUITE_IMPL[args.suite](result, args)
@@ -512,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tower", help="print two-quotient tower stage orders")
     sp.add_argument("family")
     sp.add_argument("n", type=int)
-    sp.add_argument("depth_pos", type=int, metavar="depth")
+    sp.add_argument("depth", type=int)
     sp.add_argument("g", type=int, nargs="?", default=None)
     sp.set_defaults(fn=_cmd_tower)
 
@@ -523,15 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=SUITES)
+    sp.add_argument("--class", dest="class_bound", type=int, default=3)
+    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--json", default=None)
+    sp.add_argument("--hom-degree", type=int, default=4)
     sp.set_defaults(fn=_cmd_verify)
-
-    for sp in ap._subparsers._group_actions[0].choices.values():
-        sp.add_argument("--max-cosets", type=int, default=10000)
-        sp.add_argument("--class", dest="class_bound", type=int, default=3)
-        sp.add_argument("--depth", type=int, default=4)
-        sp.add_argument("--json", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--hom-degree", type=int, default=4)
     return ap
 
 

@@ -222,38 +222,93 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
 
 # -- Reidemeister-Schreier ------------------------------------------------
 
-def _schreier_tree(table: List[List[int]], ngens: int) -> Tuple[List[int], List[int]]:
-    """BFS spanning tree: parent coset and entering column for each coset."""
-    n = len(table)
-    parent = [-1] * n
-    letter = [-1] * n
-    order = [0]
-    seen = [False] * n
+def _schreier_tree(columns: Sequence[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """BFS spanning tree over cosets 0..n-1, where columns[j][c] is the coset
+    column j leads to from c: parent coset and entering column for each
+    coset. Runs one level at a time; within a level cosets are discovered in
+    (coset, column) order, as a one-coset-at-a-time queue would."""
+    width = len(columns)
+    parent = np.full(n, -1, dtype=np.int64)
+    letter = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for col in range(2 * ngens):
-            d = table[c][col]
-            if not seen[d]:
-                seen[d] = True
-                parent[d] = c
-                letter[d] = col
-                order.append(d)
-    if not all(seen):
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        targets = np.empty((frontier.size, width), dtype=np.int64)
+        for j, col in enumerate(columns):
+            targets[:, j] = col[frontier]
+        targets = targets.ravel()
+        fresh = np.flatnonzero(~seen[targets])
+        _, first = np.unique(targets[fresh], return_index=True)
+        found = np.sort(fresh[first])
+        reached = targets[found]
+        parent[reached] = frontier[found // width]
+        letter[reached] = found % width
+        seen[reached] = True
+        frontier = reached
+    if not seen.all():
         raise IncompleteTable("coset graph is not connected")
     return parent, letter
 
 
-def _transversal_letters(parent: List[int], letter: List[int], c: int) -> List[int]:
+def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
     """Columns along the tree path from coset 0 to coset c."""
     path = []
     while c != 0:
-        path.append(letter[c])
-        c = parent[c]
+        path.append(int(letter[c]))
+        c = int(parent[c])
     path.reverse()
     return path
+
+
+class _SchreierGenerators:
+    """The Schreier generators of the subgroup a complete coset table
+    enumerates: one for each (coset, generator) edge off the spanning tree,
+    numbered in (coset, generator) order."""
+
+    __slots__ = ("table", "parent", "letter", "index")
+
+    def __init__(self, table: Sequence[Sequence[int]], ngens: int,
+                 tree: Tuple[np.ndarray, np.ndarray]):
+        self.table = table
+        self.parent, self.letter = tree
+        tree_edges: Set[Tuple[int, int]] = set()
+        for c in range(1, len(table)):
+            col, src = int(self.letter[c]), int(self.parent[c])
+            tree_edges.add((src, col // 2) if col % 2 == 0 else (table[src][col], col // 2))
+        self.index: Dict[Tuple[int, int], int] = {}
+        for c in range(len(table)):
+            for g in range(ngens):
+                if (c, g) not in tree_edges:
+                    self.index[(c, g)] = len(self.index)
+
+    def rewrite(self, letters: Sequence[Tuple[int, int]],
+                start: int) -> Tuple[List[Tuple[int, int]], int]:
+        """The Schreier generators, as (number, exponent), met along the
+        path the letters trace from coset `start`, and the end coset."""
+        out: List[Tuple[int, int]] = []
+        cur = start
+        for g, e in letters:
+            if e == 1:
+                if (cur, g) in self.index:
+                    out.append((self.index[(cur, g)], 1))
+                cur = self.table[cur][2 * g]
+            else:
+                cur = self.table[cur][2 * g + 1]
+                if (cur, g) in self.index:
+                    out.append((self.index[(cur, g)], -1))
+        return out, cur
+
+    def generator_letters(self, c: int, g: int) -> List[Tuple[int, int]]:
+        """The generator of edge (c, g) as letters u_c . x_g . u_d^-1, with
+        u the tree transversal and d the coset the edge enters."""
+        d = self.table[c][2 * g]
+        out = [(col // 2, 1 if col % 2 == 0 else -1)
+               for col in _tree_path(self.parent, self.letter, c)]
+        out.append((g, 1))
+        out.extend((col // 2, -1 if col % 2 == 0 else 1)
+                   for col in reversed(_tree_path(self.parent, self.letter, d)))
+        return out
 
 
 def reidemeister_schreier(t: CosetTable) -> Presentation:
@@ -261,55 +316,22 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
     if not t.complete:
         raise IncompleteTable("need a complete coset table")
     p = t.presentation
-    ngens = len(p.generators)
-    table = t.table
-    parent, letter = _schreier_tree(table, ngens)
-
-    tree_edges: Set[Tuple[int, int]] = set()
-    for c in range(len(table)):
-        if c == 0:
-            continue
-        col = letter[c]
-        src = parent[c]
-        if col % 2 == 0:
-            tree_edges.add((src, col // 2))
-        else:
-            tree_edges.add((table[src][col], col // 2))
-
-    sgen_index: Dict[Tuple[int, int], int] = {}
-    sgen_syms: List[Sym] = []
-    for c in range(len(table)):
-        for g in range(ngens):
-            if (c, g) not in tree_edges:
-                sgen_index[(c, g)] = len(sgen_syms)
-                sgen_syms.append(Sym("y", (c, g)))
-
-    def rewrite(letters: Sequence[Tuple[int, int]], start: int) -> Word:
-        out: List[Tuple[Sym, int]] = []
-        cur = start
-        for g, e in letters:
-            if e == 1:
-                if (cur, g) in sgen_index:
-                    out.append((sgen_syms[sgen_index[(cur, g)]], 1))
-                cur = table[cur][2 * g]
-            else:
-                prev = table[cur][2 * g + 1]
-                if (prev, g) in sgen_index:
-                    out.append((sgen_syms[sgen_index[(prev, g)]], -1))
-                cur = prev
-        if cur != start:
-            raise ValueError("rewriting a non-closed path")
-        return free_reduce(Word(out))
+    tree = _schreier_tree(np.asarray(t.table).T, t.index)
+    sch = _SchreierGenerators(t.table, len(p.generators), tree)
+    sgen_syms = [Sym("y", key) for key in sch.index]
 
     idx = {g: i for i, g in enumerate(p.generators)}
     relators = []
     for r in p.relators:
         letters = _word_letters(r, idx)
-        for c in range(len(table)):
-            w = rewrite(letters, c)
+        for c in range(t.index):
+            met, end = sch.rewrite(letters, c)
+            if end != c:
+                raise ValueError("rewriting a non-closed path")
+            w = free_reduce(Word([(sgen_syms[i], e) for i, e in met]))
             if not w.is_identity():
                 relators.append(w)
-    return Presentation(f"{p.label}_sub{len(table)}", sgen_syms, relators)
+    return Presentation(f"{p.label}_sub{t.index}", sgen_syms, relators)
 
 
 def schreier_generator_words(t: CosetTable) -> List[Word]:
@@ -318,28 +340,11 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     if not t.complete:
         raise IncompleteTable("need a complete coset table")
     p = t.presentation
-    ngens = len(p.generators)
-    table = t.table
-    parent, letter = _schreier_tree(table, ngens)
-    tree_edges: Set[Tuple[int, int]] = set()
-    for c in range(1, len(table)):
-        col, src = letter[c], parent[c]
-        tree_edges.add((src, col // 2) if col % 2 == 0 else (table[src][col], col // 2))
-
-    def transversal(c: int) -> Word:
-        out: List[Tuple[Sym, int]] = []
-        for col in _transversal_letters(parent, letter, c):
-            out.append((p.generators[col // 2], 1 if col % 2 == 0 else -1))
-        return Word(out)
-
-    words = []
-    for c in range(len(table)):
-        for g in range(ngens):
-            if (c, g) not in tree_edges:
-                d = table[c][2 * g]
-                step = Word(((p.generators[g], 1),))
-                words.append(free_reduce(transversal(c) * step * ~transversal(d)))
-    return words
+    tree = _schreier_tree(np.asarray(t.table).T, t.index)
+    sch = _SchreierGenerators(t.table, len(p.generators), tree)
+    return [free_reduce(Word([(p.generators[h], e)
+                              for h, e in sch.generator_letters(c, g)]))
+            for c, g in sch.index]
 
 
 def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
@@ -361,7 +366,7 @@ class FiniteModel:
     """Generator images as permutations of {0..npoints-1}."""
 
     __slots__ = ("label", "generators", "perms", "npoints", "regular",
-                 "_inv", "_order", "_parent", "_letter")
+                 "_inv", "_order", "_tree")
 
     def __init__(self, label: str, generators: Sequence[Sym],
                  perms: Mapping[Sym, Sequence[int]], npoints: int,
@@ -373,20 +378,12 @@ class FiniteModel:
         self.regular = regular
         self._inv: Dict[Sym, np.ndarray] = {}
         self._order = None
-        self._parent = None
-        self._letter = None
+        self._tree = None
 
     def inverse_perm(self, g: Sym) -> np.ndarray:
         if g not in self._inv:
             self._inv[g] = np.argsort(self.perms[g], kind="stable")
         return self._inv[g]
-
-    def word_perm(self, w: Word) -> np.ndarray:
-        out = np.arange(self.npoints, dtype=np.int64)
-        for sym, exp in w.letters:
-            arr = self.perms[sym] if exp == 1 else self.inverse_perm(sym)
-            out = arr[out]
-        return out
 
     def apply_word(self, w: Word, point: int) -> int:
         cur = point
@@ -414,46 +411,31 @@ class FiniteModel:
                 self._order = len(seen)
         return self._order
 
+    def _columns(self) -> List[np.ndarray]:
+        """Coset-table columns: column 2g is generator g, 2g+1 its inverse."""
+        cols = []
+        for g in self.generators:
+            cols += [self.perms[g], self.inverse_perm(g)]
+        return cols
+
+    def _rows(self) -> List[List[int]]:
+        """The model as coset-table rows, one per point."""
+        cols = [col.tolist() for col in self._columns()]
+        return [[col[c] for col in cols] for c in range(self.npoints)]
+
     def _point_tree(self) -> Tuple[np.ndarray, np.ndarray]:
         """BFS tree over points along generator/inverse moves (regular models:
         a word from the base point to every group element)."""
-        if self._parent is None:
-            n = self.npoints
-            parent = np.full(n, -1, dtype=np.int64)
-            letter = np.full(n, -1, dtype=np.int64)
-            moves = []
-            for gi, g in enumerate(self.generators):
-                moves.append((2 * gi, self.perms[g]))
-                moves.append((2 * gi + 1, self.inverse_perm(g)))
-            seen = np.zeros(n, dtype=bool)
-            seen[0] = True
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for code, arr in moves:
-                        d = int(arr[c])
-                        if not seen[d]:
-                            seen[d] = True
-                            parent[d] = c
-                            letter[d] = code
-                            nxt.append(d)
-                frontier = nxt
-            if not seen.all():
-                raise ValueError("model is not transitive; no point tree")
-            self._parent, self._letter = parent, letter
-        return self._parent, self._letter
+        if self._tree is None:
+            try:
+                self._tree = _schreier_tree(self._columns(), self.npoints)
+            except IncompleteTable:
+                raise ValueError("model is not transitive; no point tree") from None
+        return self._tree
 
     def point_word_letters(self, point: int) -> List[int]:
         """Column codes tracing the base point to `point` (regular models)."""
-        parent, letter = self._point_tree()
-        path = []
-        c = point
-        while c != 0:
-            path.append(int(letter[c]))
-            c = int(parent[c])
-        path.reverse()
-        return path
+        return _tree_path(*self._point_tree(), point)
 
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
@@ -501,14 +483,7 @@ def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
     models: the table of the kernel of the presented group onto the model)."""
     if tuple(p.generators) != tuple(model.generators):
         raise ValueError("model generators do not match the presentation")
-    table = []
-    for c in range(model.npoints):
-        row: List[Optional[int]] = []
-        for g in model.generators:
-            row.append(int(model.perms[g][c]))
-            row.append(int(model.inverse_perm(g)[c]))
-        table.append(row)
-    out = CosetTable(p, (), table, True)
+    out = CosetTable(p, (), model._rows(), True)
     if not out.scan_closes():
         raise ValueError("model does not satisfy the presentation relators")
     return out
@@ -608,42 +583,17 @@ def two_quotient_tower(p: Presentation, depth: int,
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
-        fw = [model.perms[g] for g in gens]
-        bw = [model.inverse_perm(g) for g in gens]
-        table = []
-        for c in range(n):
-            row = []
-            for g in range(ngens):
-                row.append(int(fw[g][c]))
-                row.append(int(bw[g][c]))
-            table.append(row)
-        parent, letter = _schreier_tree(table, ngens)
-        tree_edges: Set[Tuple[int, int]] = set()
-        for c in range(1, n):
-            col, src = letter[c], parent[c]
-            tree_edges.add((src, col // 2) if col % 2 == 0 else (table[src][col], col // 2))
-        sgen_index: Dict[Tuple[int, int], int] = {}
-        for c in range(n):
-            for g in range(ngens):
-                if (c, g) not in tree_edges:
-                    sgen_index[(c, g)] = len(sgen_index)
-        width = len(sgen_index)
+        table = model._rows()
+        sch = _SchreierGenerators(table, ngens, model._point_tree())
+        width = len(sch.index)
 
         def rewrite_parity(letters: Sequence[Tuple[int, int]], start: int) -> Tuple[int, int]:
             """(parity bitmask over Schreier generators, end coset)."""
+            met, end = sch.rewrite(letters, start)
             vec = 0
-            cur = start
-            for g, e in letters:
-                if e == 1:
-                    if (cur, g) in sgen_index:
-                        vec ^= 1 << sgen_index[(cur, g)]
-                    cur = table[cur][2 * g]
-                else:
-                    prev = table[cur][2 * g + 1]
-                    if (prev, g) in sgen_index:
-                        vec ^= 1 << sgen_index[(prev, g)]
-                    cur = prev
-            return vec, cur
+            for i, _ in met:
+                vec ^= 1 << i
+            return vec, end
 
         rows: List[int] = []
         # relator conjugates: the kernel's defining relations
@@ -656,16 +606,8 @@ def two_quotient_tower(p: Presentation, depth: int,
                     rows.append(vec)
         # conjugation differences: for each Schreier generator s and ambient
         # generator g, the class of (g s g^-1) s^-1
-        trans = {c: _transversal_letters(parent, letter, c) for c in range(n)}
-        for (c, g), sbit in sgen_index.items():
-            # s = u_c . x_g . u_d^-1 with d the target coset
-            d = table[c][2 * g]
-            s_letters: List[Tuple[int, int]] = []
-            for col in trans[c]:
-                s_letters.append((col // 2, 1 if col % 2 == 0 else -1))
-            s_letters.append((g, 1))
-            for col in reversed(trans[d]):
-                s_letters.append((col // 2, -1 if col % 2 == 0 else 1))
+        for (c, g), sbit in sch.index.items():
+            s_letters = sch.generator_letters(c, g)
             for h in range(ngens):
                 conj = [(h, 1)] + s_letters + [(h, -1)]
                 vec, end = rewrite_parity(conj, 0)

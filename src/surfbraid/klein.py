@@ -492,16 +492,15 @@ def _validate_symbol(sym: Sym, n: int) -> None:
     raise BadLevel(f"{sym} is not a pure braid generator for n={n}")
 
 
-def normal_form(w: Word, n: Optional[int] = None,
-                max_level: int = DEFAULT_MAX_LEVEL) -> SemidirectElement:
+def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     """Solve the word problem: two words are equal in the n-strand pure
     braid group of the Klein bottle iff their normal forms coincide."""
     if n is None:
         n = 1
         for sym, _ in w.letters:
             n = max(n, max(sym.indices))
-    if n > max_level:
-        raise BadLevel(f"level {n} exceeds the configured bound {max_level}")
+    if n > DEFAULT_MAX_LEVEL:
+        raise BadLevel(f"level {n} exceeds the supported bound {DEFAULT_MAX_LEVEL}")
     for sym, _ in w.letters:
         _validate_symbol(sym, n)
     e = SemidirectElement.identity(n)

@@ -407,78 +407,6 @@ class NilQuotientReport:
         return f"NilQuotientReport(class={self.class_bound}, layers={list(self.layers)})"
 
 
-class _GradedSifter:
-    """Echelonized lattices, one per weight, spanned by the graded images of
-    a normal subgroup of the free nilpotent group. Row reduction over the
-    integers is mirrored on the series representatives."""
-
-    def __init__(self, rank: int, c: int):
-        self.rank = rank
-        self.c = c
-        # pivots[k]: list of (vector, series), echelonized by leading column
-        self.pivots: Dict[int, List[Tuple[List[int], Series]]] = {k: [] for k in range(1, c + 1)}
-
-    def _vector(self, series: Series, k: int) -> List[int]:
-        comp = series_component(series, k)
-        x = _solve_weight(self.rank, self.c, k, comp)
-        return x
-
-    def sift(self, series: Series) -> List[Tuple[int, Series]]:
-        """Insert a subgroup element; returns (weight, series) for every
-        pivot that was newly created or whose lattice row changed."""
-        changed: List[Tuple[int, Series]] = []
-        s = series
-        while True:
-            k = series_leading_weight(s, self.c)
-            if k is ABOVE_BOUND:
-                return changed
-            v = self._vector(s, k)
-            row = self.pivots[k]
-            inserted = False
-            while any(v):
-                j = next(i for i, x in enumerate(v) if x)
-                hit = None
-                for idx, (pv, _) in enumerate(row):
-                    if next(i for i, x in enumerate(pv) if x) == j:
-                        hit = idx
-                        break
-                if hit is None:
-                    if v[j] < 0:
-                        s = series_inverse(s, self.c)
-                        v = [-x for x in v]
-                    row.append((v, s))
-                    row.sort(key=lambda t: next(i for i, x in enumerate(t[0]) if x))
-                    changed.append((k, s))
-                    inserted = True
-                    break
-                pv, ps = row[hit]
-                a, b = pv[j], v[j]  # a > 0 by the insertion convention
-                if b % a == 0:
-                    q = b // a
-                    v = [y - q * x for x, y in zip(pv, v)]
-                    s = series_mul(_series_pow(ps, -q, self.c), s, self.c)
-                    continue
-                g, sa, sb = _xgcd(a, b)
-                # unimodular basis change of the pair (pivot, element):
-                #   new pivot = p^sa * s^sb   (leading entry gcd > 0)
-                #   residual  = p^(-b/g) * s^(a/g)   (leading entry 0)
-                new_vec = [sa * x + sb * y for x, y in zip(pv, v)]
-                res_vec = [(-b // g) * x + (a // g) * y for x, y in zip(pv, v)]
-                new_ser = series_mul(_series_pow(ps, sa, self.c),
-                                     _series_pow(s, sb, self.c), self.c)
-                res_ser = series_mul(_series_pow(ps, -b // g, self.c),
-                                     _series_pow(s, a // g, self.c), self.c)
-                changed.append((k, new_ser))
-                row[hit] = (new_vec, new_ser)
-                v, s = res_vec, res_ser
-            if inserted:
-                return changed
-            # fully reduced at weight k; the residual lives strictly deeper
-
-    def lattice(self, k: int) -> List[List[int]]:
-        return [pv for pv, _ in self.pivots[k]]
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
     old_r, r = a, b
@@ -512,37 +440,12 @@ def _series_pow(s: Series, n: int, c: int) -> Series:
 def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
     """Invariants of the graded layers of G modulo its (c+1)-st lower
     central term, for G given by the presentation."""
-    if not 1 <= c <= 4:
-        raise ClassUnsupported(f"class bound {c} unsupported (use 1..4)")
-    gens = list(p.generators)
-    rank = len(gens)
-    gen_series = [word_series([(i, 1)], c) for i in range(rank)]
-    gen_inv = [series_inverse(g, c) for g in gen_series]
-    sifter = _GradedSifter(rank, c)
-
-    queue: List[Series] = []
-    for r in p.relators:
-        queue.append(word_series(_letters_to_indices(r, gens), c))
-    while queue:
-        s = queue.pop()
-        newly = sifter.sift(s)
-        for k, ser in newly:
-            # close under conjugation by the ambient generators
-            for g, gi in zip(gen_series, gen_inv):
-                conj = series_mul(series_mul(g, ser, c), gi, c)
-                # enqueue the commutator [g, ser]-flavoured element g ser g^-1
-                queue.append(conj)
-            # close under products with the other basis elements
-            for kk in range(1, c + 1):
-                for _, other in sifter.pivots[kk]:
-                    if other is ser:
-                        continue
-                    queue.append(series_mul(ser, other, c))
-
+    img = NilpotentImage.of(p.generators, c, p.relators)
+    rank = len(p.generators)
     layers = []
     for k in range(1, c + 1):
         wk = witt_rank(rank, k)
-        rows = sifter.lattice(k)
+        rows = [pv for pv, _ in img._pivots[k]]
         if not rows:
             layers.append(AbelianInvariants(wk, []))
             continue
@@ -556,32 +459,102 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
 class NilpotentImage:
     """Normal closure of a set of words, seen inside the free nilpotent
     group of class c on the given generators, with a membership test at
-    that resolution."""
+    that resolution.
+
+    The closure is kept as echelonized lattices, one per weight, spanned by
+    the graded images of its elements; row reduction over the integers is
+    mirrored on the series representatives."""
 
     def __init__(self, gens: Sequence[Sym], c: int):
         if not 1 <= c <= 4:
             raise ClassUnsupported(f"class bound {c} unsupported (use 1..4)")
         self.gens = list(gens)
         self.c = c
-        rank = len(self.gens)
-        self._gen_series = [word_series([(i, 1)], c) for i in range(rank)]
+        self._rank = len(self.gens)
+        self._gen_series = [word_series([(i, 1)], c) for i in range(self._rank)]
         self._gen_inv = [series_inverse(g, c) for g in self._gen_series]
-        self._sifter = _GradedSifter(rank, c)
+        # _pivots[k]: list of (vector, series), echelonized by leading column
+        self._pivots: Dict[int, List[Tuple[List[int], Series]]] = {
+            k: [] for k in range(1, c + 1)}
+
+    @classmethod
+    def of(cls, gens: Sequence[Sym], c: int, words: Sequence[Word]) -> "NilpotentImage":
+        """The image of the normal closure of `words`."""
+        img = cls(gens, c)
+        img.add_words(words)
+        return img
 
     def _word_series(self, w: Word) -> Series:
         return word_series(_letters_to_indices(w, self.gens), self.c)
+
+    def _vector(self, series: Series, k: int) -> List[int]:
+        return _solve_weight(self._rank, self.c, k, series_component(series, k))
+
+    def _sift(self, series: Series) -> List[Tuple[int, Series]]:
+        """Insert a subgroup element; returns (weight, series) for every
+        pivot that was newly created or whose lattice row changed."""
+        c = self.c
+        changed: List[Tuple[int, Series]] = []
+        s = series
+        while True:
+            k = series_leading_weight(s, c)
+            if k is ABOVE_BOUND:
+                return changed
+            v = self._vector(s, k)
+            row = self._pivots[k]
+            inserted = False
+            while any(v):
+                j = next(i for i, x in enumerate(v) if x)
+                hit = None
+                for idx, (pv, _) in enumerate(row):
+                    if next(i for i, x in enumerate(pv) if x) == j:
+                        hit = idx
+                        break
+                if hit is None:
+                    if v[j] < 0:
+                        s = series_inverse(s, c)
+                        v = [-x for x in v]
+                    row.append((v, s))
+                    row.sort(key=lambda t: next(i for i, x in enumerate(t[0]) if x))
+                    changed.append((k, s))
+                    inserted = True
+                    break
+                pv, ps = row[hit]
+                a, b = pv[j], v[j]  # a > 0 by the insertion convention
+                if b % a == 0:
+                    q = b // a
+                    v = [y - q * x for x, y in zip(pv, v)]
+                    s = series_mul(_series_pow(ps, -q, c), s, c)
+                    continue
+                g, sa, sb = _xgcd(a, b)
+                # unimodular basis change of the pair (pivot, element):
+                #   new pivot = p^sa * s^sb   (leading entry gcd > 0)
+                #   residual  = p^(-b/g) * s^(a/g)   (leading entry 0)
+                new_vec = [sa * x + sb * y for x, y in zip(pv, v)]
+                res_vec = [(-b // g) * x + (a // g) * y for x, y in zip(pv, v)]
+                new_ser = series_mul(_series_pow(ps, sa, c),
+                                     _series_pow(s, sb, c), c)
+                res_ser = series_mul(_series_pow(ps, -b // g, c),
+                                     _series_pow(s, a // g, c), c)
+                changed.append((k, new_ser))
+                row[hit] = (new_vec, new_ser)
+                v, s = res_vec, res_ser
+            if inserted:
+                return changed
+            # fully reduced at weight k; the residual lives strictly deeper
 
     def add_words(self, words: Sequence[Word]) -> None:
         c = self.c
         queue = [self._word_series(w) for w in words]
         while queue:
             s = queue.pop()
-            newly = self._sifter.sift(s)
-            for _, ser in newly:
+            for _, ser in self._sift(s):
+                # close under conjugation by the ambient generators
                 for g, gi in zip(self._gen_series, self._gen_inv):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
+                # close under products with the other basis elements
                 for kk in range(1, c + 1):
-                    for _, other in self._sifter.pivots[kk]:
+                    for _, other in self._pivots[kk]:
                         if other is ser:
                             continue
                         queue.append(series_mul(ser, other, c))
@@ -595,8 +568,8 @@ class NilpotentImage:
             k = series_leading_weight(s, c)
             if k is ABOVE_BOUND:
                 return True
-            v = self._sifter._vector(s, k)
-            row = self._sifter.pivots[k]
+            v = self._vector(s, k)
+            row = self._pivots[k]
             while any(v):
                 j = next(i for i, x in enumerate(v) if x)
                 hit = None

@@ -324,18 +324,40 @@ def _pure_surface(n: int, klein: bool) -> Presentation:
     return Presentation(label, gens, rels)
 
 
-def _full_surface(n: int, klein: bool) -> Presentation:
-    if n < 1:
-        raise BadParameters(f"need n >= 1, got {n}")
-    a, b = Sym("a"), Sym("b")
-    A, B = Word.from_syms(a), Word.from_syms(b)
-    S = [Word.from_syms(_s(i)) for i in range(1, n)]  # S[i-1] = sigma_i
+def _artin_relations(S: Sequence[Word]) -> List[Word]:
+    """The Artin relations among sigma_1 .. sigma_{n-1}, given as
+    S[i-1] = sigma_i with n = len(S) + 1."""
+    n = len(S) + 1
     rels: List[Word] = []
     for i in range(n - 2):
         rels.append(_relator(S[i] * S[i + 1] * S[i], S[i + 1] * S[i] * S[i + 1]))
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
             rels.append(_relator(S[j] * S[i], S[i] * S[j]))
+    return rels
+
+
+def _twist_chain(S: Sequence[Word]) -> Word:
+    """sigma_1 ... sigma_{n-2} sigma_{n-1}^2 sigma_{n-2} ... sigma_1 for
+    S[i-1] = sigma_i, n = len(S) + 1 (the identity when n = 1)."""
+    n = len(S) + 1
+    chain = IDENTITY
+    for i in range(n - 2):
+        chain = chain * S[i]
+    if n >= 2:
+        chain = chain * S[n - 2] * S[n - 2]
+    for i in reversed(range(n - 2)):
+        chain = chain * S[i]
+    return chain
+
+
+def _full_surface(n: int, klein: bool) -> Presentation:
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got {n}")
+    a, b = Sym("a"), Sym("b")
+    A, B = Word.from_syms(a), Word.from_syms(b)
+    S = [Word.from_syms(_s(i)) for i in range(1, n)]  # S[i-1] = sigma_i
+    rels = _artin_relations(S)
     for j in range(1, n - 1):
         rels.append(_relator(A * S[j], S[j] * A))
         rels.append(_relator(B * S[j], S[j] * B))
@@ -346,13 +368,7 @@ def _full_surface(n: int, klein: bool) -> Presentation:
             rels.append(_relator(B * ~S[0] * B * S[0], ~S[0] * B * ~S[0] * B))
         else:
             rels.append(_relator(B * ~S[0] * B * ~S[0], ~S[0] * B * ~S[0] * B))
-    chain = IDENTITY
-    for i in range(n - 2):
-        chain = chain * S[i]
-    if n >= 2:
-        chain = chain * S[n - 2] * S[n - 2]
-    for i in reversed(range(n - 2)):
-        chain = chain * S[i]
+    chain = _twist_chain(S)
     if klein:
         rels.append(_relator(chain, B * ~A * ~B * ~A))
     else:
@@ -370,12 +386,7 @@ def _nonorientable(n: int, g: int) -> Presentation:
         raise BadParameters(f"need n >= 1, got {n}")
     A = [Word.from_syms(_a(r)) for r in range(1, g + 1)]  # A[r-1] = a_r
     S = [Word.from_syms(_s(i)) for i in range(1, n)]
-    rels: List[Word] = []
-    for i in range(n - 2):
-        rels.append(_relator(S[i] * S[i + 1] * S[i], S[i + 1] * S[i] * S[i + 1]))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            rels.append(_relator(S[j] * S[i], S[i] * S[j]))
+    rels = _artin_relations(S)
     for r in range(g):
         for i in range(1, n - 1):
             rels.append(_relator(A[r] * S[i], S[i] * A[r]))
@@ -390,13 +401,7 @@ def _nonorientable(n: int, g: int) -> Presentation:
     lhs = IDENTITY
     for r in range(g):
         lhs = lhs * A[r] * A[r]
-    chain = IDENTITY
-    for i in range(n - 2):
-        chain = chain * S[i]
-    if n >= 2:
-        chain = chain * S[n - 2] * S[n - 2]
-    for i in reversed(range(n - 2)):
-        chain = chain * S[i]
+    chain = _twist_chain(S)
     rels.append(_relator(lhs, chain))
     gens = [_s(i) for i in range(1, n)] + [_a(r) for r in range(1, g + 1)]
     rels = [r for r in rels if not r.is_identity()]

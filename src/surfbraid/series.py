@@ -288,15 +288,7 @@ def klein_series_families(n: int, m: int
         gens = [free_reduce(w * w) for w in z_stages[-1]] + x_m(mm)
         z_stages.append(_dedupe(gens))
 
-    zt: List[Word] = list(a_pow)
-    plain = [(w, 0) for w in h_words]
-    special = [(w, 1) for w in a_words]
-    for i in range(2, m + 1):
-        for combo in itertools.product(plain + special, repeat=i):
-            k = sum(tag for _, tag in combo)
-            if k > m - i:
-                continue
-            zt.append(left_normed([w for w, _ in combo]) ** (2 ** (m - i - k)))
+    zt = a_pow + list(elm_generators(2, m, h_words, a_words, ambient).normal_generators)
 
     return (SubgroupDescription(ambient, _dedupe(a_pow), label=f"Apow_{m}"),
             SubgroupDescription(ambient, y_stages[min(m, len(y_stages)) - 1],
@@ -337,9 +329,8 @@ def _same_ambient(a: SubgroupDescription, b: SubgroupDescription) -> None:
 
 
 def _nilpotent_image(desc: SubgroupDescription, c: int) -> NilpotentImage:
-    img = NilpotentImage(list(desc.ambient.generators), c)
-    img.add_words(list(desc.ambient.relators) + list(desc.normal_generators))
-    return img
+    return NilpotentImage.of(desc.ambient.generators, c,
+                             list(desc.ambient.relators) + list(desc.normal_generators))
 
 
 def _contains(container, desc: SubgroupDescription) -> bool:
@@ -428,9 +419,7 @@ def residual_separation(p: Presentation, elements: Sequence[Word],
             for n in range(2, depth + 1):
                 c = n - 1
                 if c not in images:
-                    img = NilpotentImage(list(p.generators), c)
-                    img.add_words(list(p.relators))
-                    images[c] = img
+                    images[c] = NilpotentImage.of(p.generators, c, p.relators)
                 if not images[c].contains_word(w):
                     stage = n
                     break
@@ -441,8 +430,7 @@ def residual_separation(p: Presentation, elements: Sequence[Word],
         raise DepthUnsupported(
             f"derived-series separation is supported to depth 2 "
             f"(abelianization), got {depth}")
-    img = NilpotentImage(list(p.generators), 1)
-    img.add_words(list(p.relators))
+    img = NilpotentImage.of(p.generators, 1, p.relators)
     for w in elements:
         stage = None
         if depth >= 2 and not img.contains_word(w):

@@ -39,8 +39,7 @@ class _Timer:
 
 
 def _suite_args(**overrides):
-    defaults = dict(max_cosets=10000, class_bound=3, depth=4, seed=0,
-                    hom_degree=4, json=None)
+    defaults = dict(class_bound=3, depth=4, hom_degree=4, json=None)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 

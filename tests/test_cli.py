@@ -79,7 +79,7 @@ class TestVerify:
         code, rep = self._report(capsys, "section")
         assert code == 0
         assert rep["suite"] == "section"
-        assert set(rep["bounds"]) >= {"max_cosets", "class", "depth", "seed"}
+        assert set(rep["bounds"]) == {"class", "depth", "hom_degree"}
         for claim in rep["claims"]:
             assert {"id", "verdict", "ms"} <= set(claim)
             assert claim["verdict"] in ("PASS", "FAIL", "INDETERMINATE")

@@ -157,6 +157,10 @@ class TestTwoQuotientTower:
         stages = two_quotient_tower(catalog("P2K_reduced", 2), 4)
         assert [m.npoints for m in stages] == [1, 16, 512, 65536]
 
+    def test_point_bound(self):
+        with pytest.raises(Overflow, match="stage 4 would need 65536 points"):
+            two_quotient_tower(catalog("P2K_reduced", 2), 4, max_points=1000)
+
     def test_stage_orders_match_coset_enumeration(self):
         # independent route: adjoin squares and generator-commutators of the
         # previous kernel's Schreier generators, then re-enumerate

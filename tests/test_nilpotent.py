@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from surfbraid.nilpotent import (ABOVE_BOUND, ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
+                                 lcs_weight, nil_reduce,
                                  nilpotent_quotient, series_inverse,
                                  series_leading_weight, series_mul,
                                  series_one, witt_rank, word_series)
@@ -126,6 +127,17 @@ class TestHallBasis:
                 # a genuine commutator: zero exponent sum on every letter
                 for s in (A, B):
                     assert sum(exp for sym, exp in w.letters if sym == s) == 0
+
+    @pytest.mark.parametrize("rank,c", [(2, 3), (2, 4), (3, 3)])
+    def test_hall_words_reduce_to_basis_vectors(self, rank, c):
+        gens = [A, B, Sym("c")][:rank]
+        for pos, e in enumerate(hall_basis(rank, c)):
+            w = hall_word(rank, c, pos, gens)
+            assert nil_reduce(w, rank, c, gens).coordinates == {pos: 1}
+            assert lcs_weight(w, rank, c, gens) == e.weight
+
+    def test_identity_weight_above_bound(self):
+        assert lcs_weight(Word(), 2, 3, [A, B]) is ABOVE_BOUND
 
 
 def _layer(rep, k):
