@@ -34,14 +34,17 @@ Letter = Tuple[Sym, int]  # (symbol, +1 or -1)
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
+    """Freely reduce letters already checked by ``Word``."""
     out: List[Letter] = []
-    for sym, exp in letters:
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {exp}")
-        if out and out[-1][0] == sym and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((sym, exp))
+    for letter in letters:
+        if out:
+            last_sym, last_exp = out[-1]
+            sym = letter[0]
+            # symbols are usually shared objects: test identity before __eq__
+            if last_exp != letter[1] and (last_sym is sym or last_sym == sym):
+                out.pop()
+                continue
+        out.append(letter)
     return tuple(out)
 
 
@@ -58,6 +61,13 @@ class Word:
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
+
+    @classmethod
+    def _trusted(cls, letters: Tuple[Letter, ...]) -> "Word":
+        """Wrap letters taken from existing words, skipping the checks."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -87,10 +97,11 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(_reduce_letters(self.letters + other.letters))
+        return Word._trusted(_reduce_letters(self.letters + other.letters))
 
     def __invert__(self) -> "Word":
-        return Word((sym, -exp) for sym, exp in reversed(self.letters))
+        return Word._trusted(
+            tuple((sym, -exp) for sym, exp in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -119,7 +130,7 @@ IDENTITY = Word()
 
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
-    return Word(_reduce_letters(w.letters))
+    return Word._trusted(_reduce_letters(w.letters))
 
 
 def commutator(g: Word, h: Word) -> Word:
@@ -140,12 +151,17 @@ def left_normed(args: Sequence[Word]) -> Word:
 def substitute(w: Word, images: Mapping[Sym, Word]) -> Word:
     """Apply the homomorphism determined by symbol images; reduces."""
     out: List[Letter] = []
-    for sym, exp in w.letters:
-        if sym not in images:
-            raise UnmappedSymbol(f"no image for symbol {sym}")
-        img = images[sym]
-        out.extend(img.letters if exp == 1 else (~img).letters)
-    return Word(_reduce_letters(out))
+    letter_images = {}  # letter -> letters of its image
+    for letter in w.letters:
+        img = letter_images.get(letter)
+        if img is None:
+            sym, exp = letter
+            if sym not in images:
+                raise UnmappedSymbol(f"no image for symbol {sym}")
+            img = images[sym] if exp == 1 else ~images[sym]
+            letter_images[letter] = img = img.letters
+        out.extend(img)
+    return Word._trusted(_reduce_letters(out))
 
 
 def colchete_rhs(x: Word, y: Word, n: int) -> Word:
