@@ -458,14 +458,6 @@ class FiniteModel:
             cur = int(arr[cur])
         return cur
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "points": self.npoints,
-            "generators": {str(g): self.perms[g].tolist() for g in self.generators},
-        }
-
 
 def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
     """The permutation action of the group on the cosets of the table."""

@@ -136,11 +136,11 @@ class ActionTable:
     def apply_psi(self, z: Sym, w: Word) -> Word:
         return substitute(w, self.psi[z])
 
-    def apply_base_word_forward(self, base_word: Word, w: Word) -> Word:
-        """s(u) w s(u)^-1 for a base word u, letter by letter."""
+    def apply_base_word(self, base_word: Word, w: Word) -> Word:
+        """s(u)^-1 w s(u) for a base word u, letter by letter."""
         out = w
-        for sym, exp in reversed(base_word.letters):
-            out = self.apply_psi(sym, out) if exp == 1 else self.apply_phi(sym, out)
+        for sym, exp in base_word.letters:
+            out = self.apply_phi(sym, out) if exp == 1 else self.apply_psi(sym, out)
         return out
 
 
@@ -249,8 +249,8 @@ def invert_automorphism(basis: Sequence[Sym],
                 for s in (1, -1):
                     ujs = uj if s == 1 else ~uj
                     vjs = vj if s == 1 else ~vj
-                    yield i, free_reduce(ui * ujs), free_reduce(vi * vjs)
-                    yield i, free_reduce(ujs * ui), free_reduce(vjs * vi)
+                    yield i, ui * ujs, vi * vjs
+                    yield i, ujs * ui, vjs * vi
 
     def reduce_greedy(ps):
         changed = True
@@ -380,18 +380,6 @@ class SemidirectElement:
             return f"(b[1]^{k} a[1]^{l})"
         return f"({self.fiber} | {self.base!r})"
 
-    def to_json(self):
-        if self.level == 1:
-            return {"level": 1, "k": self.base[0], "l": self.base[1]}
-        return {"level": self.level, "fiber": str(self.fiber),
-                "base": self.base.to_json()}
-
-    def base_word(self) -> Word:
-        """A canonical word over base-group generators for the base part."""
-        if self.level == 1:
-            raise BadLevel("level-1 elements have no base word")
-        return self.base.to_word()
-
     def to_word(self) -> Word:
         """A canonical word over the pure braid generators of this level."""
         if self.level == 1:
@@ -399,7 +387,7 @@ class SemidirectElement:
             return _wb(1) ** k * _wa(1) ** l
         fiber_as_gens = substitute(self.fiber, _generator_images(self.level))
         sect = substitute(self.base.to_word(), section_images(self.level - 1))
-        return free_reduce(fiber_as_gens * sect)
+        return fiber_as_gens * sect
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
         if not isinstance(other, SemidirectElement) or other.level != self.level:
@@ -410,9 +398,8 @@ class SemidirectElement:
             sign = 1 if k2 % 2 == 0 else -1
             return SemidirectElement(1, IDENTITY, (k1 + k2, sign * l1 + l2))
         table = action_table(self.level - 1)
-        moved = table.apply_base_word_forward(self.base.to_word(), other.fiber)
-        return SemidirectElement(self.level,
-                                 free_reduce(self.fiber * moved),
+        moved = table.apply_base_word(~self.base.to_word(), other.fiber)
+        return SemidirectElement(self.level, self.fiber * moved,
                                  self.base * other.base)
 
     def __invert__(self) -> "SemidirectElement":
@@ -471,13 +458,13 @@ def _prepend(e: SemidirectElement, sym: Sym, exp: int) -> SemidirectElement:
             raise BadLevel(f"unexpected fiber symbol {sym}")
         if exp == -1:
             piece = ~piece
-        return SemidirectElement(level, free_reduce(piece * e.fiber), e.base)
+        return SemidirectElement(level, piece * e.fiber, e.base)
     table = action_table(level - 1)
     f = _pair_fibers(level)[sym]
     if exp == 1:
-        fiber = free_reduce(f * table.apply_psi(sym, e.fiber))
+        fiber = f * table.apply_psi(sym, e.fiber)
     else:
-        fiber = table.apply_phi(sym, free_reduce(~f * e.fiber))
+        fiber = table.apply_phi(sym, ~f * e.fiber)
     return SemidirectElement(level, fiber, _prepend(e.base, sym, exp))
 
 
@@ -552,11 +539,7 @@ def verify_action(n: int) -> List[Tuple[str, bool]]:
     for idx, r in enumerate(p.relators):
         ok = True
         for y in basis:
-            out = Word.from_syms(y)
-            for sym, exp in r.letters:
-                out = (table.apply_phi(sym, out) if exp == 1
-                       else table.apply_psi(sym, out))
-            if out != Word.from_syms(y):
+            if table.apply_base_word(r, Word.from_syms(y)) != Word.from_syms(y):
                 ok = False
         report.append((f"respects-relation-{idx + 1}", ok))
     return report

@@ -389,15 +389,6 @@ class NilQuotientReport:
         self.class_bound = class_bound
         self.layers = tuple(layers)
 
-    def to_json(self) -> dict:
-        return {
-            "class": self.class_bound,
-            "layers": [
-                {"free_rank": layer.free_rank, "torsion": list(layer.torsion)}
-                for layer in self.layers
-            ],
-        }
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, NilQuotientReport)
                 and self.class_bound == other.class_bound
@@ -444,15 +435,12 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
     rank = len(p.generators)
     layers = []
     for k in range(1, c + 1):
-        wk = witt_rank(rank, k)
-        rows = [pv for pv, _ in img._pivots[k]]
-        if not rows:
-            layers.append(AbelianInvariants(wk, []))
-            continue
-        diag, _, _ = smith_normal_form(IntMatrix(rows, cols=wk))
-        nonzero = [d for d in diag if d]
-        layers.append(AbelianInvariants(wk - len(nonzero),
-                                        sorted(d for d in nonzero if d > 1)))
+        comps = [series_component(s, k) for s in img._pivots[k].values()]
+        monomials = sorted({m for comp in comps for m in comp})
+        rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
+        diag, _, _ = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+        layers.append(AbelianInvariants(witt_rank(rank, k) - len(comps),
+                                        sorted(d for d in diag if d > 1)))
     return NilQuotientReport(c, layers)
 
 
@@ -461,9 +449,19 @@ class NilpotentImage:
     group of class c on the given generators, with a membership test at
     that resolution.
 
-    The closure is kept as echelonized lattices, one per weight, spanned by
-    the graded images of its elements; row reduction over the integers is
-    mirrored on the series representatives."""
+    The closure is kept as echelonized lattices, one per weight k, spanned
+    by the weight-k components of the Magnus series of its elements in
+    monomial coordinates: `_pivots[k]` maps a leading (least) monomial to
+    the series of the pivot element, whose coefficient there is positive.
+    Row reduction over the integers is carried out on the series
+    themselves, so each pivot's component is read off its series.
+
+    Monomial coordinates give the same answers as basic-commutator ones:
+    the leading component of an element of gamma_k is a degree-k Lie
+    element, and over the integers the free Lie ring is a direct summand of
+    the tensor ring (the Lyndon basis is unitriangular over the monomials).
+    So membership, divisibility and the torsion of each layer are the same
+    in either coordinate system."""
 
     def __init__(self, gens: Sequence[Sym], c: int):
         if not 1 <= c <= 4:
@@ -473,9 +471,8 @@ class NilpotentImage:
         self._rank = len(self.gens)
         self._gen_series = [word_series([(i, 1)], c) for i in range(self._rank)]
         self._gen_inv = [series_inverse(g, c) for g in self._gen_series]
-        # _pivots[k]: list of (vector, series), echelonized by leading column
-        self._pivots: Dict[int, List[Tuple[List[int], Series]]] = {
-            k: [] for k in range(1, c + 1)}
+        self._pivots: Dict[int, Dict[Monomial, Series]] = {
+            k: {} for k in range(1, c + 1)}
 
     @classmethod
     def of(cls, gens: Sequence[Sym], c: int, words: Sequence[Word]) -> "NilpotentImage":
@@ -487,101 +484,63 @@ class NilpotentImage:
     def _word_series(self, w: Word) -> Series:
         return word_series(_letters_to_indices(w, self.gens), self.c)
 
-    def _vector(self, series: Series, k: int) -> List[int]:
-        return _solve_weight(self._rank, self.c, k, series_component(series, k))
-
-    def _sift(self, series: Series) -> List[Tuple[int, Series]]:
-        """Insert a subgroup element; returns (weight, series) for every
-        pivot that was newly created or whose lattice row changed."""
+    def _sift(self, s: Series) -> List[Series]:
+        """Insert a subgroup element; returns every pivot series that was
+        newly created or replaced."""
         c = self.c
-        changed: List[Tuple[int, Series]] = []
-        s = series
+        changed: List[Series] = []
         while True:
             k = series_leading_weight(s, c)
             if k is ABOVE_BOUND:
                 return changed
-            v = self._vector(s, k)
+            comp = series_component(s, k)
+            lead = min(comp)
             row = self._pivots[k]
-            inserted = False
-            while any(v):
-                j = next(i for i, x in enumerate(v) if x)
-                hit = None
-                for idx, (pv, _) in enumerate(row):
-                    if next(i for i, x in enumerate(pv) if x) == j:
-                        hit = idx
-                        break
-                if hit is None:
-                    if v[j] < 0:
-                        s = series_inverse(s, c)
-                        v = [-x for x in v]
-                    row.append((v, s))
-                    row.sort(key=lambda t: next(i for i, x in enumerate(t[0]) if x))
-                    changed.append((k, s))
-                    inserted = True
-                    break
-                pv, ps = row[hit]
-                a, b = pv[j], v[j]  # a > 0 by the insertion convention
-                if b % a == 0:
-                    q = b // a
-                    v = [y - q * x for x, y in zip(pv, v)]
-                    s = series_mul(_series_pow(ps, -q, c), s, c)
-                    continue
-                g, sa, sb = _xgcd(a, b)
-                # unimodular basis change of the pair (pivot, element):
-                #   new pivot = p^sa * s^sb   (leading entry gcd > 0)
-                #   residual  = p^(-b/g) * s^(a/g)   (leading entry 0)
-                new_vec = [sa * x + sb * y for x, y in zip(pv, v)]
-                res_vec = [(-b // g) * x + (a // g) * y for x, y in zip(pv, v)]
-                new_ser = series_mul(_series_pow(ps, sa, c),
-                                     _series_pow(s, sb, c), c)
-                res_ser = series_mul(_series_pow(ps, -b // g, c),
-                                     _series_pow(s, a // g, c), c)
-                changed.append((k, new_ser))
-                row[hit] = (new_vec, new_ser)
-                v, s = res_vec, res_ser
-            if inserted:
+            p = row.get(lead)
+            if p is None:
+                if comp[lead] < 0:
+                    s = series_inverse(s, c)
+                row[lead] = s
+                changed.append(s)
                 return changed
-            # fully reduced at weight k; the residual lives strictly deeper
+            a, b = p[lead], comp[lead]  # a > 0 by the insertion convention
+            if b % a == 0:
+                s = series_mul(_series_pow(p, -(b // a), c), s, c)
+                continue
+            g, sa, sb = _xgcd(a, b)
+            # unimodular basis change of the pair (pivot, element):
+            #   new pivot = p^sa * s^sb   (leading coefficient gcd > 0)
+            #   residual  = p^(-b/g) * s^(a/g)   (leading coefficient 0)
+            row[lead] = series_mul(_series_pow(p, sa, c), _series_pow(s, sb, c), c)
+            changed.append(row[lead])
+            s = series_mul(_series_pow(p, -b // g, c), _series_pow(s, a // g, c), c)
 
     def add_words(self, words: Sequence[Word]) -> None:
         c = self.c
         queue = [self._word_series(w) for w in words]
         while queue:
             s = queue.pop()
-            for _, ser in self._sift(s):
+            for ser in self._sift(s):
                 # close under conjugation by the ambient generators
                 for g, gi in zip(self._gen_series, self._gen_inv):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
                 # close under products with the other basis elements
                 for kk in range(1, c + 1):
-                    for _, other in self._pivots[kk]:
-                        if other is ser:
-                            continue
-                        queue.append(series_mul(ser, other, c))
+                    row = self._pivots[kk]
+                    for lead in sorted(row):
+                        if row[lead] is not ser:
+                            queue.append(series_mul(ser, row[lead], c))
 
     def contains_word(self, w: Word) -> bool:
-        return self._contains_series(self._word_series(w))
-
-    def _contains_series(self, s: Series) -> bool:
         c = self.c
+        s = self._word_series(w)
         while True:
             k = series_leading_weight(s, c)
             if k is ABOVE_BOUND:
                 return True
-            v = self._vector(s, k)
-            row = self._pivots[k]
-            while any(v):
-                j = next(i for i, x in enumerate(v) if x)
-                hit = None
-                for pv, ps in row:
-                    if next(i for i, x in enumerate(pv) if x) == j:
-                        hit = (pv, ps)
-                        break
-                if hit is None:
-                    return False
-                pv, ps = hit
-                if v[j] % pv[j] != 0:
-                    return False
-                q = v[j] // pv[j]
-                v = [y - q * x for x, y in zip(pv, v)]
-                s = series_mul(_series_pow(ps, -q, c), s, c)
+            comp = series_component(s, k)
+            lead = min(comp)
+            p = self._pivots[k].get(lead)
+            if p is None or comp[lead] % p[lead]:
+                return False
+            s = series_mul(_series_pow(p, -(comp[lead] // p[lead]), c), s, c)

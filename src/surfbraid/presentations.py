@@ -222,21 +222,8 @@ def _s(i: int) -> Sym:
     return Sym("s", (i,))
 
 
-def _w(*letters) -> Word:
-    out: List[Tuple[Sym, int]] = []
-    for item in letters:
-        if isinstance(item, Sym):
-            out.append((item, 1))
-        elif isinstance(item, Word):
-            out.extend(item.letters)
-        else:
-            sym, exp = item
-            out.extend([(sym, 1 if exp > 0 else -1)] * abs(exp))
-    return free_reduce(Word(out))
-
-
 def _relator(lhs: Word, rhs: Word) -> Word:
-    return free_reduce(lhs * ~rhs)
+    return lhs * ~rhs
 
 
 def _pure_surface(n: int, klein: bool) -> Presentation:
@@ -631,7 +618,7 @@ def expand_derived_generator(sym: Sym, n: int) -> Word:
     else:  # rh
         Si, S1 = Word.from_syms(_s(i)), Word.from_syms(_s(1))
         core, suffix = S1 * Si, ~(B ** k)
-    return free_reduce(prefix * core * ~(A ** m) * suffix)
+    return prefix * core * ~(A ** m) * suffix
 
 
 def derived_relation_instances(n: int, k_range: Sequence[int],
@@ -684,10 +671,10 @@ def derived_relation_instances(n: int, k_range: Sequence[int],
                 out.append(_relator(dd(k, m) * rh(j, k + 1, m),
                                     rh(j, k, m) * bb(k, m)))
             # (5)
-            out.append(free_reduce(~bb(k - 1, m) * aa(k - 1, m) * bb(k - 1, m + 1)
-                                   * ~rh(1, k, m + 1) * ~aa(k, m)))
-            out.append(free_reduce(~dd(k - 1, m) * rh(1, k - 1, m) * ~rh(1, k - 1, m + 1)
-                                   * dd(k - 1, m + 1) * ~rh(1, k, m)))
+            out.append(~bb(k - 1, m) * aa(k - 1, m) * bb(k - 1, m + 1)
+                       * ~rh(1, k, m + 1) * ~aa(k, m))
+            out.append(~dd(k - 1, m) * rh(1, k - 1, m) * ~rh(1, k - 1, m + 1)
+                       * dd(k - 1, m + 1) * ~rh(1, k, m))
             # (6)
             out.append(_relator(aa(k, m + 1) * rh(1, k, m + 2),
                                 aa(k, m) * rh(1, k, m + 1)))

@@ -58,14 +58,6 @@ class FiltrationFamily:
 
 # -- the generator recursion for Gamma_n(H x| G) = L_n x| Gamma_n(G) ------
 
-def _apply_base_word(action: ActionTable, base_word: Word, w: Word) -> Word:
-    """Conjugation s(u)^-1 w s(u) for a base word u, letter by letter."""
-    out = w
-    for sym, exp in base_word.letters:
-        out = action.apply_phi(sym, out) if exp == 1 else action.apply_psi(sym, out)
-    return out
-
-
 def _fiber_words(action: ActionTable) -> List[Word]:
     row = next(iter(action.phi.values()))
     return [Word.from_syms(y) for y in row]
@@ -112,13 +104,13 @@ def serie_generators(action: ActionTable,
     V: List[List[Word]] = [fiber]
     K_n: List[Word] = []
     for m in range(2, n + 1):
-        K_m = [_apply_base_word(action, g, h) * ~h
+        K_m = [action.apply_base_word(g, h) * ~h
                for g in base_lcs(m - 1) for h in fiber]
-        H_m = [_apply_base_word(action, g, w) * ~w
+        H_m = [action.apply_base_word(g, w) * ~w
                for g in base_gens for w in L[-1]]
         comm = [commutator(h, w) for h in fiber for w in L[-1]]
         L.append(_dedupe(K_m + H_m + comm))
-        Ht_m = [_apply_base_word(action, g, w) * ~w
+        Ht_m = [action.apply_base_word(g, w) * ~w
                 for g in base_gens for w in V[-1]]
         commv = [commutator(h, w) for h in fiber for w in V[-1]]
         V.append(_dedupe(Ht_m + commv))
@@ -222,7 +214,7 @@ def elm_generators(l: int, m: int,
                 continue
             entries = [w for w, _ in combo]
             w = entries[0] if i == 1 else left_normed(entries)
-            out.append(free_reduce(w) ** (2 ** (m - i - k)))
+            out.append(w ** (2 ** (m - i - k)))
     if ambient is None:
         syms: List[Sym] = []
         for w in list(gens) + list(a_words or []):
@@ -256,7 +248,7 @@ def klein_series_families(n: int, m: int
     ambient = Presentation(f"fiberP{level}K", basis, [])
     h_words = [Word.from_syms(s) for s in basis]
     a_words = [Word.from_syms(Sym("D", (j, level))) for j in range(1, n)]
-    a_words.append(free_reduce(_top_d_expansion(level)))
+    a_words.append(_top_d_expansion(level))
 
     a_pow = [w ** (2 ** (m - 2)) for w in a_words]
 
@@ -285,16 +277,14 @@ def klein_series_families(n: int, m: int
 
     z_stages: List[List[Word]] = [h_words, y_stages[1]]
     for mm in range(3, m + 1):
-        gens = [free_reduce(w * w) for w in z_stages[-1]] + x_m(mm)
+        gens = [w * w for w in z_stages[-1]] + x_m(mm)
         z_stages.append(_dedupe(gens))
 
     zt = a_pow + list(elm_generators(2, m, h_words, a_words, ambient).normal_generators)
 
     return (SubgroupDescription(ambient, _dedupe(a_pow), label=f"Apow_{m}"),
-            SubgroupDescription(ambient, y_stages[min(m, len(y_stages)) - 1],
-                                label=f"Y_{m}"),
-            SubgroupDescription(ambient, z_stages[min(m, len(z_stages)) - 1],
-                                label=f"Z_{m}"),
+            SubgroupDescription(ambient, y_stages[-1], label=f"Y_{m}"),
+            SubgroupDescription(ambient, z_stages[-1], label=f"Z_{m}"),
             SubgroupDescription(ambient, _dedupe(zt), label=f"Ztilde_{m}"))
 
 
@@ -378,7 +368,7 @@ def lemaprinc_check(x: Word, y: Word, i: int, m: int,
         raise BadParameters(f"need k <= m - i, got i={i}, m={m}, k={k}")
     lhs = commutator(x ** (2 ** e), y)
     rhs = commutator(x, y) ** (2 ** e)
-    diff = free_reduce(lhs * ~rhs)
+    diff = lhs * ~rhs
     target = elm_generators(i + 1, m + 1, gens, a_words=a_words, ambient=ambient)
     if isinstance(oracle, FiniteModel):
         return subgroup_image(oracle, target).contains_word(diff)

@@ -180,6 +180,15 @@ class TestNilpotentQuotients:
         assert _layer(rep, 2) == (0, ())
         assert _layer(rep, 3) == (0, ())
 
+    @pytest.mark.parametrize("family, n, c, layers", [
+        ("PnT", 2, 3, [(4, ()), (1, ()), (2, ())]),
+        ("BnT", 2, 4, [(2, (2,)), (0, (2,) * 3), (0, (2,) * 5), (0, (2,) * 8)]),
+        ("PnK", 2, 3, [(2, (2, 2)), (0, (2,) * 3), (0, (2,) * 5)]),
+    ])
+    def test_presented_layers(self, family, n, c, layers):
+        rep = nilpotent_quotient(catalog(family, n), c)
+        assert [_layer(rep, k) for k in range(1, c + 1)] == layers
+
     def test_layer1_matches_abelianization(self):
         from surfbraid.presentations import abelianization
         for fam, n, g in [("BnK", 3, None), ("BnT", 4, None), ("BnNg", 2, 3)]:
@@ -211,6 +220,20 @@ class TestNilpotentImage:
         img = NilpotentImage([A, B], 3)
         img.add_words([WA ** 2])
         assert not img.contains_word(commutator(WA, WB))
+
+    def test_xgcd_basis_change_on_powers(self):
+        # leading coefficients 6 and 4 only reach 2 through a gcd step
+        img = NilpotentImage.of([A, B], 3, [WA ** 4, WA ** 6])
+        assert img.contains_word(WA ** 2)
+        assert img.contains_word(commutator(WA ** 2, WB))
+        assert not img.contains_word(WA)
+        assert not img.contains_word(commutator(WA, WB))
+
+    def test_xgcd_basis_change_on_commutators(self):
+        ab = commutator(WA, WB)
+        img = NilpotentImage.of([A, B], 3, [ab ** 4, ab ** 6])
+        assert img.contains_word(ab ** 2)
+        assert not img.contains_word(ab)
 
     def test_identity_always_contained(self):
         img = NilpotentImage([A, B], 2)
