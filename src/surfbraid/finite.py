@@ -18,48 +18,41 @@ class Overflow(RuntimeError):
     pass
 
 
-class IncompleteTable(RuntimeError):
-    pass
+def _word_columns(w: Word, index: Mapping[Sym, int]) -> List[int]:
+    """The word as column codes: 2g for generator g, 2g+1 for its inverse."""
+    return [2 * index[sym] + (exp < 0) for sym, exp in w.letters]
 
 
-def _word_letters(w: Word, index: Mapping[Sym, int]) -> List[Tuple[int, int]]:
-    return [(index[sym], exp) for sym, exp in w.letters]
+def _trace(columns: Sequence[np.ndarray], path: Sequence[int], start):
+    """The point the column path leads to from `start`, which may be one
+    point or an array of points."""
+    for col in path:
+        start = columns[col][start]
+    return start
 
 
 # -- Todd-Coxeter coset enumeration --------------------------------------
 
 class CosetTable:
-    """Table of cosets of a subgroup; column 2g is the action of generator
-    g, column 2g+1 of its inverse. Coset 0 is the subgroup itself."""
+    """Complete table of cosets of a subgroup; columns[2g][c] is the coset
+    generator g sends c to, columns[2g+1] the action of its inverse. Coset 0
+    is the subgroup itself."""
 
-    __slots__ = ("presentation", "subgroup", "table", "complete")
+    __slots__ = ("presentation", "subgroup", "columns", "index")
 
     def __init__(self, presentation: Presentation, subgroup: Sequence[Word],
-                 table: List[List[Optional[int]]], complete: bool):
+                 columns: Sequence[np.ndarray], index: int):
         self.presentation = presentation
         self.subgroup = tuple(subgroup)
-        self.table = table
-        self.complete = complete
-
-    @property
-    def index(self) -> int:
-        return len(self.table)
+        self.columns = list(columns)
+        self.index = index
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
         idx = {g: i for i, g in enumerate(self.presentation.generators)}
-        for r in self.presentation.relators:
-            letters = _word_letters(r, idx)
-            for c in range(len(self.table)):
-                cur = c
-                for g, e in letters:
-                    nxt = self.table[cur][2 * g if e == 1 else 2 * g + 1]
-                    if nxt is None:
-                        return False
-                    cur = nxt
-                if cur != c:
-                    return False
-        return True
+        start = np.arange(self.index)
+        return all(np.array_equal(_trace(self.columns, _word_columns(r, idx), start), start)
+                   for r in self.presentation.relators)
 
 
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
@@ -68,8 +61,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     gens = list(p.generators)
     ngens = len(gens)
     idx = {g: i for i, g in enumerate(gens)}
-    rel_letters = [_word_letters(r, idx) for r in p.relators if r.letters]
-    sub_letters = [_word_letters(free_reduce(w), idx) for w in subgroup]
+    rel_paths = [_word_columns(r, idx) for r in p.relators if r.letters]
+    sub_paths = [_word_columns(free_reduce(w), idx) for w in subgroup]
 
     table: List[List[Optional[int]]] = [[None] * (2 * ngens)]
     parent = [0]  # union-find for coincidences
@@ -115,16 +108,14 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 else:
                     merge_queue.append((rep(u), t))
 
-    def scan_and_fill(c: int, letters: Sequence[Tuple[int, int]],
-                      fill: bool = True) -> None:
+    def scan_and_fill(c: int, path: Sequence[int], fill: bool = True) -> None:
         c = rep(c)
         f, b = c, c
-        i, j = 0, len(letters) - 1
+        i, j = 0, len(path) - 1
         while True:
             # scan forward as far as possible
             while i <= j:
-                g, e = letters[i]
-                nxt = table[f][2 * g if e == 1 else 2 * g + 1]
+                nxt = table[f][path[i]]
                 if nxt is None:
                     break
                 f = rep(nxt)
@@ -135,8 +126,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 return
             # scan backward as far as possible
             while j >= i:
-                g, e = letters[j]
-                prv = table[b][2 * g + 1 if e == 1 else 2 * g]
+                prv = table[b][path[j] ^ 1]
                 if prv is None:
                     break
                 b = rep(prv)
@@ -147,16 +137,13 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 return
             if j == i:
                 # single gap: deduction
-                g, e = letters[i]
-                col = 2 * g if e == 1 else 2 * g + 1
-                table[f][col] = b
-                table[b][col ^ 1] = f
+                table[f][path[i]] = b
+                table[b][path[i] ^ 1] = f
                 return
             if not fill:
                 return
             # fill the forward gap with a new coset and continue
-            g, e = letters[i]
-            define(f, 2 * g if e == 1 else 2 * g + 1)
+            define(f, path[i])
 
     def lookahead() -> None:
         # scan-only pass: harvest deductions and coincidences without
@@ -168,18 +155,19 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
             for c in range(len(table)):
                 if rep(c) != c:
                     continue
-                for letters in rel_letters:
+                for path in rel_paths:
                     if rep(c) != c:
                         break
-                    scan_and_fill(c, letters, fill=False)
+                    scan_and_fill(c, path, fill=False)
             after = sum(1 for c in range(len(table)) if rep(c) == c)
             if after < before:
                 progress = True
 
-    for letters in sub_letters:
-        scan_and_fill(0, letters)
+    for path in sub_paths:
+        scan_and_fill(0, path)
     # scan every relator at every live coset, defining cosets to fill gaps;
-    # columns untouched by any relator get defined in a final sweep
+    # a final sweep defines every column still empty, so the loop only ends
+    # once every live coset has every column defined
     lookahead_at = 1000
     stable = False
     while not stable:
@@ -189,10 +177,10 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
             if rep(c) != c:
                 c += 1
                 continue
-            for letters in rel_letters:
+            for path in rel_paths:
                 if rep(c) != c:
                     break
-                scan_and_fill(c, letters)
+                scan_and_fill(c, path)
             if len(table) >= lookahead_at:
                 lookahead()
                 lookahead_at = max(len(table) * 2, lookahead_at)
@@ -211,11 +199,10 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     # compact the table over live cosets, renumbered in discovery order
     live = [c for c in range(len(table)) if rep(c) == c]
     renum = {c: i for i, c in enumerate(live)}
-    compact = [[renum[rep(table[c][col])] if table[c][col] is not None else None
-                for col in range(2 * ngens)] for c in live]
-    complete = all(x is not None for row in compact for x in row)
-    out = CosetTable(p, subgroup, compact, complete)
-    if complete and not out.scan_closes():
+    columns = [np.array([renum[rep(table[c][col])] for c in live], dtype=np.int64)
+               for col in range(2 * ngens)]
+    out = CosetTable(p, subgroup, columns, len(live))
+    if not out.scan_closes():
         raise AssertionError("coset table closed but a relator scan fails")
     return out
 
@@ -247,7 +234,7 @@ def _schreier_tree(columns: Sequence[np.ndarray], n: int) -> Tuple[np.ndarray, n
         seen[reached] = True
         frontier = reached
     if not seen.all():
-        raise IncompleteTable("coset graph is not connected")
+        raise ValueError("the action is not transitive")
     return parent, letter
 
 
@@ -262,70 +249,62 @@ def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
 
 
 class _SchreierGenerators:
-    """The Schreier generators of the subgroup a complete coset table
-    enumerates: one for each (coset, generator) edge off the spanning tree,
-    numbered in (coset, generator) order."""
+    """The Schreier generators of the subgroup a coset table enumerates: one
+    for each (coset, generator) edge off the BFS spanning tree, numbered in
+    (coset, generator) order."""
 
-    __slots__ = ("table", "parent", "letter", "index")
+    __slots__ = ("columns", "parent", "letter", "index")
 
-    def __init__(self, table: Sequence[Sequence[int]], ngens: int,
-                 tree: Tuple[np.ndarray, np.ndarray]):
-        self.table = table
-        self.parent, self.letter = tree
+    def __init__(self, columns: Sequence[np.ndarray], n: int):
+        self.parent, self.letter = _schreier_tree(columns, n)
+        self.columns = [col.tolist() for col in columns]
         tree_edges: Set[Tuple[int, int]] = set()
-        for c in range(1, len(table)):
-            col, src = int(self.letter[c]), int(self.parent[c])
-            tree_edges.add((src, col // 2) if col % 2 == 0 else (table[src][col], col // 2))
+        for c in range(1, n):
+            col = int(self.letter[c])
+            # an inverse column enters c along the edge (c, g) backwards
+            tree_edges.add((c if col & 1 else int(self.parent[c]), col >> 1))
         self.index: Dict[Tuple[int, int], int] = {}
-        for c in range(len(table)):
-            for g in range(ngens):
+        for c in range(n):
+            for g in range(len(columns) // 2):
                 if (c, g) not in tree_edges:
                     self.index[(c, g)] = len(self.index)
 
-    def rewrite(self, letters: Sequence[Tuple[int, int]],
-                start: int) -> Tuple[List[Tuple[int, int]], int]:
+    def rewrite(self, path: Sequence[int], start: int) -> Tuple[List[Tuple[int, int]], int]:
         """The Schreier generators, as (number, exponent), met along the
-        path the letters trace from coset `start`, and the end coset."""
+        column path from coset `start`, and the end coset."""
         out: List[Tuple[int, int]] = []
         cur = start
-        for g, e in letters:
-            if e == 1:
-                if (cur, g) in self.index:
-                    out.append((self.index[(cur, g)], 1))
-                cur = self.table[cur][2 * g]
+        for col in path:
+            if col & 1:
+                cur = self.columns[col][cur]
+                if (cur, col >> 1) in self.index:
+                    out.append((self.index[(cur, col >> 1)], -1))
             else:
-                cur = self.table[cur][2 * g + 1]
-                if (cur, g) in self.index:
-                    out.append((self.index[(cur, g)], -1))
+                if (cur, col >> 1) in self.index:
+                    out.append((self.index[(cur, col >> 1)], 1))
+                cur = self.columns[col][cur]
         return out, cur
 
-    def generator_letters(self, c: int, g: int) -> List[Tuple[int, int]]:
-        """The generator of edge (c, g) as letters u_c . x_g . u_d^-1, with
-        u the tree transversal and d the coset the edge enters."""
-        d = self.table[c][2 * g]
-        out = [(col // 2, 1 if col % 2 == 0 else -1)
-               for col in _tree_path(self.parent, self.letter, c)]
-        out.append((g, 1))
-        out.extend((col // 2, -1 if col % 2 == 0 else 1)
-                   for col in reversed(_tree_path(self.parent, self.letter, d)))
-        return out
+    def generator_path(self, c: int, g: int) -> List[int]:
+        """The generator of edge (c, g) as the column path u_c . x_g . u_d^-1,
+        with u the tree transversal and d the coset the edge enters."""
+        d = self.columns[2 * g][c]
+        return (_tree_path(self.parent, self.letter, c) + [2 * g]
+                + [x ^ 1 for x in reversed(_tree_path(self.parent, self.letter, d))])
 
 
 def reidemeister_schreier(t: CosetTable) -> Presentation:
     """Presentation of the subgroup on its Schreier generators."""
-    if not t.complete:
-        raise IncompleteTable("need a complete coset table")
     p = t.presentation
-    tree = _schreier_tree(np.asarray(t.table).T, t.index)
-    sch = _SchreierGenerators(t.table, len(p.generators), tree)
+    sch = _SchreierGenerators(t.columns, t.index)
     sgen_syms = [Sym("y", key) for key in sch.index]
 
     idx = {g: i for i, g in enumerate(p.generators)}
     relators = []
     for r in p.relators:
-        letters = _word_letters(r, idx)
+        path = _word_columns(r, idx)
         for c in range(t.index):
-            met, end = sch.rewrite(letters, c)
+            met, end = sch.rewrite(path, c)
             if end != c:
                 raise ValueError("rewriting a non-closed path")
             w = free_reduce(Word([(sgen_syms[i], e) for i, e in met]))
@@ -337,13 +316,10 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
 def schreier_generator_words(t: CosetTable) -> List[Word]:
     """The Schreier generators of the subgroup, written as words in the
     ambient generators (transversal-in, edge, transversal-out)."""
-    if not t.complete:
-        raise IncompleteTable("need a complete coset table")
-    p = t.presentation
-    tree = _schreier_tree(np.asarray(t.table).T, t.index)
-    sch = _SchreierGenerators(t.table, len(p.generators), tree)
-    return [free_reduce(Word([(p.generators[h], e)
-                              for h, e in sch.generator_letters(c, g)]))
+    gens = t.presentation.generators
+    sch = _SchreierGenerators(t.columns, t.index)
+    return [free_reduce(Word([(gens[x >> 1], -1 if x & 1 else 1)
+                              for x in sch.generator_path(c, g)]))
             for c, g in sch.index]
 
 
@@ -363,34 +339,32 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
 # -- finite permutation models --------------------------------------------
 
 class FiniteModel:
-    """Generator images as permutations of {0..npoints-1}."""
+    """Generator images as permutations of {0..npoints-1}, stored as
+    coset-table columns: columns[2g] is generator g, columns[2g+1] its
+    inverse."""
 
-    __slots__ = ("label", "generators", "perms", "npoints", "regular",
-                 "_inv", "_order", "_tree")
+    __slots__ = ("label", "generators", "columns", "npoints", "regular",
+                 "_index", "_order", "_tree")
 
     def __init__(self, label: str, generators: Sequence[Sym],
-                 perms: Mapping[Sym, Sequence[int]], npoints: int,
+                 perms: Sequence[Sequence[int]], npoints: int,
                  regular: bool = False):
         self.label = label
         self.generators = tuple(generators)
-        self.perms = {g: np.asarray(perms[g], dtype=np.int64) for g in generators}
         self.npoints = npoints
         self.regular = regular
-        self._inv: Dict[Sym, np.ndarray] = {}
+        self.columns: List[np.ndarray] = []
+        for perm in perms:
+            perm = np.asarray(perm, dtype=np.int64)
+            inv = np.empty_like(perm)
+            inv[perm] = np.arange(npoints)
+            self.columns += [perm, inv]
+        self._index = {g: i for i, g in enumerate(self.generators)}
         self._order = None
         self._tree = None
 
-    def inverse_perm(self, g: Sym) -> np.ndarray:
-        if g not in self._inv:
-            self._inv[g] = np.argsort(self.perms[g], kind="stable")
-        return self._inv[g]
-
     def apply_word(self, w: Word, point: int) -> int:
-        cur = point
-        for sym, exp in w.letters:
-            arr = self.perms[sym] if exp == 1 else self.inverse_perm(sym)
-            cur = int(arr[cur])
-        return cur
+        return int(_trace(self.columns, _word_columns(w, self._index), point))
 
     @property
     def order(self) -> int:
@@ -400,7 +374,7 @@ class FiniteModel:
             else:
                 seen = {tuple(range(self.npoints))}
                 frontier = [tuple(range(self.npoints))]
-                arrs = [tuple(self.perms[g].tolist()) for g in self.generators]
+                arrs = [tuple(col.tolist()) for col in self.columns[::2]]
                 while frontier:
                     cur = frontier.pop()
                     for arr in arrs:
@@ -411,63 +385,27 @@ class FiniteModel:
                 self._order = len(seen)
         return self._order
 
-    def _columns(self) -> List[np.ndarray]:
-        """Coset-table columns: column 2g is generator g, 2g+1 its inverse."""
-        cols = []
-        for g in self.generators:
-            cols += [self.perms[g], self.inverse_perm(g)]
-        return cols
-
-    def _rows(self) -> List[List[int]]:
-        """The model as coset-table rows, one per point."""
-        cols = [col.tolist() for col in self._columns()]
-        return [[col[c] for col in cols] for c in range(self.npoints)]
-
-    def _point_tree(self) -> Tuple[np.ndarray, np.ndarray]:
-        """BFS tree over points along generator/inverse moves (regular models:
-        a word from the base point to every group element)."""
+    def _path(self, point: int) -> List[int]:
+        """Column codes tracing the base point to `point` along a BFS tree
+        (regular models: a word for every group element)."""
         if self._tree is None:
-            try:
-                self._tree = _schreier_tree(self._columns(), self.npoints)
-            except IncompleteTable:
-                raise ValueError("model is not transitive; no point tree") from None
-        return self._tree
-
-    def point_word_letters(self, point: int) -> List[int]:
-        """Column codes tracing the base point to `point` (regular models)."""
-        return _tree_path(*self._point_tree(), point)
+            self._tree = _schreier_tree(self.columns, self.npoints)
+        return _tree_path(*self._tree, point)
 
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
         (regular models only: the point set is the group)."""
-        cur = a
-        inv = None
-        for code in self.point_word_letters(b):
-            gi, back = divmod(code, 2)
-            g = self.generators[gi]
-            arr = self.inverse_perm(g) if back else self.perms[g]
-            cur = int(arr[cur])
-        return cur
+        return int(_trace(self.columns, self._path(b), a))
 
     def point_inv(self, a: int) -> int:
-        cur = 0
-        for code in reversed(self.point_word_letters(a)):
-            gi, back = divmod(code, 2)
-            g = self.generators[gi]
-            arr = self.perms[g] if back else self.inverse_perm(g)
-            cur = int(arr[cur])
-        return cur
+        return int(_trace(self.columns, [x ^ 1 for x in reversed(self._path(a))], 0))
 
 
 def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
     """The permutation action of the group on the cosets of the table."""
-    if not t.complete:
-        raise IncompleteTable("need a complete coset table")
     p = t.presentation
-    perms = {g: [t.table[c][2 * i] for c in range(t.index)]
-             for i, g in enumerate(p.generators)}
-    return FiniteModel(f"{p.label}@cosets{t.index}", p.generators, perms,
-                       t.index, regular=regular)
+    return FiniteModel(f"{p.label}@cosets{t.index}", p.generators,
+                       t.columns[::2], t.index, regular=regular)
 
 
 def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
@@ -475,7 +413,7 @@ def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
     models: the table of the kernel of the presented group onto the model)."""
     if tuple(p.generators) != tuple(model.generators):
         raise ValueError("model generators do not match the presentation")
-    out = CosetTable(p, (), model._rows(), True)
+    out = CosetTable(p, (), model.columns, model.npoints)
     if not out.scan_closes():
         raise ValueError("model does not satisfy the presentation relators")
     return out
@@ -489,24 +427,24 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
     if degree < 1 or degree > 6:
         raise ValueError(f"degree must be 1..6, got {degree}")
     gens = list(p.generators)
-    perms = sorted(itertools.permutations(range(degree)))
     idx = {g: i for i, g in enumerate(gens)}
     # relator becomes checkable once all its symbols are assigned
-    checkpoint: Dict[int, List[List[Tuple[int, int]]]] = {i: [] for i in range(len(gens))}
+    checkpoint: Dict[int, List[List[int]]] = {i: [] for i in range(len(gens))}
     for r in p.relators:
-        letters = _word_letters(r, idx)
-        if letters:
-            last = max(g for g, _ in letters)
-            checkpoint[last].append(letters)
+        path = _word_columns(r, idx)
+        if path:
+            checkpoint[max(path) >> 1].append(path)
 
-    inv_cache = {q: tuple(np.argsort(q).tolist()) for q in perms}
+    pairs = [(q, tuple(np.argsort(q).tolist()))
+             for q in sorted(itertools.permutations(range(degree)))]
     found: List[FiniteModel] = []
-    assignment: List[Tuple[int, ...]] = []
+    # (permutation, inverse) per assigned generator, indexed by column code
+    assignment: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
 
-    def ok(letters: Sequence[Tuple[int, int]]) -> bool:
+    def ok(path: Sequence[int]) -> bool:
         cur = tuple(range(degree))
-        for g, e in letters:
-            q = assignment[g] if e == 1 else inv_cache[assignment[g]]
+        for col in path:
+            q = assignment[col >> 1][col & 1]
             cur = tuple(q[i] for i in cur)
         return cur == tuple(range(degree))
 
@@ -514,11 +452,11 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
         if i == len(gens):
             found.append(FiniteModel(
                 f"{p.label}@S{degree}#{len(found)}", gens,
-                {g: assignment[j] for j, g in enumerate(gens)}, degree))
+                [q for q, _ in assignment], degree))
             return
-        for q in perms:
-            assignment.append(q)
-            if all(ok(l) for l in checkpoint[i]):
+        for pair in pairs:
+            assignment.append(pair)
+            if all(ok(path) for path in checkpoint[i]):
                 backtrack(i + 1)
             assignment.pop()
 
@@ -568,20 +506,19 @@ def two_quotient_tower(p: Presentation, depth: int,
     gens = list(p.generators)
     ngens = len(gens)
     idx = {g: i for i, g in enumerate(gens)}
-    rel_letters = [_word_letters(r, idx) for r in p.relators]
+    rel_paths = [_word_columns(r, idx) for r in p.relators]
 
-    stages = [FiniteModel(f"{p.label}/stage1", gens,
-                          {g: [0] for g in gens}, 1, regular=True)]
+    stages = [FiniteModel(f"{p.label}/stage1", gens, [[0]] * ngens, 1,
+                          regular=True)]
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
-        table = model._rows()
-        sch = _SchreierGenerators(table, ngens, model._point_tree())
+        sch = _SchreierGenerators(model.columns, n)
         width = len(sch.index)
 
-        def rewrite_parity(letters: Sequence[Tuple[int, int]], start: int) -> Tuple[int, int]:
+        def rewrite_parity(path: Sequence[int], start: int) -> Tuple[int, int]:
             """(parity bitmask over Schreier generators, end coset)."""
-            met, end = sch.rewrite(letters, start)
+            met, end = sch.rewrite(path, start)
             vec = 0
             for i, _ in met:
                 vec ^= 1 << i
@@ -589,9 +526,9 @@ def two_quotient_tower(p: Presentation, depth: int,
 
         rows: List[int] = []
         # relator conjugates: the kernel's defining relations
-        for letters in rel_letters:
+        for path in rel_paths:
             for c in range(n):
-                vec, end = rewrite_parity(letters, c)
+                vec, end = rewrite_parity(path, c)
                 if end != c:
                     raise AssertionError("relator does not fix a coset")
                 if vec:
@@ -599,10 +536,9 @@ def two_quotient_tower(p: Presentation, depth: int,
         # conjugation differences: for each Schreier generator s and ambient
         # generator g, the class of (g s g^-1) s^-1
         for (c, g), sbit in sch.index.items():
-            s_letters = sch.generator_letters(c, g)
+            s_path = sch.generator_path(c, g)
             for h in range(ngens):
-                conj = [(h, 1)] + s_letters + [(h, -1)]
-                vec, end = rewrite_parity(conj, 0)
+                vec, end = rewrite_parity([2 * h] + s_path + [2 * h + 1], 0)
                 if end != 0:
                     raise AssertionError("kernel conjugate left the kernel")
                 vec ^= 1 << sbit
@@ -614,27 +550,19 @@ def two_quotient_tower(p: Presentation, depth: int,
         if n << d > max_points:
             raise Overflow(f"stage {stage_no} would need {n << d} points")
         # cocycle of a single generator move from each coset
-        cocycle = [[0] * ngens for _ in range(n)]
-        for c in range(n):
-            for g in range(ngens):
-                vec, _ = rewrite_parity([(g, 1)], c)
-                cocycle[c][g] = _f2_project(vec, pivots, free_pos)
-        m = n << d
-        perms = {}
-        for g in range(ngens):
-            arr = np.empty(m, dtype=np.int64)
-            for c in range(n):
-                tgt = table[c][2 * g]
-                for v in range(1 << d):
-                    arr[(c << d) | v] = (tgt << d) | (v ^ cocycle[c][g])
-            perms[gens[g]] = arr
-        new_model = FiniteModel(f"{p.label}/stage{stage_no}", gens, perms, m,
-                                regular=True)
+        cocycle = np.array([[_f2_project(rewrite_parity([2 * g], c)[0], pivots, free_pos)
+                             for g in range(ngens)] for c in range(n)], dtype=np.int64)
+        # point (c << d) | v moves to (target of c << d) | (v ^ cocycle)
+        layer = np.arange(1 << d)
+        perms = [((model.columns[2 * g] << d)[:, None]
+                  | (layer ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
+        new_model = FiniteModel(f"{p.label}/stage{stage_no}", gens, perms,
+                                n << d, regular=True)
         # sanity: relators act trivially (regular action: base point suffices)
         for r in p.relators:
             if new_model.apply_word(r, 0) != 0:
                 raise AssertionError("relator acts nontrivially on the tower stage")
-        new_model._point_tree()  # also certifies transitivity
+        new_model._path(0)  # builds the point tree, which certifies transitivity
         stages.append(new_model)
     return stages
 
@@ -704,9 +632,7 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
         raise ValueError("subgroup images are computed in regular models")
     if tuple(desc.ambient.generators) != tuple(model.generators):
         raise ValueError("description ambient does not match the model")
-    gen_pts = []
-    for g in model.generators:
-        gen_pts.append(int(model.perms[g][0]))
+    gen_pts = [int(col[0]) for col in model.columns[::2]]
     gen_inv_pts = [model.point_inv(pt) for pt in gen_pts]
 
     seeds = {model.apply_word(w, 0) for w in desc.normal_generators}

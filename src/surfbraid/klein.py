@@ -486,6 +486,8 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
         n = 1
         for sym, _ in w.letters:
             n = max(n, max(sym.indices))
+    if n < 1:
+        raise BadLevel(f"need n >= 1, got {n}")
     if n > DEFAULT_MAX_LEVEL:
         raise BadLevel(f"level {n} exceeds the supported bound {DEFAULT_MAX_LEVEL}")
     for sym, _ in w.letters:

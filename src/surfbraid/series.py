@@ -323,6 +323,15 @@ def _nilpotent_image(desc: SubgroupDescription, c: int) -> NilpotentImage:
                              list(desc.ambient.relators) + list(desc.normal_generators))
 
 
+def _oracle_image(desc: SubgroupDescription, oracle: Oracle):
+    """The normal closure of the description at the oracle's resolution."""
+    if isinstance(oracle, FiniteModel):
+        return subgroup_image(oracle, desc)
+    if isinstance(oracle, int):
+        return _nilpotent_image(desc, oracle)
+    raise OracleMismatch(f"unsupported oracle {oracle!r}")
+
+
 def _contains(container, desc: SubgroupDescription) -> bool:
     return all(container.contains_word(w) for w in desc.normal_generators)
 
@@ -334,18 +343,8 @@ def compare_descriptions(a: SubgroupDescription, b: SubgroupDescription,
     group, or an integer nilpotency class bound (the comparison then happens
     in the ambient group modulo the (c+1)-st lower central term)."""
     _same_ambient(a, b)
-    if isinstance(oracle, FiniteModel):
-        ia = subgroup_image(oracle, a)
-        ib = subgroup_image(oracle, b)
-        a_in_b = ia.points <= ib.points
-        b_in_a = ib.points <= ia.points
-    elif isinstance(oracle, int):
-        ia = _nilpotent_image(a, oracle)
-        ib = _nilpotent_image(b, oracle)
-        a_in_b = _contains(ib, a)
-        b_in_a = _contains(ia, b)
-    else:
-        raise OracleMismatch(f"unsupported oracle {oracle!r}")
+    a_in_b = _contains(_oracle_image(b, oracle), a)
+    b_in_a = _contains(_oracle_image(a, oracle), b)
     if a_in_b and b_in_a:
         return EQUAL
     if a_in_b:
@@ -370,11 +369,7 @@ def lemaprinc_check(x: Word, y: Word, i: int, m: int,
     rhs = commutator(x, y) ** (2 ** e)
     diff = lhs * ~rhs
     target = elm_generators(i + 1, m + 1, gens, a_words=a_words, ambient=ambient)
-    if isinstance(oracle, FiniteModel):
-        return subgroup_image(oracle, target).contains_word(diff)
-    if isinstance(oracle, int):
-        return _nilpotent_image(target, oracle).contains_word(diff)
-    raise OracleMismatch(f"unsupported oracle {oracle!r}")
+    return _oracle_image(target, oracle).contains_word(diff)
 
 
 # -- residual separation ---------------------------------------------------

@@ -59,6 +59,12 @@ class TestSingleShot:
         code, _, err = run(capsys, "solve", "2", "a1*")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("0", ""), ("-1", "1")])
+    def test_solve_bad_level_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

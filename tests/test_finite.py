@@ -77,10 +77,17 @@ class TestCosetAction:
                 assert m.apply_word(r, pt) == pt
 
     def test_model_table_round_trip(self):
-        t = todd_coxeter(_q8(), [])
-        m = coset_action(t, regular=True)
-        t2 = model_table(m, _q8())
-        assert t2.index == t.index
+        for p in (_q8(), _s3()):
+            t = todd_coxeter(p, [])
+            t2 = model_table(coset_action(t, regular=True), p)
+            assert t2.index == t.index
+            assert (reidemeister_schreier(t2).dumps()
+                    == reidemeister_schreier(t).dumps())
+
+    def test_model_table_rejects_broken_relator(self):
+        z3 = coset_action(todd_coxeter(_cyclic(3), []))
+        with pytest.raises(ValueError):
+            model_table(z3, _cyclic(2))
 
     def test_point_arithmetic(self):
         t = todd_coxeter(_q8(), [])
@@ -88,6 +95,33 @@ class TestCosetAction:
         for x in range(m.npoints):
             assert m.point_mul(x, m.point_inv(x)) == 0
             assert m.point_mul(0, x) == x
+
+    def test_point_mul_needs_transitive_model(self):
+        m = FiniteModel("fixed", [A], [[1, 0, 2]], 3)
+        with pytest.raises(ValueError):
+            m.point_mul(0, 1)
+
+
+def _inverse_round_trip(models, p):
+    words = [Word.from_syms(g) for g in p.generators]
+    words += [u * ~v * u for u in words for v in words] + list(p.relators)
+    for m in models:
+        for w in words:
+            for pt in range(min(m.npoints, 64)):
+                assert m.apply_word(~w, m.apply_word(w, pt)) == pt
+
+
+class TestInverseColumns:
+    def test_coset_action(self):
+        _inverse_round_trip([coset_action(todd_coxeter(_s3(), [WA]))], _s3())
+
+    def test_hom_search(self):
+        p = catalog("Pi1K", 1)
+        _inverse_round_trip(hom_search(p, 3), p)
+
+    def test_tower(self):
+        p = catalog("P2K_reduced", 2)
+        _inverse_round_trip(two_quotient_tower(p, 3), p)
 
 
 class TestReidemeisterSchreier:

@@ -80,6 +80,11 @@ class TestNormalForm:
         with pytest.raises(BadLevel):
             normal_form(w)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_level_floor(self, n):
+        with pytest.raises(BadLevel):
+            normal_form(Word(), n=n)
+
     @given(_gen_word_strategy(2), _gen_word_strategy(2))
     @settings(max_examples=60, deadline=None)
     def test_solver_is_homomorphic(self, u, v):
