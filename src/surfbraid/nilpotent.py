@@ -51,18 +51,26 @@ def series_one() -> Series:
 
 
 def series_mul(s1: Series, s2: Series, c: int) -> Series:
+    """Product truncated at degree c. The right factor's terms are grouped
+    by degree once, so each left term only meets the terms that fit in the
+    degree it leaves over."""
+    fits: List[List[Tuple[Monomial, int]]] = [[] for _ in range(c + 1)]
+    for m2, c2 in s2.items():
+        d = len(m2)
+        if d <= c:
+            fits[d].append((m2, c2))
+    for d in range(1, c + 1):
+        fits[d] = fits[d - 1] + fits[d]  # terms of degree <= d
     out: Series = {}
+    get = out.get
     for m1, c1 in s1.items():
-        for m2, c2 in s2.items():
-            if len(m1) + len(m2) > c:
-                continue
+        room = c - len(m1)
+        if room < 0:
+            continue
+        for m2, c2 in fits[room]:
             key = m1 + m2
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = get(key, 0) + c1 * c2
+    return {m: v for m, v in out.items() if v}
 
 
 def generator_series(i: int, exp: int, c: int) -> Series:
@@ -329,10 +337,9 @@ def _deflate(series: Series, rank: int, c: int) -> Dict[int, int]:
             if not e:
                 continue
             coords[pos] = e
-            el_series = _basis_series(rank, c, pos)
-            factor = el_series if e > 0 else series_inverse(el_series, c)
-            for _ in range(abs(e)):
-                correction = series_mul(correction, factor, c)
+            factor = (_basis_series(rank, c, pos) if e > 0
+                      else _basis_series_inverse(rank, c, pos))
+            correction = series_mul(correction, _series_pow(factor, abs(e), c), c)
         residual = series_mul(residual, series_inverse(correction, c), c)
         # division must clear the whole weight-k component
         if series_component(residual, k):
@@ -348,9 +355,14 @@ def _basis_series(rank: int, c: int, position: int) -> Series:
         return generator_series(el.index, 1, c)
     a = _basis_series(rank, c, el.right)
     b = _basis_series(rank, c, el.left)
-    out = series_mul(series_mul(a, b, c),
-                     series_mul(series_inverse(a, c), series_inverse(b, c), c), c)
-    return out
+    return series_mul(series_mul(a, b, c),
+                      series_mul(_basis_series_inverse(rank, c, el.right),
+                                 _basis_series_inverse(rank, c, el.left), c), c)
+
+
+@lru_cache(maxsize=None)
+def _basis_series_inverse(rank: int, c: int, position: int) -> Series:
+    return series_inverse(_basis_series(rank, c, position), c)
 
 
 def nil_reduce(w: Word, rank: int, c: int, gens: Optional[Sequence[Sym]] = None) -> NilElement:
@@ -414,18 +426,37 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def _series_pow(s: Series, n: int, c: int) -> Series:
+    """s**n for n >= 0, by repeated squaring."""
     if n == 0:
         return series_one()
-    base = s if n > 0 else series_inverse(s, c)
-    out = series_one()
-    k = abs(n)
-    while k:
-        if k & 1:
-            out = series_mul(out, base, c)
-        k >>= 1
-        if k:
-            base = series_mul(base, base, c)
-    return out
+    out = None
+    while True:
+        if n & 1:
+            out = s if out is None else series_mul(out, s, c)
+        n >>= 1
+        if not n:
+            return out
+        s = series_mul(s, s, c)
+
+
+class _Pivot:
+    """A series with its inverse, computed the first time a negative power
+    is asked for. `NilpotentImage` keeps one per pivot."""
+
+    __slots__ = ("series", "_inverse")
+
+    def __init__(self, series: Series, inverse: Optional[Series] = None):
+        self.series = series
+        self._inverse = inverse
+
+    def pow(self, n: int, c: int) -> Series:
+        """The pivot series to the power n; a negative n inverts it the
+        first time."""
+        if n >= 0:
+            return _series_pow(self.series, n, c)
+        if self._inverse is None:
+            self._inverse = series_inverse(self.series, c)
+        return _series_pow(self._inverse, -n, c)
 
 
 def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
@@ -435,7 +466,7 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
     rank = len(p.generators)
     layers = []
     for k in range(1, c + 1):
-        comps = [series_component(s, k) for s in img._pivots[k].values()]
+        comps = [series_component(p.series, k) for p in img._pivots[k].values()]
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
         diag, _, _ = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
@@ -452,9 +483,10 @@ class NilpotentImage:
     The closure is kept as echelonized lattices, one per weight k, spanned
     by the weight-k components of the Magnus series of its elements in
     monomial coordinates: `_pivots[k]` maps a leading (least) monomial to
-    the series of the pivot element, whose coefficient there is positive.
-    Row reduction over the integers is carried out on the series
-    themselves, so each pivot's component is read off its series.
+    the pivot element (its series, whose coefficient there is positive, and
+    the inverse series once a reduction has needed it). Row reduction over
+    the integers is carried out on the series themselves, so each pivot's
+    component is read off its series.
 
     Monomial coordinates give the same answers as basic-commutator ones:
     the leading component of an element of gamma_k is a degree-k Lie
@@ -471,7 +503,7 @@ class NilpotentImage:
         self._rank = len(self.gens)
         self._gen_series = [word_series([(i, 1)], c) for i in range(self._rank)]
         self._gen_inv = [series_inverse(g, c) for g in self._gen_series]
-        self._pivots: Dict[int, Dict[Monomial, Series]] = {
+        self._pivots: Dict[int, Dict[Monomial, _Pivot]] = {
             k: {} for k in range(1, c + 1)}
 
     @classmethod
@@ -499,21 +531,24 @@ class NilpotentImage:
             p = row.get(lead)
             if p is None:
                 if comp[lead] < 0:
-                    s = series_inverse(s, c)
-                row[lead] = s
-                changed.append(s)
+                    p = _Pivot(series_inverse(s, c), s)
+                else:
+                    p = _Pivot(s)
+                row[lead] = p
+                changed.append(p.series)
                 return changed
-            a, b = p[lead], comp[lead]  # a > 0 by the insertion convention
+            a, b = p.series[lead], comp[lead]  # a > 0 by the insertion convention
             if b % a == 0:
-                s = series_mul(_series_pow(p, -(b // a), c), s, c)
+                s = series_mul(p.pow(-(b // a), c), s, c)
                 continue
             g, sa, sb = _xgcd(a, b)
             # unimodular basis change of the pair (pivot, element):
             #   new pivot = p^sa * s^sb   (leading coefficient gcd > 0)
             #   residual  = p^(-b/g) * s^(a/g)   (leading coefficient 0)
-            row[lead] = series_mul(_series_pow(p, sa, c), _series_pow(s, sb, c), c)
-            changed.append(row[lead])
-            s = series_mul(_series_pow(p, -b // g, c), _series_pow(s, a // g, c), c)
+            t = _Pivot(s)
+            row[lead] = _Pivot(series_mul(p.pow(sa, c), t.pow(sb, c), c))
+            changed.append(row[lead].series)
+            s = series_mul(p.pow(-b // g, c), t.pow(a // g, c), c)
 
     def add_words(self, words: Sequence[Word]) -> None:
         c = self.c
@@ -528,8 +563,8 @@ class NilpotentImage:
                 for kk in range(1, c + 1):
                     row = self._pivots[kk]
                     for lead in sorted(row):
-                        if row[lead] is not ser:
-                            queue.append(series_mul(ser, row[lead], c))
+                        if row[lead].series is not ser:
+                            queue.append(series_mul(ser, row[lead].series, c))
 
     def contains_word(self, w: Word) -> bool:
         c = self.c
@@ -541,6 +576,6 @@ class NilpotentImage:
             comp = series_component(s, k)
             lead = min(comp)
             p = self._pivots[k].get(lead)
-            if p is None or comp[lead] % p[lead]:
+            if p is None or comp[lead] % p.series[lead]:
                 return False
-            s = series_mul(_series_pow(p, -(comp[lead] // p[lead]), c), s, c)
+            s = series_mul(p.pow(-(comp[lead] // p.series[lead]), c), s, c)

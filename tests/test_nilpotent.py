@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbraid.nilpotent import (ABOVE_BOUND, ClassUnsupported, NilpotentImage,
@@ -67,6 +67,27 @@ def _oracle_word(letters, c):
     return out
 
 
+def _all_pairs_mul(s1, s2, c):
+    """Truncated product that forms every pair of terms."""
+    out = {}
+    for m1, v1 in s1.items():
+        for m2, v2 in s2.items():
+            if len(m1) + len(m2) <= c:
+                out[m1 + m2] = out.get(m1 + m2, 0) + v1 * v2
+    return {m: v for m, v in out.items() if v}
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two integer series on rank 3 and a class bound; the terms reach
+    degree c + 1, so some of them and many products must be dropped."""
+    c = draw(st.integers(1, 4))
+    monomials = st.lists(st.integers(0, 2), max_size=c + 1).map(tuple)
+    series = st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                             max_size=10)
+    return draw(series), draw(series), c
+
+
 def _series_to_layers(s, c):
     out = [{} for _ in range(c + 1)]
     for m, v in s.items():
@@ -92,6 +113,25 @@ class TestSeriesArithmetic:
         c = 3
         s = word_series(letters, c)
         assert series_mul(s, series_inverse(s, c), c) == series_one()
+
+    @given(_series_pairs())
+    @example(({(): 1, (0,): 1}, {(): 1, (0,): -1}, 1))  # 1 - X^2: X cancels
+    @example(({(0,): 1, (1,): 1}, {(1,): 1, (0,): -1}, 2))
+    @example(({(0, 1): 2}, {(2,): 5}, 2))  # every product above c
+    @settings(max_examples=300)
+    def test_mul_matches_all_pairs(self, pair):
+        s1, s2, c = pair
+        assert series_mul(s1, s2, c) == _all_pairs_mul(s1, s2, c)
+
+    @given(_series_pairs())
+    @settings(max_examples=200)
+    def test_inverse_on_both_sides(self, pair):
+        s, _, c = pair
+        s = {m: v for m, v in s.items() if 0 < len(m) <= c}
+        s[()] = 1
+        inv = series_inverse(s, c)
+        assert series_mul(s, inv, c) == series_one()
+        assert series_mul(inv, s, c) == series_one()
 
     def test_leading_weight(self):
         c = 3
@@ -135,6 +175,14 @@ class TestHallBasis:
             w = hall_word(rank, c, pos, gens)
             assert nil_reduce(w, rank, c, gens).coordinates == {pos: 1}
             assert lcs_weight(w, rank, c, gens) == e.weight
+
+    @pytest.mark.parametrize("rank,c", [(2, 4), (3, 3)])
+    def test_powers_of_hall_words(self, rank, c):
+        gens = [A, B, Sym("c")][:rank]
+        for pos in range(len(hall_basis(rank, c))):
+            w = hall_word(rank, c, pos, gens)
+            for e in (-3, -1, 2, 5):
+                assert nil_reduce(w ** e, rank, c, gens).coordinates == {pos: e}
 
     def test_identity_weight_above_bound(self):
         assert lcs_weight(Word(), 2, 3, [A, B]) is ABOVE_BOUND
@@ -184,6 +232,9 @@ class TestNilpotentQuotients:
         ("PnT", 2, 3, [(4, ()), (1, ()), (2, ())]),
         ("BnT", 2, 4, [(2, (2,)), (0, (2,) * 3), (0, (2,) * 5), (0, (2,) * 8)]),
         ("PnK", 2, 3, [(2, (2, 2)), (0, (2,) * 3), (0, (2,) * 5)]),
+        ("BnK", 4, 3, [(1, (2, 2)), (0, ()), (0, ())]),
+        ("P2K_reduced", 2, 4,
+         [(2, (2, 2)), (0, (2,) * 3), (0, (2,) * 5), (0, (2,) * 8)]),
     ])
     def test_presented_layers(self, family, n, c, layers):
         rep = nilpotent_quotient(catalog(family, n), c)
@@ -234,6 +285,21 @@ class TestNilpotentImage:
         img = NilpotentImage.of([A, B], 3, [ab ** 4, ab ** 6])
         assert img.contains_word(ab ** 2)
         assert not img.contains_word(ab)
+
+    @pytest.mark.parametrize("words", [
+        [WA ** 4, WA ** 6],
+        [commutator(WA, WB) ** 4, commutator(WA, WB) ** 6],
+        list(catalog("Pi1K", 1).relators),
+    ])
+    def test_kept_inverses_match_their_pivots(self, words):
+        gens = sorted({s for w in words for s in w.syms()})
+        img = NilpotentImage.of(gens, 3, words)
+        img.contains_word(words[0] ** -5)
+        kept = [p for row in img._pivots.values() for p in row.values()
+                if p._inverse is not None]
+        assert kept
+        for p in kept:
+            assert series_mul(p.series, p._inverse, 3) == series_one()
 
     def test_identity_always_contained(self):
         img = NilpotentImage([A, B], 2)
