@@ -394,10 +394,15 @@ class FiniteModel:
 
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
-        (regular models only: the point set is the group)."""
+        (regular models only: the point set is the group). One tree walk per
+        call: it serves the small conjugation closure of `subgroup_image` and
+        the brute-force checks in the tests, not bulk enumeration."""
         return int(_trace(self.columns, self._path(b), a))
 
     def point_inv(self, a: int) -> int:
+        """Inverse of the group element with base-point image a (regular
+        models only); a tree walk, kept for the brute-force checks in the
+        tests."""
         return int(_trace(self.columns, [x ^ 1 for x in reversed(self._path(a))], 0))
 
 
@@ -435,24 +440,31 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
         if path:
             checkpoint[max(path) >> 1].append(path)
 
-    pairs = [(q, tuple(np.argsort(q).tolist()))
-             for q in sorted(itertools.permutations(range(degree)))]
+    # permutations are numbered by their place in sorted order, so code 0 is
+    # the identity; mul[a][b] is the code of "apply b, then a", found by
+    # reading each product's images as a base-`degree` number
+    perms = sorted(itertools.permutations(range(degree)))
+    arr = np.array(perms, dtype=np.int64)
+    weights = degree ** np.arange(degree - 1, -1, -1)
+    keys = arr @ weights
+    mul = np.searchsorted(keys, arr[:, arr] @ weights).tolist()
+    inv = np.searchsorted(keys, np.argsort(arr, axis=1) @ weights).tolist()
+    pairs = list(enumerate(inv))
     found: List[FiniteModel] = []
-    # (permutation, inverse) per assigned generator, indexed by column code
-    assignment: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    # (code, inverse code) per assigned generator, indexed by column code
+    assignment: List[Tuple[int, int]] = []
 
     def ok(path: Sequence[int]) -> bool:
-        cur = tuple(range(degree))
+        cur = 0
         for col in path:
-            q = assignment[col >> 1][col & 1]
-            cur = tuple(q[i] for i in cur)
-        return cur == tuple(range(degree))
+            cur = mul[assignment[col >> 1][col & 1]][cur]
+        return cur == 0
 
     def backtrack(i: int) -> None:
         if i == len(gens):
             found.append(FiniteModel(
                 f"{p.label}@S{degree}#{len(found)}", gens,
-                [q for q, _ in assignment], degree))
+                [perms[a] for a, _ in assignment], degree))
             return
         for pair in pairs:
             assignment.append(pair)
@@ -633,7 +645,7 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
     if tuple(desc.ambient.generators) != tuple(model.generators):
         raise ValueError("description ambient does not match the model")
     gen_pts = [int(col[0]) for col in model.columns[::2]]
-    gen_inv_pts = [model.point_inv(pt) for pt in gen_pts]
+    gen_inv_pts = [int(col[0]) for col in model.columns[1::2]]
 
     seeds = {model.apply_word(w, 0) for w in desc.normal_generators}
     seeds.discard(0)
@@ -651,14 +663,21 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
             if z not in closure:
                 closure.add(z)
                 frontier.append(z)
-    # subgroup generated by the conjugation-closed set
-    elements = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for t in closure:
-            y = model.point_mul(x, t)
-            if y not in elements:
-                elements.add(y)
-                frontier.append(y)
-    return SubgroupImage(model, elements)
+    # subgroup generated by the conjugation-closed set: the orbit of point 0
+    # under right multiplication by its elements, one frontier at a time.
+    # Right multiplication permutes the points, so each path's images of a
+    # frontier are distinct, and marking them before the next path keeps the
+    # new frontier free of repeats.
+    paths = [model._path(t) for t in closure]
+    seen = np.zeros(model.npoints, dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    while level.size:
+        reached = [level[:0]]  # an empty closure reaches nothing
+        for path in paths:
+            nxt = _trace(model.columns, path, level)
+            nxt = nxt[~seen[nxt]]
+            seen[nxt] = True
+            reached.append(nxt)
+        level = np.concatenate(reached)
+    return SubgroupImage(model, set(np.flatnonzero(seen).tolist()))

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
                               adjoin_kernel_relators, coset_action,
@@ -9,7 +13,7 @@ from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
 from surfbraid.presentations import Presentation, abelianization, catalog
 from surfbraid.words import Sym, Word, commutator
 
-A, B = Sym("a"), Sym("b")
+A, B, C = Sym("a"), Sym("b"), Sym("c")
 WA, WB = Word.from_syms(A), Word.from_syms(B)
 
 
@@ -158,6 +162,61 @@ class TestReidemeisterSchreier:
         assert t2.index in (1, 2, 4)
 
 
+def _brute_force_homs(p, degree):
+    """Every assignment of sorted permutations to the generators, in
+    itertools.product order, kept when each relator composes to the
+    identity; a relator's letters act one after the other on the points."""
+    perms = sorted(itertools.permutations(range(degree)))
+    identity = tuple(range(degree))
+
+    def inverse(q):
+        out = [0] * degree
+        for i, x in enumerate(q):
+            out[x] = i
+        return tuple(out)
+
+    found = []
+    for choice in itertools.product(perms, repeat=len(p.generators)):
+        image = dict(zip(p.generators, choice))
+        trivial = True
+        for r in p.relators:
+            cur = identity
+            for sym, exp in r.letters:
+                q = image[sym] if exp > 0 else inverse(image[sym])
+                cur = tuple(q[i] for i in cur)
+            trivial = trivial and cur == identity
+        if trivial:
+            found.append(choice)
+    return found
+
+
+def _assert_matches_brute_force(p, degree):
+    models = hom_search(p, degree)
+    assert [m.label for m in models] == [f"{p.label}@S{degree}#{i}"
+                                         for i in range(len(models))]
+    assert all(m.generators == tuple(p.generators) and m.npoints == degree
+               for m in models)
+    assert ([tuple(tuple(col.tolist()) for col in m.columns[::2]) for m in models]
+            == _brute_force_homs(p, degree))
+
+
+@st.composite
+def _small_presentations(draw):
+    gens = [A, B, C][:draw(st.integers(2, 3))]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(Word),
+                             min_size=1, max_size=3))
+    return Presentation("random", gens, relators)
+
+
+def _b3k_sigmas_equal():
+    p3 = catalog("BnK", 3)
+    s1 = Word.from_syms(Sym("s", (1,)))
+    s2 = Word.from_syms(Sym("s", (2,)))
+    return Presentation("B3K+(s1=s2)", list(p3.generators),
+                        list(p3.relators) + [s1 * ~s2])
+
+
 class TestHomSearch:
     def test_degree_one(self):
         assert len(hom_search(catalog("Pi1K", 1), 1)) == 1
@@ -175,6 +234,27 @@ class TestHomSearch:
     def test_degree_bound(self):
         with pytest.raises(ValueError):
             hom_search(_s3(), 7)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_brute_force_pi1k(self, degree):
+        _assert_matches_brute_force(catalog("Pi1K", 1), degree)
+
+    def test_matches_brute_force_b2k(self):
+        _assert_matches_brute_force(catalog("BnK", 2), 3)
+
+    @given(_small_presentations(), st.integers(1, 3))
+    @example(Presentation("abc", [A, B, C], [WA * WB * Word.from_syms(C)]), 3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_random(self, p, degree):
+        # the example fails if letters compose in the wrong order
+        _assert_matches_brute_force(p, degree)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: catalog("P2K_reduced", 2), 1704),
+        (lambda: catalog("BnK", 3), 360),
+        (_b3k_sigmas_equal, 264)], ids=["P2K_reduced", "B3K", "B3K+(s1=s2)"])
+    def test_degree_four_counts(self, make, count):
+        assert len(hom_search(make(), 4)) == count
 
 
 class TestTwoQuotientTower:
@@ -222,11 +302,49 @@ def stage3():
     return two_quotient_tower(catalog("P2K_reduced", 2), 3)[2]
 
 
+def _normal_closure_points(model, seeds):
+    """Brute-force normal closure by point arithmetic: close the seed points
+    under conjugation by the generators and their inverses, then multiply
+    out from the identity until nothing new appears."""
+    gens = [int(col[0]) for col in model.columns[::2]]
+    conj = set(seeds) - {0}
+    frontier = list(conj)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            gi = model.point_inv(g)
+            for y in (model.point_mul(model.point_mul(g, x), gi),
+                      model.point_mul(model.point_mul(gi, x), g)):
+                if y not in conj:
+                    conj.add(y)
+                    frontier.append(y)
+    grp = {0}
+    frontier = [0]
+    while frontier:
+        z = frontier.pop()
+        for s in conj:
+            w = model.point_mul(z, s)
+            if w not in grp:
+                grp.add(w)
+                frontier.append(w)
+    return grp
+
+
+_P2K = catalog("P2K_reduced", 2)
+_p2k_words = st.lists(st.tuples(st.sampled_from(_P2K.generators),
+                                st.sampled_from([1, -1])),
+                      max_size=8).map(Word)
+
+
 class TestSubgroupImage:
 
     def test_trivial_description(self, stage3):
         desc = SubgroupDescription(catalog("P2K_reduced", 2), [])
-        assert len(subgroup_image(stage3, desc)) == 1
+        assert subgroup_image(stage3, desc).points == {0}
+
+    def test_generators_give_everything(self, stage3):
+        desc = SubgroupDescription(_P2K, [Word.from_syms(g) for g in _P2K.generators])
+        assert subgroup_image(stage3, desc).points == set(range(stage3.npoints))
 
     def test_power_closure(self, stage3):
         a2 = Word.from_syms(Sym("a", (2,)))
@@ -247,26 +365,19 @@ class TestSubgroupImage:
                 xi, yi = stage3.point_inv(x), stage3.point_inv(y)
                 seeds.add(stage3.point_mul(
                     stage3.point_mul(stage3.point_mul(x, y), xi), yi))
-        grp = {0} | seeds
-        frontier = list(grp)
-        while frontier:
-            z = frontier.pop()
-            for s in list(seeds):
-                w = stage3.point_mul(z, s)
-                if w not in grp:
-                    grp.add(w)
-                    frontier.append(w)
-            for g in gens_pts:
-                w = stage3.point_mul(stage3.point_mul(g, z),
-                                     stage3.point_inv(g))
-                if w not in grp:
-                    grp.add(w)
-                    seeds.add(w)
-                    frontier.append(w)
         desc = SubgroupDescription(
             p, [commutator(Word.from_syms(x), Word.from_syms(y))
                 for x in p.generators for y in p.generators])
-        assert subgroup_image(stage3, desc).points == grp
+        assert (subgroup_image(stage3, desc).points
+                == _normal_closure_points(stage3, seeds))
+
+    @given(st.lists(_p2k_words, min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_point_closure_random(self, stage3, words):
+        seeds = {stage3.apply_word(w, 0) for w in words}
+        desc = SubgroupDescription(_P2K, words)
+        assert (subgroup_image(stage3, desc).points
+                == _normal_closure_points(stage3, seeds))
 
     def test_kernel_image_block(self):
         stages = two_quotient_tower(catalog("P2K_reduced", 2), 3)
