@@ -532,6 +532,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             series.DepthUnsupported, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (Overflow, MemoryError) as e:
+        # a computation stopped at a bound or ran out of memory: the answer
+        # is unknown, as with an INDETERMINATE verdict
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

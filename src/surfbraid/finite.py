@@ -57,16 +57,30 @@ class CosetTable:
 
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                  max_cosets: int = 10000) -> CosetTable:
-    """HLT-style coset enumeration with deterministic first-free numbering."""
+    """HLT coset enumeration (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 5): scan every relator at each live coset in
+    turn, defining cosets to fill gaps, then define that coset's columns
+    still empty. Coincidences are processed as in the Handbook's
+    COINCIDENCE routine, which removes a dead coset's back-references, so
+    live rows only ever point at live cosets. `max_cosets` bounds the
+    cosets defined, dead ones included.
+
+    The table returned is standard: cosets are numbered in the order a
+    breadth-first search from coset 0 over (coset, column) meets them. A
+    complete standard table depends only on the presentation, the subgroup
+    and the generator order, not on how the enumeration ran.
+
+    Only the tests and the benchmark call it: with `adjoin_kernel_relators`
+    it is the independent coset route to the mod-2 tower that the tests
+    check `two_quotient_tower` against."""
     gens = list(p.generators)
-    ngens = len(gens)
+    width = 2 * len(gens)
     idx = {g: i for i, g in enumerate(gens)}
     rel_paths = [_word_columns(r, idx) for r in p.relators if r.letters]
     sub_paths = [_word_columns(free_reduce(w), idx) for w in subgroup]
 
-    table: List[List[Optional[int]]] = [[None] * (2 * ngens)]
-    parent = [0]  # union-find for coincidences
-    merge_queue: List[Tuple[int, int]] = []
+    table: List[List[Optional[int]]] = [[None] * width]
+    parent = [0]  # union-find over coincidences; live cosets are roots
 
     def rep(c: int) -> int:
         root = c
@@ -76,40 +90,43 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
             parent[c], c = root, parent[c]
         return root
 
-    def define(c: int, col: int) -> int:
+    def define(c: int, col: int) -> None:
         if len(table) >= max_cosets:
             raise Overflow(f"exceeded {max_cosets} cosets")
         d = len(table)
-        table.append([None] * (2 * ngens))
+        table.append([None] * width)
         parent.append(d)
         table[c][col] = d
         table[d][col ^ 1] = c
-        return d
 
-    def join(a: int, b: int) -> None:
-        merge_queue.append((a, b))
-        while merge_queue:
-            x, y = merge_queue.pop()
+    def coincidence(a: int, b: int) -> None:
+        dead: List[int] = []
+
+        def merge(x: int, y: int) -> None:
             x, y = rep(x), rep(y)
-            if x == y:
-                continue
-            if y < x:
-                x, y = y, x
-            parent[y] = x
-            for col in range(2 * ngens):
-                t = table[y][col]
-                if t is None:
-                    continue
-                t = rep(t)
-                u = table[x][col]
-                if u is None:
-                    table[x][col] = t
-                    table[t][col ^ 1] = x
-                else:
-                    merge_queue.append((rep(u), t))
+            if x != y:
+                x, y = min(x, y), max(x, y)
+                parent[y] = x
+                dead.append(y)
 
-    def scan_and_fill(c: int, path: Sequence[int], fill: bool = True) -> None:
-        c = rep(c)
+        merge(a, b)
+        for e in dead:  # grows as merges kill more cosets
+            row = table[e]
+            for col in range(width):
+                f = row[col]
+                if f is None:
+                    continue
+                table[f][col ^ 1] = None
+                x, y = rep(e), rep(f)
+                if table[x][col] is not None:
+                    merge(y, table[x][col])
+                elif table[y][col ^ 1] is not None:
+                    merge(x, table[y][col ^ 1])
+                else:
+                    table[x][col] = y
+                    table[y][col ^ 1] = x
+
+    def scan_and_fill(c: int, path: Sequence[int]) -> None:
         f, b = c, c
         i, j = 0, len(path) - 1
         while True:
@@ -118,89 +135,52 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 nxt = table[f][path[i]]
                 if nxt is None:
                     break
-                f = rep(nxt)
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
-                    join(f, b)
+                    coincidence(f, b)
                 return
             # scan backward as far as possible
             while j >= i:
                 prv = table[b][path[j] ^ 1]
                 if prv is None:
                     break
-                b = rep(prv)
+                b = prv
                 j -= 1
             if j < i:
-                if b != f:
-                    join(b, f)
+                coincidence(f, b)
                 return
             if j == i:
                 # single gap: deduction
                 table[f][path[i]] = b
                 table[b][path[i] ^ 1] = f
                 return
-            if not fill:
-                return
             # fill the forward gap with a new coset and continue
             define(f, path[i])
 
-    def lookahead() -> None:
-        # scan-only pass: harvest deductions and coincidences without
-        # defining new cosets, so collapses propagate before growth resumes
-        progress = True
-        while progress:
-            progress = False
-            before = sum(1 for c in range(len(table)) if rep(c) == c)
-            for c in range(len(table)):
-                if rep(c) != c:
-                    continue
-                for path in rel_paths:
-                    if rep(c) != c:
-                        break
-                    scan_and_fill(c, path, fill=False)
-            after = sum(1 for c in range(len(table)) if rep(c) == c)
-            if after < before:
-                progress = True
-
     for path in sub_paths:
         scan_and_fill(0, path)
-    # scan every relator at every live coset, defining cosets to fill gaps;
-    # a final sweep defines every column still empty, so the loop only ends
-    # once every live coset has every column defined
-    lookahead_at = 1000
-    stable = False
-    while not stable:
-        stable = True
-        c = 0
-        while c < len(table):
-            if rep(c) != c:
-                c += 1
-                continue
-            for path in rel_paths:
-                if rep(c) != c:
-                    break
-                scan_and_fill(c, path)
-            if len(table) >= lookahead_at:
-                lookahead()
-                lookahead_at = max(len(table) * 2, lookahead_at)
-            c += 1
-        c = 0
-        while c < len(table):
-            if rep(c) == c:
-                for col in range(2 * ngens):
-                    if rep(c) != c:
-                        break
-                    if table[c][col] is None:
-                        define(c, col)
-                        stable = False
-            c += 1
+    c = 0
+    while c < len(table):
+        for path in rel_paths:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, path)
+        if parent[c] == c:
+            for col in range(width):
+                if table[c][col] is None:
+                    define(c, col)
+        c += 1
 
-    # compact the table over live cosets, renumbered in discovery order
-    live = [c for c in range(len(table)) if rep(c) == c]
+    # compact over live cosets, then renumber in breadth-first order
+    live = [c for c in range(len(table)) if parent[c] == c]
     renum = {c: i for i, c in enumerate(live)}
-    columns = [np.array([renum[rep(table[c][col])] for c in live], dtype=np.int64)
-               for col in range(2 * ngens)]
+    rows = np.array([[renum[t] for t in table[c]] for c in live], dtype=np.int64)
+    order = _schreier_tree(list(rows.T), len(live))[2]
+    standard = np.empty_like(order)
+    standard[order] = np.arange(len(live))
+    columns = [standard[col[order]] for col in rows.T]
     out = CosetTable(p, subgroup, columns, len(live))
     if not out.scan_closes():
         raise AssertionError("coset table closed but a relator scan fails")
@@ -209,18 +189,22 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
 
 # -- Reidemeister-Schreier ------------------------------------------------
 
-def _schreier_tree(columns: Sequence[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _schreier_tree(columns: Sequence[np.ndarray], n: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS spanning tree over cosets 0..n-1, where columns[j][c] is the coset
     column j leads to from c: parent coset and entering column for each
-    coset. Runs one level at a time; within a level cosets are discovered in
-    (coset, column) order, as a one-coset-at-a-time queue would."""
+    coset, and the cosets in the order they are discovered. Runs one level at
+    a time; within a level cosets are discovered in (coset, column) order, as
+    a one-coset-at-a-time queue would."""
     width = len(columns)
     parent = np.full(n, -1, dtype=np.int64)
     letter = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
+    levels = []
     while frontier.size:
+        levels.append(frontier)
         targets = np.empty((frontier.size, width), dtype=np.int64)
         for j, col in enumerate(columns):
             targets[:, j] = col[frontier]
@@ -235,7 +219,7 @@ def _schreier_tree(columns: Sequence[np.ndarray], n: int) -> Tuple[np.ndarray, n
         frontier = reached
     if not seen.all():
         raise ValueError("the action is not transitive")
-    return parent, letter
+    return parent, letter, np.concatenate(levels)
 
 
 def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
@@ -256,7 +240,7 @@ class _SchreierGenerators:
     __slots__ = ("columns", "parent", "letter", "index")
 
     def __init__(self, columns: Sequence[np.ndarray], n: int):
-        self.parent, self.letter = _schreier_tree(columns, n)
+        self.parent, self.letter, _ = _schreier_tree(columns, n)
         self.columns = [col.tolist() for col in columns]
         tree_edges: Set[Tuple[int, int]] = set()
         for c in range(1, n):
@@ -315,7 +299,10 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
 
 def schreier_generator_words(t: CosetTable) -> List[Word]:
     """The Schreier generators of the subgroup, written as words in the
-    ambient generators (transversal-in, edge, transversal-out)."""
+    ambient generators (transversal-in, edge, transversal-out). Nothing in
+    the package calls it outside this module: with `todd_coxeter` and
+    `adjoin_kernel_relators` it makes the independent coset route to the
+    mod-2 tower that the tests check `two_quotient_tower` against."""
     gens = t.presentation.generators
     sch = _SchreierGenerators(t.columns, t.index)
     return [free_reduce(Word([(gens[x >> 1], -1 if x & 1 else 1)
@@ -325,7 +312,10 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
 
 def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
     """Presentation of the quotient by squares and generator-commutators of
-    the subgroup the table enumerates (its next mod-2 central layer)."""
+    the subgroup the table enumerates (its next mod-2 central layer). Only
+    the tests and the benchmark call it: it is a step of the independent
+    coset route to the mod-2 tower, which the tests check
+    `two_quotient_tower` against."""
     extra: List[Word] = []
     for s in schreier_generator_words(t):
         extra.append(s * s)
@@ -389,7 +379,7 @@ class FiniteModel:
         """Column codes tracing the base point to `point` along a BFS tree
         (regular models: a word for every group element)."""
         if self._tree is None:
-            self._tree = _schreier_tree(self.columns, self.npoints)
+            self._tree = _schreier_tree(self.columns, self.npoints)[:2]
         return _tree_path(*self._tree, point)
 
     def point_mul(self, a: int, b: int) -> int:

@@ -75,6 +75,23 @@ class TestSingleShot:
             main(["verify", "nope"])
         assert exc.value.code == 2
 
+    def test_tower_point_bound_exits_one(self, capsys):
+        # stage 3 of the tower of B_1(N_6) would need 2^26 points: the bound
+        # stops it
+        code, out, err = run(capsys, "tower", "BnNg", "1", "3", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: stage 3 would need 67108864 points\n"
+
+    def test_memory_error_exits_one(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("surfbraid.cli.two_quotient_tower", exhausted)
+        code, _, err = run(capsys, "tower", "PnK", "3", "4")
+        assert code == 1
+        assert err == "error: MemoryError\n"
+
 
 class TestVerify:
     def _report(self, capsys, suite, *extra):

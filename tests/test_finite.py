@@ -30,6 +30,59 @@ def _q8():
                         [WA ** 4, WA ** 2 * WB ** -2, WB * WA * ~WB * WA])
 
 
+def _standardize(columns, n):
+    """The table's columns, as lists, renumbered in the order a queue-driven
+    breadth-first search from coset 0 over (coset, column) meets them."""
+    new, order, head = {0: 0}, [0], 0
+    while head < len(order):
+        c = order[head]
+        head += 1
+        for col in columns:
+            d = int(col[c])
+            if d not in new:
+                new[d] = len(order)
+                order.append(d)
+    assert len(order) == n
+    return [[new[int(col[c])] for c in order] for col in columns]
+
+
+def _table_lists(t):
+    return [col.tolist() for col in t.columns]
+
+
+def _a5():
+    return Presentation("A5", [A, B], [WA ** 2, WB ** 3, (WA * WB) ** 5])
+
+
+def _psl27():
+    return Presentation("PSL(2,7)", [A, B], [WA ** 2, WB ** 3, (WA * WB) ** 7,
+                                             (WA * WB * WA * ~WB) ** 4])
+
+
+def _b3k_mod_n():
+    p = catalog("BnK", 3)
+    s1 = Word.from_syms(Sym("s", (1,)))
+    s2 = Word.from_syms(Sym("s", (2,)))
+    return Presentation("B3K/N", list(p.generators),
+                        list(p.relators) + [Word.from_syms(A),
+                                            Word.from_syms(B),
+                                            s1 ** 2, s2 ** 2])
+
+
+_ab_letter = st.tuples(st.sampled_from([A, B]), st.sampled_from([1, -1]))
+
+
+@st.composite
+def _two_generator_enumerations(draw):
+    """<a, b | a^i, b^j, one or two random words>, with an optional subgroup
+    word."""
+    words = st.lists(_ab_letter, min_size=1, max_size=8).map(Word)
+    relators = [WA ** draw(st.integers(2, 6)), WB ** draw(st.integers(2, 6))]
+    relators += draw(st.lists(words, min_size=1, max_size=2))
+    subgroup = draw(st.lists(words, max_size=1))
+    return Presentation("random", [A, B], relators), subgroup
+
+
 class TestToddCoxeter:
     def test_cyclic_subgroup_index(self):
         t = todd_coxeter(_cyclic(4), [WA ** 2])
@@ -48,15 +101,41 @@ class TestToddCoxeter:
         assert t.index == 1
 
     def test_klein_braid_quotient_order_six(self):
-        p = catalog("BnK", 3)
-        s1 = Word.from_syms(Sym("s", (1,)))
-        s2 = Word.from_syms(Sym("s", (2,)))
-        q = Presentation("B3K/N", list(p.generators),
-                         list(p.relators) + [Word.from_syms(A),
-                                             Word.from_syms(B),
-                                             s1 ** 2, s2 ** 2])
-        t = todd_coxeter(q, [])
+        t = todd_coxeter(_b3k_mod_n(), [])
         assert t.index == 6
+
+    @pytest.mark.parametrize("make, subgroup, index", [
+        (_q8, [], 8), (_s3, [], 6), (_s3, [WA], 2), (_s3, [WB], 3),
+        (_a5, [], 60), (_psl27, [], 168), (_b3k_mod_n, [], 6)],
+        ids=["Q8", "S3", "S3-mod-a", "S3-mod-b", "A5", "PSL27", "B3K-mod-N"])
+    def test_table_is_standard(self, make, subgroup, index):
+        t = todd_coxeter(make(), subgroup)
+        assert t.index == index
+        assert _standardize(t.columns, t.index) == _table_lists(t)
+
+    @given(_two_generator_enumerations(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_standard_table_ignores_relator_order(self, case, rng):
+        # a complete standard table depends only on the group, the subgroup
+        # and the generator order: shuffling the relators and adding a
+        # cyclic conjugate of one of them leaves it as it is
+        p, subgroup = case
+        try:
+            t = todd_coxeter(p, subgroup, max_cosets=3000)
+        except Overflow:
+            return
+        assert _standardize(t.columns, t.index) == _table_lists(t)
+        relators = list(p.relators)
+        rng.shuffle(relators)
+        letters = rng.choice([r for r in relators if r.letters]).letters
+        k = rng.randrange(len(letters))
+        relators.append(Word(letters[k:] + letters[:k]))
+        try:
+            t2 = todd_coxeter(Presentation("shuffled", [A, B], relators),
+                              subgroup, max_cosets=3000)
+        except Overflow:
+            return
+        assert _table_lists(t2) == _table_lists(t)
 
     def test_overflow(self):
         with pytest.raises(Overflow):
@@ -277,18 +356,19 @@ class TestTwoQuotientTower:
 
     def test_stage_orders_match_coset_enumeration(self):
         # independent route: adjoin squares and generator-commutators of the
-        # previous kernel's Schreier generators, then re-enumerate
-        p = catalog("P2K_reduced", 2)
-        stages = two_quotient_tower(p, 3)
-        current = Presentation(p.label, list(p.generators),
-                               list(p.relators) + [Word.from_syms(g) for g in p.generators])
-        for want in (m.npoints for m in stages[1:]):
-            t = todd_coxeter(current, [], max_cosets=200000)
-            grown = adjoin_kernel_relators(
-                Presentation(p.label, list(p.generators), list(p.relators)), t)
-            t2 = todd_coxeter(grown, [], max_cosets=200000)
-            assert t2.index == want
-            current = grown
+        # previous kernel's Schreier generators, then re-enumerate. Both
+        # routes give the regular table of the same quotient, so the route's
+        # standard table is the tower stage renumbered breadth-first: P2K at
+        # 16 and 512 cosets, P3K at 64
+        for p, depth in ((catalog("P2K_reduced", 2), 3), (catalog("PnK", 3), 2)):
+            stages = two_quotient_tower(p, depth)
+            t = todd_coxeter(Presentation(p.label, list(p.generators),
+                                          list(p.relators) + [Word.from_syms(g) for g in p.generators]),
+                             [])
+            for m in stages[1:]:
+                t = todd_coxeter(adjoin_kernel_relators(p, t), [], max_cosets=200000)
+                assert t.index == m.npoints
+                assert _table_lists(t) == _standardize(m.columns, m.npoints)
 
     def test_relators_vanish_in_every_stage(self):
         p = catalog("P2K_reduced", 2)
