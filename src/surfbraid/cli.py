@@ -57,11 +57,14 @@ class SuiteResult:
         self.bounds = bounds
         self.claims: List[Dict] = []
 
-    def run(self, cid: str, check: Callable[[], Tuple[bool, Optional[str]]]) -> None:
+    def run(self, cid: str,
+            check: Callable[[], Tuple[Optional[bool], Optional[str]]]) -> None:
+        """Record one claim; `check` returns (ok, witness), where ok None
+        means its search ended without an answer."""
         t0 = time.monotonic()
         try:
             ok, witness = check()
-            verdict = PASS if ok else FAIL
+            verdict = INDETERMINATE if ok is None else PASS if ok else FAIL
         except (Overflow, ClassUnsupported) as e:
             verdict, witness = INDETERMINATE, str(e)
         ms = int((time.monotonic() - t0) * 1000)
@@ -160,7 +163,14 @@ def _suite_center(result: SuiteResult, args) -> None:
     result.run("center-negative-control", control)
 
 
+def _need_depth(args, least: int) -> None:
+    if args.depth < least:
+        raise series.DepthUnsupported(
+            f"suite {args.suite} needs --depth >= {least}, got {args.depth}")
+
+
 def _suite_gammaP2(result: SuiteResult, args) -> None:
+    _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
     for n in (2, 3):
@@ -174,6 +184,7 @@ def _suite_gammaP2(result: SuiteResult, args) -> None:
 
 
 def _suite_gamma2P2(result: SuiteResult, args) -> None:
+    _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
     result.run("gamma2P2-stage2-order",
@@ -387,8 +398,9 @@ def _suite_separation(result: SuiteResult, args) -> None:
                                          args.depth)
     for (tag, _), rep in zip(elements, reports):
         def check(rep=rep):
-            ok = rep["verdict"] == "Separated"
-            return ok, f"{rep}"
+            if rep["verdict"] == "NotSeparatedWithinDepth":
+                return None, f"{rep}"
+            return rep["verdict"] == "Separated", f"{rep}"
         result.run(f"separation-[{tag}]", check)
 
     basis = fiber_basis(3)
@@ -464,6 +476,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.hom_degree <= 6:
+        raise BadParameters(f"--hom-degree must be 0..6, got {args.hom_degree}")
     bounds = {"class": args.class_bound, "depth": args.depth,
               "hom_degree": args.hom_degree}
     result = SuiteResult(args.suite, bounds)

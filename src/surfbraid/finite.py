@@ -334,7 +334,7 @@ class FiniteModel:
     inverse."""
 
     __slots__ = ("label", "generators", "columns", "npoints", "regular",
-                 "_index", "_order", "_tree")
+                 "_index", "_tree")
 
     def __init__(self, label: str, generators: Sequence[Sym],
                  perms: Sequence[Sequence[int]], npoints: int,
@@ -350,30 +350,10 @@ class FiniteModel:
             inv[perm] = np.arange(npoints)
             self.columns += [perm, inv]
         self._index = {g: i for i, g in enumerate(self.generators)}
-        self._order = None
         self._tree = None
 
     def apply_word(self, w: Word, point: int) -> int:
         return int(_trace(self.columns, _word_columns(w, self._index), point))
-
-    @property
-    def order(self) -> int:
-        if self._order is None:
-            if self.regular:
-                self._order = self.npoints
-            else:
-                seen = {tuple(range(self.npoints))}
-                frontier = [tuple(range(self.npoints))]
-                arrs = [tuple(col.tolist()) for col in self.columns[::2]]
-                while frontier:
-                    cur = frontier.pop()
-                    for arr in arrs:
-                        nxt = tuple(arr[i] for i in cur)
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            frontier.append(nxt)
-                self._order = len(seen)
-        return self._order
 
     def _path(self, point: int) -> List[int]:
         """Column codes tracing the base point to `point` along a BFS tree

@@ -4,13 +4,15 @@ class-bounded nilpotent quotients of finitely presented groups.
 Group elements are embedded in the ring of truncated power series over the
 integers (each generator maps to 1 + X_i); for free groups this embedding
 separates the lower central series exactly, so weight and coordinate
-computations are exact.
+computations are exact. Coordinates are the monomial coefficients of these
+series; the Hall basis of basic commutators only supplies the words of the
+closed forms in `series.wn_tilde`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .presentations import (
     AbelianInvariants,
@@ -201,73 +203,6 @@ def _moebius(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def _hall_lie_vectors(rank: int, c: int, k: int) -> Tuple[Tuple[Monomial, ...], Tuple[Tuple[int, ...], ...]]:
-    """Degree-k Lie polynomials of the weight-k basic commutators, as rows
-    over the degree-k monomials (ordered lexicographically)."""
-    basis = hall_basis(rank, c)
-    lie: List[Dict[Monomial, int]] = []
-    for el in basis:
-        if el.left is None:
-            lie.append({(el.index,): 1})
-        else:
-            # realized as [smaller, larger]: bracket of right then left part
-            a, b = lie[el.right], lie[el.left]
-            out: Dict[Monomial, int] = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    for key, coef in ((m1 + m2, c1 * c2), (m2 + m1, -c1 * c2)):
-                        v = out.get(key, 0) + coef
-                        if v:
-                            out[key] = v
-                        elif key in out:
-                            del out[key]
-            lie.append(out)
-    monomials = sorted({m for el, poly in zip(basis, lie) if el.weight == k for m in poly})
-    rows = []
-    for el, poly in zip(basis, lie):
-        if el.weight == k:
-            rows.append(tuple(poly.get(m, 0) for m in monomials))
-    return tuple(monomials), tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _hall_solver(rank: int, c: int, k: int):
-    monomials, rows = _hall_lie_vectors(rank, c, k)
-    m = IntMatrix([list(r) for r in rows], cols=len(monomials))
-    diag, left, right = smith_normal_form(m)
-    return monomials, m, diag, left, right
-
-
-def _solve_weight(rank: int, c: int, k: int, component: Dict[Monomial, int]) -> List[int]:
-    """Exponents x over the weight-k basic commutators with x . M = v, where
-    M is the Hall-to-monomial matrix and v the given degree-k component."""
-    monomials, m, diag, left, right = _hall_solver(rank, c, k)
-    stray = set(component) - set(monomials)
-    if stray:
-        raise ValueError(f"component not in the Lie span (stray monomials {stray})")
-    v = [component.get(mon, 0) for mon in monomials]
-    # x . M = v  <=>  (x . left^-1) . (left M right) = v . right
-    vr = [sum(v[i] * right.entries[i][j] for i in range(len(v))) for j in range(right.cols)]
-    nrows = m.rows
-    y = []
-    for i in range(nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if i < len(vr) and vr[i]:
-                raise ValueError("component not in the Lie span")
-            y.append(0)
-        else:
-            if vr[i] % d:
-                raise ValueError("component not an integral Lie combination")
-            y.append(vr[i] // d)
-    for j in range(nrows, len(vr)):
-        if vr[j]:
-            raise ValueError("component not in the Lie span")
-    x = [sum(y[i] * left.entries[i][j] for i in range(nrows)) for j in range(nrows)]
-    return x
-
-
 def hall_word(rank: int, c: int, position: int, gens: Sequence[Sym]) -> Word:
     """The group word realizing basis element `position` over the symbols."""
     basis = hall_basis(rank, c)
@@ -277,35 +212,6 @@ def hall_word(rank: int, c: int, position: int, gens: Sequence[Sym]) -> Word:
     first = hall_word(rank, c, el.right, gens)
     second = hall_word(rank, c, el.left, gens)
     return first * second * ~first * ~second
-
-
-# -- NilElement ----------------------------------------------------------
-
-class NilElement:
-    """Coordinates of an element of the free nilpotent group of the given
-    rank and class, over the basic-commutator basis."""
-
-    __slots__ = ("rank", "class_bound", "coordinates")
-
-    def __init__(self, rank: int, class_bound: int, coordinates: Mapping[int, int]):
-        self.rank = rank
-        self.class_bound = class_bound
-        self.coordinates = {k: v for k, v in coordinates.items() if v}
-
-    def is_identity(self) -> bool:
-        return not self.coordinates
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NilElement) and self.rank == other.rank
-                and self.class_bound == other.class_bound
-                and self.coordinates == other.coordinates)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.class_bound, tuple(sorted(self.coordinates.items()))))
-
-    def __repr__(self) -> str:
-        return (f"NilElement(rank={self.rank}, class_bound={self.class_bound}, "
-                f"coordinates={self.coordinates})")
 
 
 def _letters_to_indices(w: Word, gens: Sequence[Sym]) -> List[Tuple[int, int]]:
@@ -318,68 +224,13 @@ def _letters_to_indices(w: Word, gens: Sequence[Sym]) -> List[Tuple[int, int]]:
     return out
 
 
-def _deflate(series: Series, rank: int, c: int) -> Dict[int, int]:
-    """Peel the series weight by weight into basic-commutator exponents."""
-    basis = hall_basis(rank, c)
-    by_weight: Dict[int, List[int]] = {}
-    for el in basis:
-        by_weight.setdefault(el.weight, []).append(el.index)
-    coords: Dict[int, int] = {}
-    residual = series
-    for k in range(1, c + 1):
-        comp = series_component(residual, k)
-        if not comp:
-            continue
-        x = _solve_weight(rank, c, k, comp)
-        positions = by_weight[k]
-        correction = series_one()
-        for pos, e in zip(positions, x):
-            if not e:
-                continue
-            coords[pos] = e
-            factor = (_basis_series(rank, c, pos) if e > 0
-                      else _basis_series_inverse(rank, c, pos))
-            correction = series_mul(correction, _series_pow(factor, abs(e), c), c)
-        residual = series_mul(residual, series_inverse(correction, c), c)
-        # division must clear the whole weight-k component
-        if series_component(residual, k):
-            raise AssertionError("weight component did not deflate")
-    return coords
-
-
-@lru_cache(maxsize=None)
-def _basis_series(rank: int, c: int, position: int) -> Series:
-    basis = hall_basis(rank, c)
-    el = basis[position]
-    if el.left is None:
-        return generator_series(el.index, 1, c)
-    a = _basis_series(rank, c, el.right)
-    b = _basis_series(rank, c, el.left)
-    return series_mul(series_mul(a, b, c),
-                      series_mul(_basis_series_inverse(rank, c, el.right),
-                                 _basis_series_inverse(rank, c, el.left), c), c)
-
-
-@lru_cache(maxsize=None)
-def _basis_series_inverse(rank: int, c: int, position: int) -> Series:
-    return series_inverse(_basis_series(rank, c, position), c)
-
-
-def nil_reduce(w: Word, rank: int, c: int, gens: Optional[Sequence[Sym]] = None) -> NilElement:
-    """Canonical coordinates of w in the free nilpotent group of class c."""
-    if c < 1:
-        raise BadParameters(f"class bound must be >= 1, got {c}")
-    if gens is None:
-        gens = sorted(w.syms())
-    if len(gens) > rank:
-        raise BadParameters(f"{len(gens)} symbols exceed rank {rank}")
-    series = word_series(_letters_to_indices(w, list(gens)), c)
-    return NilElement(rank, c, _deflate(series, rank, c))
-
-
 def lcs_weight(w: Word, rank: int, cmax: int, gens: Optional[Sequence[Sym]] = None):
     """Largest k <= cmax with w in the k-th lower central term of the free
-    group, or ABOVE_BOUND when all coordinates vanish up to cmax."""
+    group, or ABOVE_BOUND when all coordinates vanish up to cmax.
+
+    No other routine of the package calls it. It stays as the independent
+    weight check of the Hall basis: the tests use it to confirm that each
+    Hall word lies in the layer of its weight."""
     if cmax < 1:
         raise BadParameters(f"cmax must be >= 1, got {cmax}")
     if gens is None:
@@ -469,7 +320,7 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
         comps = [series_component(p.series, k) for p in img._pivots[k].values()]
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-        diag, _, _ = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+        diag = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
         layers.append(AbelianInvariants(witt_rank(rank, k) - len(comps),
                                         sorted(d for d in diag if d > 1)))
     return NilQuotientReport(c, layers)

@@ -75,22 +75,6 @@ class IntMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
-        return IntMatrix(
-            [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-              for j in range(other.cols)]
-             for i in range(self.rows)],
-            cols=other.cols,
-        )
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -126,37 +110,25 @@ class AbelianInvariants:
         return f"AbelianInvariants(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[List[int], IntMatrix, IntMatrix]:
-    """Diagonalize over the integers: left * m * right is diagonal with
-    d1 | d2 | ... | dr >= 0, and left/right unimodular."""
+def smith_normal_form(m: IntMatrix) -> List[int]:
+    """The Smith diagonal d1 | d2 | ... | dr >= 0 of m over the integers,
+    r = min(rows, cols), reached by unimodular row and column operations."""
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
-    left = IntMatrix.identity(rows)
-    right = IntMatrix.identity(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left.entries[i] = [x - q * y for x, y in zip(left.entries[i], left.entries[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in a:
             row[i] -= q * row[j]
-        for row in right.entries:
-            row[i] -= q * row[j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left.entries[i], left.entries[j] = left.entries[j], left.entries[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in right.entries:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left.entries[i] = [-x for x in left.entries[i]]
 
     t = 0
     while t < rows and t < cols:
@@ -189,7 +161,7 @@ def smith_normal_form(m: IntMatrix) -> Tuple[List[int], IntMatrix, IntMatrix]:
             if not dirty:
                 break
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         # restore divisibility: fold any entry the pivot misses back in
         offender = None
         for i in range(t + 1, rows):
@@ -201,11 +173,9 @@ def smith_normal_form(m: IntMatrix) -> Tuple[List[int], IntMatrix, IntMatrix]:
                 break
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            left.entries[t] = [x + y for x, y in zip(left.entries[t], left.entries[offender])]
             continue
         t += 1
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, left, right
+    return [a[i][i] for i in range(min(rows, cols))]
 
 
 # -- presentation catalog ----------------------------------------------
@@ -466,8 +436,7 @@ def exponent_matrix(p: Presentation) -> IntMatrix:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     m = exponent_matrix(p)
-    diag, _, _ = smith_normal_form(m)
-    nonzero = [d for d in diag if d]
+    nonzero = [d for d in smith_normal_form(m) if d]
     free_rank = m.cols - len(nonzero)
     torsion = sorted(d for d in nonzero if d > 1)
     return AbelianInvariants(free_rank, torsion)

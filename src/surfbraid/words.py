@@ -117,10 +117,6 @@ class Word:
             k >>= 1
         return out
 
-    def conj(self, by: "Word") -> "Word":
-        """by * self * by^-1."""
-        return by * self * ~by
-
     def syms(self) -> set:
         return {sym for sym, _ in self.letters}
 

@@ -132,6 +132,42 @@ class TestVerify:
         assert code == 0
         assert json.loads(path.read_text()) == rep
 
+    @pytest.mark.parametrize("suite", ["gammaP2", "gamma2P2"])
+    def test_depth_below_suite_claims_is_usage_error(self, capsys, monkeypatch,
+                                                     suite):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tower built before the depth was checked")
+
+        monkeypatch.setattr("surfbraid.cli.two_quotient_tower", no_work)
+        code, out, err = run(capsys, "verify", suite, "--depth", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: suite {suite} needs --depth >= 2, got 1\n"
+
+    @pytest.mark.parametrize("degree", ["7", "-1"])
+    def test_hom_degree_out_of_range_is_usage_error(self, capsys, monkeypatch,
+                                                    degree):
+        def no_work(*args, **kwargs):
+            raise AssertionError("suite ran before the degree was checked")
+
+        monkeypatch.setattr("surfbraid.cli.nilpotent_quotient", no_work)
+        monkeypatch.setattr("surfbraid.cli.hom_search", no_work)
+        code, out, err = run(capsys, "verify", "klein-collapse",
+                             "--hom-degree", degree)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --hom-degree must be 0..6, got {degree}\n"
+
+    def test_exhausted_separation_is_indeterminate(self, capsys):
+        code, rep = self._report(capsys, "separation", "--depth", "2")
+        assert code == 1
+        verdicts = {c["id"]: c["verdict"] for c in rep["claims"]}
+        exhausted = {c["id"] for c in rep["claims"]
+                     if "NotSeparatedWithinDepth" in c.get("witness", "")}
+        assert exhausted
+        assert all(verdicts[cid] == "INDETERMINATE" for cid in exhausted)
+        assert "FAIL" not in verdicts.values()
+
     def test_suite_names_complete(self):
         assert len(SUITES) == 12
 

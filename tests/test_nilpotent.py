@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from surfbraid.nilpotent import (ABOVE_BOUND, ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
-                                 lcs_weight, nil_reduce,
-                                 nilpotent_quotient, series_inverse,
+                                 lcs_weight, nilpotent_quotient,
+                                 series_component, series_inverse,
                                  series_leading_weight, series_mul,
                                  series_one, witt_rank, word_series)
-from surfbraid.presentations import Presentation, catalog
+from surfbraid.presentations import (IntMatrix, Presentation, catalog,
+                                     smith_normal_form)
 from surfbraid.words import Sym, Word, commutator
 
 A, B = Sym("a"), Sym("b")
@@ -168,21 +169,28 @@ class TestHallBasis:
                 for s in (A, B):
                     assert sum(exp for sym, exp in w.letters if sym == s) == 0
 
-    @pytest.mark.parametrize("rank,c", [(2, 3), (2, 4), (3, 3)])
-    def test_hall_words_reduce_to_basis_vectors(self, rank, c):
+    @pytest.mark.parametrize("rank,c", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_hall_words_are_a_basis_of_each_layer(self, rank, c):
+        """The weight-k Hall words lie in gamma_k, and the degree-k parts of
+        their series span a direct summand of the degree-k tensors of rank
+        witt_rank(rank, k). That summand lies in the free Lie ring's degree-k
+        part, which has the same rank, so the two are equal: the Hall words
+        are a Z-basis of gamma_k / gamma_{k+1}."""
         gens = [A, B, Sym("c")][:rank]
-        for pos, e in enumerate(hall_basis(rank, c)):
-            w = hall_word(rank, c, pos, gens)
-            assert nil_reduce(w, rank, c, gens).coordinates == {pos: 1}
-            assert lcs_weight(w, rank, c, gens) == e.weight
-
-    @pytest.mark.parametrize("rank,c", [(2, 4), (3, 3)])
-    def test_powers_of_hall_words(self, rank, c):
-        gens = [A, B, Sym("c")][:rank]
-        for pos in range(len(hall_basis(rank, c))):
-            w = hall_word(rank, c, pos, gens)
-            for e in (-3, -1, 2, 5):
-                assert nil_reduce(w ** e, rank, c, gens).coordinates == {pos: e}
+        basis = hall_basis(rank, c)
+        for k in range(1, c + 1):
+            comps = []
+            for pos, e in enumerate(basis):
+                if e.weight != k:
+                    continue
+                w = hall_word(rank, c, pos, gens)
+                assert lcs_weight(w, rank, c, gens) == k
+                comps.append(series_component(
+                    word_series([(gens.index(s), x) for s, x in w.letters], c), k))
+            monomials = sorted({m for comp in comps for m in comp})
+            rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
+            diag = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+            assert diag == [1] * witt_rank(rank, k)
 
     def test_identity_weight_above_bound(self):
         assert lcs_weight(Word(), 2, 3, [A, B]) is ABOVE_BOUND

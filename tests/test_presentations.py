@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,21 +21,53 @@ A1, B1 = Sym("a", (1,)), Sym("b", (1,))
 
 class TestSmithNormalForm:
     def test_diagonal_only(self):
-        diag, _, _ = smith_normal_form(IntMatrix([[2, 0], [0, 3]], cols=2))
+        diag = smith_normal_form(IntMatrix([[2, 0], [0, 3]], cols=2))
         assert diag == [1, 6]
 
     def test_zero_matrix(self):
-        diag, _, _ = smith_normal_form(IntMatrix([[0, 0]], cols=2))
+        diag = smith_normal_form(IntMatrix([[0, 0]], cols=2))
         assert diag == [0]
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                     min_size=1, max_size=4))
     @settings(max_examples=60)
     def test_divisibility_chain(self, rows):
-        diag, _, _ = smith_normal_form(IntMatrix(rows, cols=3))
+        diag = smith_normal_form(IntMatrix(rows, cols=3))
         nonzero = [d for d in diag if d]
         assert all(d > 0 for d in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_matches_independent_invariants(self, rows):
+        diag = smith_normal_form(IntMatrix(rows))
+        assert len(diag) == min(len(rows), len(rows[0]))
+        assert diag[0] == math.gcd(*(x for row in rows for x in row))
+        rank, det = _rank_and_det(rows)
+        assert sum(1 for d in diag if d) == rank
+        if len(rows) == len(rows[0]):
+            assert abs(det) == math.prod(diag)
+
+
+def _rank_and_det(rows):
+    """Gaussian elimination over Q: the rank, and for a square matrix the
+    determinant up to sign."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(len(a[0])):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        det *= a[rank][col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, det
 
 
 class TestAbelianizations:
