@@ -567,16 +567,13 @@ def tower_kernel_image(stages: Sequence[FiniteModel], n: int,
 # -- subgroup images -------------------------------------------------------
 
 class SubgroupDescription:
-    __slots__ = ("ambient", "normal_generators", "label", "split")
+    __slots__ = ("ambient", "normal_generators", "label")
 
     def __init__(self, ambient: Presentation, normal_generators: Sequence[Word],
-                 label: str = "",
-                 split: Optional[Tuple[Sequence[Word], Sequence[Word]]] = None):
+                 label: str = ""):
         self.ambient = ambient
         self.normal_generators = tuple(normal_generators)
         self.label = label
-        self.split = ((tuple(split[0]), tuple(split[1]))
-                      if split is not None else None)
 
     def __repr__(self) -> str:
         return (f"SubgroupDescription({self.label or self.ambient.label}, "
@@ -599,9 +596,6 @@ class SubgroupImage:
     def contains_word(self, w: Word) -> bool:
         return self.model.apply_word(w, 0) in self.points
 
-    def contains_point(self, pt: int) -> bool:
-        return pt in self.points
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubgroupImage) and self.model is other.model
                 and self.points == other.points)
@@ -614,25 +608,23 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
         raise ValueError("subgroup images are computed in regular models")
     if tuple(desc.ambient.generators) != tuple(model.generators):
         raise ValueError("description ambient does not match the model")
-    gen_pts = [int(col[0]) for col in model.columns[::2]]
-    gen_inv_pts = [int(col[0]) for col in model.columns[1::2]]
+    conj = [(int(inv[0]), col) for col, inv in zip(model.columns[::2],
+                                                     model.columns[1::2])]
 
     seeds = {model.apply_word(w, 0) for w in desc.normal_generators}
     seeds.discard(0)
-    # conjugation closure of the generating set
+    # conjugation closure of the generating set under x -> g^-1 x g alone:
+    # in a finite group that map is a permutation, so its orbits are cycles
+    # and the closure is closed under x -> g x g^-1 as well
     closure = set(seeds)
     frontier = list(seeds)
     while frontier:
         x = frontier.pop()
-        for gp, gip in zip(gen_pts, gen_inv_pts):
-            y = model.point_mul(model.point_mul(gip, x), gp)
+        for gip, col in conj:
+            y = int(col[model.point_mul(gip, x)])
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
-            z = model.point_mul(model.point_mul(gp, x), gip)
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
     # subgroup generated by the conjugation-closed set: the orbit of point 0
     # under right multiplication by its elements, one frontier at a time.
     # Right multiplication permutes the points, so each path's images of a

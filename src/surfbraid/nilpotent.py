@@ -344,7 +344,33 @@ class NilpotentImage:
     element, and over the integers the free Lie ring is a direct summand of
     the tensor ring (the Lyndon basis is unitriangular over the monomials).
     So membership, divisibility and the torsion of each layer are the same
-    in either coordinate system."""
+    in either coordinate system.
+
+    `add_words` closes the words under conjugation by the generators only:
+    each new or replaced pivot p queues g p g^-1 for every generator g, and
+    products of pivots are never queued. This gives the normal closure N
+    exactly, because the queue is a stack. Let p be a pivot of weight k.
+    Each of its conjugates is p modulo gamma_{k+1}, so it reduces by p once
+    and leaves p^-1 g p g^-1, of weight above k. What is pushed after them
+    comes from pivots that the same sift made later, of weight >= k, and
+    reduces the same way, or from pivots of weight above k. So no pivot of
+    weight <= k changes before p's conjugates are popped, and each is
+    sifted while p is still the pivot at its monomial.
+
+    Write T_k for the elements that sift to the identity from weight >= k,
+    and go down from T_{c+1} = 1:
+      - assume T_{k+1} = M is a normal subgroup that holds everything ever
+        sifted from weight > k;
+      - then p^-1 g p g^-1 lies in M for every weight-k pivot p ever made
+        and every generator g, so each such pivot is central modulo M;
+      - so each weight-k sifting step is a unimodular change of a pair
+        (pivot, element) that commutes modulo M, i.e. row reduction in an
+        abelian group: T_k = <weight-k pivots> M is again normal, and it
+        holds everything ever sifted from weight >= k.
+    At k = 1, T_1 is normal, holds the words and lies inside N, so T_1 = N.
+    A product of pivots would add nothing. Popping the queue in another
+    order could sift a conjugate after its pivot was replaced, and breaks
+    the argument."""
 
     def __init__(self, gens: Sequence[Sym], c: int):
         if not 1 <= c <= 4:
@@ -405,17 +431,10 @@ class NilpotentImage:
         c = self.c
         queue = [self._word_series(w) for w in words]
         while queue:
-            s = queue.pop()
+            s = queue.pop()  # a stack: the class docstring says why
             for ser in self._sift(s):
-                # close under conjugation by the ambient generators
                 for g, gi in zip(self._gen_series, self._gen_inv):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
-                # close under products with the other basis elements
-                for kk in range(1, c + 1):
-                    row = self._pivots[kk]
-                    for lead in sorted(row):
-                        if row[lead].series is not ser:
-                            queue.append(series_mul(ser, row[lead].series, c))
 
     def contains_word(self, w: Word) -> bool:
         c = self.c

@@ -112,65 +112,40 @@ class AbelianInvariants:
 
 def smith_normal_form(m: IntMatrix) -> List[int]:
     """The Smith diagonal d1 | d2 | ... | dr >= 0 of m over the integers,
-    r = min(rows, cols), reached by unimodular row and column operations."""
+    r = min(rows, cols), reached by unimodular row and column operations.
+    Each pass moves a least nonzero entry of the remaining block to the
+    pivot and clears its row and column by division; a remainder left
+    there is smaller than the pivot and becomes the next pass's pivot."""
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
     t = 0
     while t < rows and t < cols:
-        # move a nonzero pivot of minimal magnitude to (t, t)
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                 for j in range(t, cols) if a[i][j]]
+        if not block:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
+        _, pi, pj = min(block)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        piv = a[t][t]
+        for i in range(t + 1, rows):
+            q = a[i][t] // piv
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, cols):
+            q = a[t][j] // piv
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+        if (any(a[i][t] for i in range(t + 1, rows))
+                or any(a[t][j] for j in range(t + 1, cols))):
+            continue
+        if piv < 0:
             a[t] = [-x for x in a[t]]
         # restore divisibility: fold any entry the pivot misses back in
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows)
+                         if any(a[i][j] % piv for j in range(t + 1, cols))), None)
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue

@@ -164,8 +164,8 @@ def wn_tilde(n: int, fiber_rank: int = 2) -> SubgroupDescription:
 
 
 def gamma_p2k_claimed(n: int) -> SubgroupDescription:
-    """The claimed closed form of Gamma_n of the two-strand group as a
-    split description: fiber part Wtilde_n, base part (a_1 a_2)^(2^(n-1))."""
+    """The claimed closed form of Gamma_n of the two-strand group: the
+    fiber part Wtilde_n together with the base part (a_1 a_2)^(2^(n-1))."""
     if n < 2:
         raise BadParameters(f"need n >= 2, got {n}")
     p = catalog("P2K_reduced", 2)
@@ -173,8 +173,7 @@ def gamma_p2k_claimed(n: int) -> SubgroupDescription:
     a2, _ = _p2k_fiber()
     fiber = list(wn_tilde(n).normal_generators)
     base = [(a1 * a2) ** (2 ** (n - 1))]
-    return SubgroupDescription(p, fiber + base, label=f"Gamma_{n}(P2K)",
-                               split=(fiber, base))
+    return SubgroupDescription(p, fiber + base, label=f"Gamma_{n}(P2K)")
 
 
 def gamma2_p2k_claimed(n: int) -> SubgroupDescription:
@@ -189,8 +188,7 @@ def gamma2_p2k_claimed(n: int) -> SubgroupDescription:
     e = 2 ** (n - 1)
     fiber = list(wn_tilde(n).normal_generators) + [b2 ** e]
     base = [(a1 * a2) ** e, (b2 * b1) ** e]
-    return SubgroupDescription(p, fiber + base, label=f"gamma2_{n}(P2K)",
-                               split=(fiber, base))
+    return SubgroupDescription(p, fiber + base, label=f"gamma2_{n}(P2K)")
 
 
 def elm_generators(l: int, m: int,

@@ -196,6 +196,11 @@ class WordSyntaxError(ValueError):
     pass
 
 
+# parse_word refuses a text that expands to more letters than this, before
+# it builds them: "a^1000000000" would otherwise take about 90 GB
+MAX_PARSED_LETTERS = 100_000
+
+
 def parse_word(text: str) -> Word:
     tokens = []
     pos = 0
@@ -229,6 +234,9 @@ def parse_word(text: str) -> Word:
                     raise WordSyntaxError("'^' must be followed by an integer")
                 exp = tokens[i + 2]
                 i += 2
+            if len(letters) + abs(exp) > MAX_PARSED_LETTERS:
+                raise WordSyntaxError(
+                    f"word has more than {MAX_PARSED_LETTERS} letters")
             sign = 1 if exp >= 0 else -1
             letters.extend((tok, sign) for _ in range(abs(exp)))
             expect_term = False

@@ -59,6 +59,13 @@ class TestSingleShot:
         code, _, err = run(capsys, "solve", "2", "a1*")
         assert code == 2
 
+    def test_huge_exponent_is_usage_error(self, capsys):
+        # refused before the 10^9 letters are built
+        code, out, err = run(capsys, "solve", "1", "a1^1000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: word has more than 100000 letters\n"
+
     @pytest.mark.parametrize("argv", [("0", ""), ("-1", "1")])
     def test_solve_bad_level_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, "solve", *argv)

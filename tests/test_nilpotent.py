@@ -326,3 +326,87 @@ class TestNilpotentImage:
     def test_class_bound_validation(self):
         with pytest.raises(ClassUnsupported):
             NilpotentImage([A], 0)
+
+
+# -- the closure against products of pivots ---------------------------------
+
+class _ProductClosure(NilpotentImage):
+    """The closure with a second rule: each new or replaced pivot queues its
+    conjugates by the generators and also its product with every other
+    pivot. The product rule adds nothing (see `NilpotentImage`), so this is
+    a reference for the conjugate-only closure."""
+
+    def add_words(self, words):
+        c = self.c
+        queue = [self._word_series(w) for w in words]
+        while queue:
+            s = queue.pop()
+            for ser in self._sift(s):
+                for g, gi in zip(self._gen_series, self._gen_inv):
+                    queue.append(series_mul(series_mul(g, ser, c), gi, c))
+                for row in self._pivots.values():
+                    for lead in sorted(row):
+                        if row[lead].series is not ser:
+                            queue.append(series_mul(ser, row[lead].series, c))
+
+
+_GENS = [A, B, Sym("c")]
+
+
+def _random_words(rank, max_size):
+    letter = st.tuples(st.sampled_from(_GENS[:rank]), st.sampled_from([1, -1]))
+    return st.lists(letter, max_size=max_size).map(Word)
+
+
+@st.composite
+def _closure_cases(draw):
+    """Generators, class bound, relators and membership probes. Relators
+    are words, powers of words and powers of commutators, so that sifting
+    meets leading coefficients that only a gcd step combines; half the
+    probes are products of relator conjugates."""
+    rank = draw(st.integers(2, 3))
+    c = draw(st.integers(1, 4))
+    word = _random_words(rank, 5)
+    power = st.integers(2, 6)
+    relator = st.one_of(
+        word,
+        st.builds(lambda w, e: w ** e, word, power),
+        st.builds(lambda u, v, e: commutator(u, v) ** e, word, word, power))
+    relators = draw(st.lists(relator, min_size=1, max_size=3))
+    probes = draw(st.lists(_random_words(rank, 8), min_size=3, max_size=3))
+    for _ in range(3):
+        product = Word()
+        for r, h, e in draw(st.lists(st.tuples(
+                st.sampled_from(relators), word, st.sampled_from([1, -1])),
+                min_size=1, max_size=3)):
+            product = product * h * r ** e * ~h
+        probes.append(product)
+    return _GENS[:rank], c, relators, probes
+
+
+def _diagonal(comps):
+    """The nonzero Smith diagonal of the lattice the components span."""
+    monomials = sorted({m for comp in comps for m in comp})
+    rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
+    return [d for d in smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+            if d]
+
+
+class TestConjugateClosure:
+    @given(_closure_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_product_closure(self, case):
+        gens, c, relators, probes = case
+        mine = NilpotentImage.of(gens, c, relators)
+        ref = _ProductClosure.of(gens, c, relators)
+        for k in range(1, c + 1):
+            ours, theirs = ([series_component(p.series, k)
+                             for p in img._pivots[k].values()]
+                            for img in (mine, ref))
+            # lattices A, B and A + B with one Smith diagonal are equal: A
+            # and B have the index of A + B in its saturation
+            assert _diagonal(ours) == _diagonal(theirs) == _diagonal(ours + theirs)
+        for w in probes:
+            assert mine.contains_word(w) == ref.contains_word(w)
+        for w in probes[3:]:
+            assert mine.contains_word(w)

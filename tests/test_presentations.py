@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbraid.presentations import (BadParameters, IntMatrix, Presentation,
@@ -37,9 +37,14 @@ class TestSmithNormalForm:
         assert all(d > 0 for d in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
-    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    @given(st.integers(1, 7).flatmap(lambda cols: st.lists(
         st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
-        min_size=1, max_size=5)))
+        min_size=1, max_size=7)))
+    # entries grew without bound here under Euclidean swaps alone
+    @example([[-5, -2, -1, 4, 7, 1], [-3, 2, 4, -9, 3, 8],
+              [8, -3, -7, -8, 4, 5], [-5, 0, 6, -8, 8, -5],
+              [-4, 6, 4, 1, 0, 0], [-1, -1, 3, -2, 0, 6],
+              [8, 3, -6, -4, -4, -7]])
     @settings(max_examples=150, deadline=None)
     def test_diagonal_matches_independent_invariants(self, rows):
         diag = smith_normal_form(IntMatrix(rows))

@@ -137,11 +137,6 @@ class TestClaimedClosedForms:
             img = subgroup_image(tower[d - 1], gamma2_p2k_claimed(n))
             assert img == tower_kernel_image(tower, n, d)
 
-    def test_split_recorded(self):
-        desc = gamma_p2k_claimed(2)
-        fiber, base = desc.split
-        assert set(fiber) | set(base) == set(desc.normal_generators)
-
     def test_depth_validation(self):
         with pytest.raises(BadParameters):
             gamma_p2k_claimed(1)

@@ -134,6 +134,15 @@ class TestTextFormat:
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("text", ["x^1000000000", "x^-100001",
+                                      "x^60000*y^-60000"])
+    def test_letter_bound(self, text):
+        with pytest.raises(WordSyntaxError, match="more than 100000 letters"):
+            parse_word(text)
+
+    def test_letter_bound_is_inclusive(self):
+        assert len(parse_word("x^50000*y^-50000").letters) == 100_000
+
     @given(_random_word_strategy())
     @settings(max_examples=200)
     def test_round_trip(self, w):
