@@ -11,7 +11,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .presentations import Presentation
-from .words import Sym, Word, free_reduce
+from .words import Sym, Word
 
 
 class Overflow(RuntimeError):
@@ -77,7 +77,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     width = 2 * len(gens)
     idx = {g: i for i, g in enumerate(gens)}
     rel_paths = [_word_columns(r, idx) for r in p.relators if r.letters]
-    sub_paths = [_word_columns(free_reduce(w), idx) for w in subgroup]
+    sub_paths = [_word_columns(w, idx) for w in subgroup]
 
     table: List[List[Optional[int]]] = [[None] * width]
     parent = [0]  # union-find over coincidences; live cosets are roots
@@ -278,7 +278,10 @@ class _SchreierGenerators:
 
 
 def reidemeister_schreier(t: CosetTable) -> Presentation:
-    """Presentation of the subgroup on its Schreier generators."""
+    """Presentation of the subgroup on its Schreier generators. Only the
+    tests call it: its presentations are how they check a coset table
+    independently, by known subgroup abelianizations (A3 in S3) and by
+    equal dumps across a `model_table` round trip."""
     p = t.presentation
     sch = _SchreierGenerators(t.columns, t.index)
     sgen_syms = [Sym("y", key) for key in sch.index]
@@ -291,7 +294,7 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
             met, end = sch.rewrite(path, c)
             if end != c:
                 raise ValueError("rewriting a non-closed path")
-            w = free_reduce(Word([(sgen_syms[i], e) for i, e in met]))
+            w = Word([(sgen_syms[i], e) for i, e in met])
             if not w.is_identity():
                 relators.append(w)
     return Presentation(f"{p.label}_sub{t.index}", sgen_syms, relators)
@@ -305,8 +308,8 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     mod-2 tower that the tests check `two_quotient_tower` against."""
     gens = t.presentation.generators
     sch = _SchreierGenerators(t.columns, t.index)
-    return [free_reduce(Word([(gens[x >> 1], -1 if x & 1 else 1)
-                              for x in sch.generator_path(c, g)]))
+    return [Word([(gens[x >> 1], -1 if x & 1 else 1)
+                  for x in sch.generator_path(c, g)])
             for c, g in sch.index]
 
 
@@ -371,13 +374,16 @@ class FiniteModel:
 
     def point_inv(self, a: int) -> int:
         """Inverse of the group element with base-point image a (regular
-        models only); a tree walk, kept for the brute-force checks in the
-        tests."""
+        models only); a tree walk. Only the tests call it: their brute-force
+        normal closure is the independent route `subgroup_image` is checked
+        against."""
         return int(_trace(self.columns, [x ^ 1 for x in reversed(self._path(a))], 0))
 
 
 def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
-    """The permutation action of the group on the cosets of the table."""
+    """The permutation action of the group on the cosets of the table.
+    Only the tests call it: it turns coset tables into the models on which
+    they check relators, Schreier generators and point arithmetic."""
     p = t.presentation
     return FiniteModel(f"{p.label}@cosets{t.index}", p.generators,
                        t.columns[::2], t.index, regular=regular)
@@ -385,7 +391,9 @@ def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
 
 def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
     """A coset table over `p` whose cosets are the model's points (regular
-    models: the table of the kernel of the presented group onto the model)."""
+    models: the table of the kernel of the presented group onto the model).
+    Only the tests call it: the round trip through `coset_action` checks
+    the column layout that coset tables and models share."""
     if tuple(p.generators) != tuple(model.generators):
         raise ValueError("model generators do not match the presentation")
     out = CosetTable(p, (), model.columns, model.npoints)

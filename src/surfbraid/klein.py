@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .words import IDENTITY, Sym, Word, commutator, free_reduce, substitute
+from .words import IDENTITY, Sym, Word, commutator, substitute
 from .presentations import catalog
 
 
@@ -224,6 +224,8 @@ def _raw_action_rows(level: int) -> Dict[Sym, Dict[Sym, Word]]:
     return rows
 
 
+# Reachable only through `action_table`, whose levels are fixed (1-5): it
+# would mean a bug, not a bad input, so `cli.main` maps it to no exit code.
 class NotInvertible(RuntimeError):
     pass
 
@@ -233,7 +235,7 @@ def invert_automorphism(basis: Sequence[Sym],
     """Invert a free-group automorphism given on a basis, by Nielsen
     reduction of the image tuple with tracked preimage words."""
     pairs: List[Tuple[Word, Word]] = [
-        (free_reduce(images[x]), Word.from_syms(x)) for x in basis]
+        (images[x], Word.from_syms(x)) for x in basis]
     r = len(pairs)
 
     def total(ps) -> int:

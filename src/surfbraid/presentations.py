@@ -11,7 +11,6 @@ from .words import (
     Sym,
     UnmappedSymbol,
     Word,
-    free_reduce,
     print_word,
     substitute,
 )
@@ -35,15 +34,12 @@ class Presentation:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError(f"duplicate generators in {label!r}")
+        self.relators = tuple(relators)
         gen_set = set(self.generators)
-        reduced = []
-        for r in relators:
-            r = free_reduce(r)
+        for r in self.relators:
             stray = r.syms() - gen_set
             if stray:
                 raise ValueError(f"relator uses undeclared symbols {stray} in {label!r}")
-            reduced.append(r)
-        self.relators = tuple(reduced)
 
     def __repr__(self) -> str:
         return (f"Presentation({self.label!r}, {len(self.generators)} generators, "
@@ -425,7 +421,10 @@ def check_homomorphism(
     equality_oracle: Callable[[Word], str],
 ) -> List[Tuple[Word, str]]:
     """Evaluate every relator of src under the candidate images and report
-    the oracle's verdict (Trivial / NonTrivial / Indeterminate) on each."""
+    the oracle's verdict (Trivial / NonTrivial / Indeterminate) on each.
+    Only the tests call it: with `torus_metabelian_oracle` it is a second
+    route to the torus-derived suite's claim that the relators of B_n(T)
+    die in the metabelian quotient."""
     report = []
     for r in src.relators:
         image = substitute(r, images)
@@ -434,14 +433,6 @@ def check_homomorphism(
             raise ValueError(f"oracle returned unknown verdict {verdict!r}")
         report.append((r, verdict))
     return report
-
-
-def all_trivial(report: Sequence[Tuple[Word, str]]) -> bool:
-    return all(v == TRIVIAL for _, v in report)
-
-
-def free_oracle(w: Word) -> str:
-    return TRIVIAL if w.is_identity() else NONTRIVIAL
 
 
 def pi1k_normal_form(w: Word) -> Tuple[int, int]:
@@ -522,6 +513,8 @@ def torus_metabelian_evaluate(w: Word, n: int,
 def torus_metabelian_oracle(n: int,
                             images: Optional[Mapping[Sym, TorusMetabelianElement]] = None
                             ) -> Callable[[Word], str]:
+    """Triviality in the metabelian quotient of B_n(T), as an oracle for
+    `check_homomorphism`, which is its only caller."""
     def oracle(w: Word) -> str:
         return TRIVIAL if torus_metabelian_evaluate(w, n, images).is_identity() else NONTRIVIAL
     return oracle

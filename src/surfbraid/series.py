@@ -12,7 +12,7 @@ from .finite import FiniteModel, SubgroupDescription, subgroup_image, two_quotie
 from .klein import ActionTable, fiber_basis, _top_d_expansion
 from .nilpotent import NilpotentImage, hall_basis, hall_word
 from .presentations import BadParameters, Presentation, catalog
-from .words import Sym, Word, commutator, free_reduce, left_normed
+from .words import Sym, Word, commutator, left_normed
 
 EQUAL = "EqualInOracle"
 A_IN_B = "AStrictlyInB"
@@ -67,7 +67,6 @@ def _dedupe(words: Sequence[Word]) -> List[Word]:
     out: List[Word] = []
     seen = set()
     for w in words:
-        w = free_reduce(w)
         if not w.letters or w in seen:
             continue
         seen.add(w)
@@ -359,7 +358,9 @@ def lemaprinc_check(x: Word, y: Word, i: int, m: int,
                     k: int = 0,
                     ambient: Optional[Presentation] = None) -> bool:
     """Check one instance of the power-shifting congruence
-    [x^(2^e), y] = [x, y]^(2^e) modulo E_{i+1, m+1}, with e = m - i - k."""
+    [x^(2^e), y] = [x, y]^(2^e) modulo E_{i+1, m+1}, with e = m - i - k.
+    Only the tests call it: it checks instances of the paper's main lemma
+    on the E_{l,m} families, which `elm_generators` builds."""
     e = m - i - k
     if e < 0:
         raise BadParameters(f"need k <= m - i, got i={i}, m={m}, k={k}")
@@ -423,7 +424,7 @@ def residual_separation(p: Presentation, elements: Sequence[Word],
 
 
 def _separation_report(w: Word, stage: Optional[int], depth: int) -> Dict:
-    if not free_reduce(w).letters:
+    if not w.letters:
         return {"element": str(w), "verdict": "Trivial", "stage": None}
     if stage is None:
         return {"element": str(w), "verdict": "NotSeparatedWithinDepth",

@@ -49,22 +49,25 @@ def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 
 
 class Word:
-    """An immutable sequence of letters; algebraic operators freely reduce."""
+    """An immutable, freely reduced sequence of letters: the constructor
+    reduces, so equality and hashing are equality in the free group."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        object.__setattr__(self, "letters", tuple(letters))
-        for sym, exp in self.letters:
+        letters = tuple(letters)
+        for sym, exp in letters:
             if not isinstance(sym, Sym) or exp not in (1, -1):
                 raise ValueError(f"bad letter ({sym!r}, {exp!r})")
+        object.__setattr__(self, "letters", _reduce_letters(letters))
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
     @classmethod
     def _trusted(cls, letters: Tuple[Letter, ...]) -> "Word":
-        """Wrap letters taken from existing words, skipping the checks."""
+        """Wrap letters that are already freely reduced, skipping the
+        checks and the reduction."""
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
         return w
@@ -91,13 +94,22 @@ class Word:
         return f"Word({print_word(self)!r})"
 
     def is_identity(self) -> bool:
-        return not free_reduce(self).letters
+        return not self.letters
 
-    # -- group operations (always return reduced words) ----------------
+    # -- group operations ---------------------------------------------
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word._trusted(_reduce_letters(self.letters + other.letters))
+        # both operands are reduced, so letters cancel only across the seam
+        a, b = self.letters, other.letters
+        k, m = 0, min(len(a), len(b))
+        while k < m:
+            sym, exp = a[-1 - k]
+            other_sym, other_exp = b[k]
+            if exp == other_exp or not (sym is other_sym or sym == other_sym):
+                break
+            k += 1
+        return Word._trusted(a[:len(a) - k] + b[k:])
 
     def __invert__(self) -> "Word":
         return Word._trusted(
@@ -106,10 +118,9 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
-        base = self if n > 0 else ~self
+        acc = self if n > 0 else ~self
         out = Word()
         k = abs(n)
-        acc = free_reduce(base)
         while k:
             if k & 1:
                 out = out * acc
@@ -122,11 +133,6 @@ class Word:
 
 
 IDENTITY = Word()
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
-    return Word._trusted(_reduce_letters(w.letters))
 
 
 def commutator(g: Word, h: Word) -> Word:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from surfbraid import cli, words
 from surfbraid.cli import SUITES, main
+from surfbraid.words import left_normed
 
 
 def run(capsys, *argv):
@@ -124,6 +126,19 @@ class TestVerify:
         assert code == 0
         assert len(rep["claims"]) == 8
         assert all(c["verdict"] == "PASS" for c in rep["claims"])
+
+    def test_colchete_fails_without_a_factor(self, capsys, monkeypatch):
+        # drop the last factor [x^(2^(n-1)), y]^2 of the expansion
+        def short_rhs(x, y, n):
+            last = left_normed([x ** (2 ** (n - 1)), y]) ** 2
+            return words.colchete_rhs(x, y, n) * ~last
+        monkeypatch.setattr(cli, "colchete_rhs", short_rhs)
+        code, rep = self._report(capsys, "colchete")
+        assert code == 1
+        assert len(rep["claims"]) == 8
+        for c in rep["claims"]:
+            assert c["verdict"] == "FAIL"
+            assert "differ in F(u, v)" in c["witness"]
 
     @pytest.mark.parametrize("suite", ["action", "gammaP2", "gamma2P2",
                                        "torus-derived", "klein-derived",

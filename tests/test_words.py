@@ -4,31 +4,59 @@ from hypothesis import strategies as st
 
 from surfbraid.words import (IDENTITY, Sym, UnmappedSymbol, Word,
                              WordSyntaxError, colchete_rhs, commutator,
-                             free_reduce, left_normed, parse_word, print_word,
-                             substitute)
+                             left_normed, parse_word, print_word, substitute)
 
-X, Y = Sym("x"), Sym("y")
+X, Y, A1 = Sym("x"), Sym("y"), Sym("a", (1,))
 WX, WY = Word.from_syms(X), Word.from_syms(Y)
 
 
-def _random_word_strategy(max_len=12):
+def _letters_strategy(max_len=12):
     letter = st.tuples(st.sampled_from([X, Y, Sym("z", (1,))]),
                        st.sampled_from([1, -1]))
-    return st.lists(letter, max_size=max_len).map(Word)
+    return st.lists(letter, max_size=max_len)
+
+
+def _random_word_strategy(max_len=12):
+    return _letters_strategy(max_len).map(Word)
+
+
+def _stack_reduce(letters):
+    """Reference free reduction: push each letter, or pop the top of the
+    stack when the letter is its inverse."""
+    stack = []
+    for sym, exp in letters:
+        if stack and stack[-1] == (sym, -exp):
+            stack.pop()
+        else:
+            stack.append((sym, exp))
+    return tuple(stack)
 
 
 class TestReduction:
     def test_identity(self):
         assert Word([]) == IDENTITY
         assert not IDENTITY.letters
+        assert IDENTITY.is_identity()
+        assert not Word([(A1, 1)]).is_identity()
 
     def test_cancellation(self):
-        w = Word([(X, 1), (X, -1)])
-        assert free_reduce(w) == IDENTITY
+        for letters in ([(X, 1), (X, -1)], [(A1, 1), (A1, -1)]):
+            w = Word(letters)
+            assert w == IDENTITY
+            assert w.is_identity()
 
     def test_nested_cancellation(self):
         w = Word([(X, 1), (Y, 1), (Y, -1), (X, -1)])
-        assert free_reduce(w) == IDENTITY
+        assert w == IDENTITY
+        assert Word([(Y, 1), (X, 1), (Y, 1), (Y, -1), (X, -1)]) == WY
+
+    @given(_letters_strategy(16))
+    @settings(max_examples=200)
+    def test_constructor_reduces(self, letters):
+        w = Word(letters)
+        assert w.letters == _stack_reduce(letters)
+        assert all(a != (sym, -exp) for a, (sym, exp)
+                   in zip(w.letters, w.letters[1:]))
 
     def test_mul_reduces(self):
         assert WX * ~WX == IDENTITY
@@ -44,11 +72,22 @@ class TestReduction:
         assert w * ~w == IDENTITY
         assert ~w * w == IDENTITY
 
-    @given(_random_word_strategy(), _random_word_strategy())
+    @given(_letters_strategy(), _letters_strategy())
     @settings(max_examples=150)
     def test_reduction_is_congruence(self, a, b):
         # reducing factors first never changes the reduced product
-        assert free_reduce(Word(list(a.letters) + list(b.letters))) == a * b
+        assert Word(a + b) == Word(a) * Word(b)
+
+    @given(_random_word_strategy(), st.integers(0, 12),
+           _random_word_strategy(6))
+    @settings(max_examples=150)
+    def test_product_cancels_long_seam(self, a, k, c):
+        # b = ~suffix(a) * c: the product cancels the whole suffix at the seam
+        k = min(k, len(a))
+        suffix = a.letters[len(a) - k:]
+        b = Word([(sym, -exp) for sym, exp in reversed(suffix)] + list(c.letters))
+        assert a * b == Word(a.letters + b.letters)
+        assert a * b == Word(a.letters[:len(a) - k] + c.letters)
 
 
 class TestCommutators:
@@ -124,6 +163,7 @@ class TestTextFormat:
     def test_parse_identity(self):
         assert parse_word("1") == IDENTITY
         assert parse_word("") == IDENTITY
+        assert parse_word("x*y*y^-1*x^-1") == IDENTITY
 
     def test_print_powers(self):
         assert print_word(Word([(X, 1), (X, 1), (Y, -1)])) == "x^2*y^-1"
@@ -146,4 +186,6 @@ class TestTextFormat:
     @given(_random_word_strategy())
     @settings(max_examples=200)
     def test_round_trip(self, w):
-        assert parse_word(print_word(w)) == w
+        text = print_word(w)
+        assert parse_word(text) == w
+        assert print_word(parse_word(text)) == text
