@@ -11,11 +11,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .presentations import Presentation
-from .words import Sym, Word
-
-
-class Overflow(RuntimeError):
-    pass
+from .words import Overflow, Sym, Word
 
 
 def _word_columns(w: Word, index: Mapping[Sym, int]) -> List[int]:

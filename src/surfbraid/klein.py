@@ -8,11 +8,16 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .words import IDENTITY, Sym, Word, commutator, substitute
+from .words import IDENTITY, Overflow, Sym, Word, commutator, substitute
 from .presentations import catalog
 
 
 DEFAULT_MAX_LEVEL = 5
+
+# normal_form raises Overflow once any level's fiber passes this many
+# letters: the largest fiber over perfbench's wordproblem seeds 1-10 is
+# 139,995, while a 37-letter word at n=5 reaches tens of millions
+MAX_FIBER_LETTERS = 2_000_000
 
 
 class BadLevel(ValueError):
@@ -442,10 +447,10 @@ def _prepend(e: SemidirectElement, sym: Sym, exp: int) -> SemidirectElement:
     level = e.level
     if level == 1:
         k, l = e.base
-        if sym == _a(1):
+        if sym is _a(1):
             sign = 1 if k % 2 == 0 else -1
             return SemidirectElement(1, IDENTITY, (k, l + exp * sign))
-        if sym == _b(1):
+        if sym is _b(1):
             return SemidirectElement(1, IDENTITY, (k + exp, l))
         raise BadLevel(f"{sym} is not a level-1 generator")
     top = max(sym.indices)
@@ -460,14 +465,21 @@ def _prepend(e: SemidirectElement, sym: Sym, exp: int) -> SemidirectElement:
             raise BadLevel(f"unexpected fiber symbol {sym}")
         if exp == -1:
             piece = ~piece
-        return SemidirectElement(level, piece * e.fiber, e.base)
+        return SemidirectElement(level, _bounded(piece * e.fiber, level), e.base)
     table = action_table(level - 1)
     f = _pair_fibers(level)[sym]
     if exp == 1:
         fiber = f * table.apply_psi(sym, e.fiber)
     else:
         fiber = table.apply_phi(sym, ~f * e.fiber)
-    return SemidirectElement(level, fiber, _prepend(e.base, sym, exp))
+    return SemidirectElement(level, _bounded(fiber, level),
+                             _prepend(e.base, sym, exp))
+
+
+def _bounded(fiber: Word, level: int) -> Word:
+    if len(fiber.letters) > MAX_FIBER_LETTERS:
+        raise Overflow(f"level-{level} fiber passed {MAX_FIBER_LETTERS} letters")
+    return fiber
 
 
 def _validate_symbol(sym: Sym, n: int) -> None:
@@ -483,7 +495,12 @@ def _validate_symbol(sym: Sym, n: int) -> None:
 
 def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     """Solve the word problem: two words are equal in the n-strand pure
-    braid group of the Klein bottle iff their normal forms coincide."""
+    braid group of the Klein bottle iff their normal forms coincide.
+
+    Raises Overflow once the fiber of any level passes MAX_FIBER_LETTERS.
+    The bound is on the work, not on the answer: a short word whose normal
+    form is small can still be refused, as (a4*C[1,4])^8 conjugating a5
+    peaks at about 1.7 million letters and ends with a one-letter fiber."""
     if n is None:
         n = 1
         for sym, _ in w.letters:

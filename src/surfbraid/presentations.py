@@ -422,9 +422,9 @@ def check_homomorphism(
 ) -> List[Tuple[Word, str]]:
     """Evaluate every relator of src under the candidate images and report
     the oracle's verdict (Trivial / NonTrivial / Indeterminate) on each.
-    Only the tests call it: with `torus_metabelian_oracle` it is a second
-    route to the torus-derived suite's claim that the relators of B_n(T)
-    die in the metabelian quotient."""
+    With `torus_metabelian_oracle` it is the route by which the
+    torus-derived suite checks that the relators of B_n(T) die in the
+    metabelian quotient."""
     report = []
     for r in src.relators:
         image = substitute(r, images)
@@ -514,7 +514,7 @@ def torus_metabelian_oracle(n: int,
                             images: Optional[Mapping[Sym, TorusMetabelianElement]] = None
                             ) -> Callable[[Word], str]:
     """Triviality in the metabelian quotient of B_n(T), as an oracle for
-    `check_homomorphism`, which is its only caller."""
+    `check_homomorphism`; the torus-derived suite uses the pair."""
     def oracle(w: Word) -> str:
         return TRIVIAL if torus_metabelian_evaluate(w, n, images).is_identity() else NONTRIVIAL
     return oracle

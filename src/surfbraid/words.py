@@ -3,26 +3,64 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 
 class UnmappedSymbol(KeyError):
     """A substitution was asked to map a symbol it has no image for."""
 
 
-@dataclass(frozen=True, order=True)
-class Sym:
-    """A generator symbol: a short name plus up to three integer indices."""
+class Overflow(RuntimeError):
+    """A computation passed one of its stated work bounds."""
 
-    name: str
-    indices: Tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not self.name or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.name):
-            raise ValueError(f"bad symbol name {self.name!r}")
-        if len(self.indices) > 3:
-            raise ValueError(f"too many indices on {self.name!r}: {self.indices}")
+_SYM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_SYMS: Dict[Tuple[str, Tuple[int, ...]], "Sym"] = {}
+
+
+class Sym(tuple):
+    """A generator symbol: a short name plus up to three integer indices.
+
+    Symbols are interned: ``Sym(name, indices)`` returns the one object
+    registered for ``(name, tuple(indices))``, so equality is identity,
+    while hash and order are those of the tuple ``(name, indices)``. A Sym
+    never equals a plain tuple. The registry holds strong references (a
+    tuple subclass cannot carry ``__weakref__``), so a symbol lives as long
+    as the process once built."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, indices: Iterable[int] = ()):
+        key = (name, tuple(indices))
+        sym = _SYMS.get(key)
+        if sym is None:
+            if not name or not _SYM_NAME.fullmatch(name):
+                raise ValueError(f"bad symbol name {name!r}")
+            if len(key[1]) > 3:
+                raise ValueError(f"too many indices on {name!r}: {key[1]}")
+            # setdefault: two threads building one key get one object
+            sym = _SYMS.setdefault(key, tuple.__new__(cls, key))
+        return sym
+
+    name = property(itemgetter(0))
+    indices = property(itemgetter(1))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    def __reduce__(self):
+        # through the constructor, so pickle (every protocol), copy and
+        # deepcopy return the registered object
+        return Sym, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Sym(name={self.name!r}, indices={self.indices!r})"
 
     def __str__(self) -> str:
         if not self.indices:
@@ -36,15 +74,16 @@ Letter = Tuple[Sym, int]  # (symbol, +1 or -1)
 def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     """Freely reduce letters already checked by ``Word``."""
     out: List[Letter] = []
+    append, pop = out.append, out.pop
+    last = None
     for letter in letters:
-        if out:
-            last_sym, last_exp = out[-1]
-            sym = letter[0]
-            # symbols are usually shared objects: test identity before __eq__
-            if last_exp != letter[1] and (last_sym is sym or last_sym == sym):
-                out.pop()
-                continue
-        out.append(letter)
+        # symbols are interned, so identity is equality
+        if last is not None and last[0] is letter[0] and last[1] != letter[1]:
+            pop()
+            last = out[-1] if out else None
+        else:
+            append(letter)
+            last = letter
     return tuple(out)
 
 
@@ -106,7 +145,7 @@ class Word:
         while k < m:
             sym, exp = a[-1 - k]
             other_sym, other_exp = b[k]
-            if exp == other_exp or not (sym is other_sym or sym == other_sym):
+            if exp == other_exp or sym is not other_sym:
                 break
             k += 1
         return Word._trusted(a[:len(a) - k] + b[k:])

@@ -92,6 +92,16 @@ class TestSingleShot:
         assert out == ""
         assert err == "error: stage 3 would need 67108864 points\n"
 
+    def test_solve_fiber_bound_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("surfbraid.klein.MAX_FIBER_LETTERS", 10_000)
+        # (a4*b3*C[2,4])^4 conjugating a5 peaks at 138,617 fiber letters
+        word = "*".join(["a4*b3*C[2,4]"] * 4 + ["a5"]
+                        + ["C[2,4]^-1*b3^-1*a4^-1"] * 4)
+        code, out, err = run(capsys, "solve", "5", word)
+        assert code == 1
+        assert out == ""
+        assert err == "error: level-5 fiber passed 10000 letters\n"
+
     def test_memory_error_exits_one(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -1,13 +1,18 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfbraid import klein
+from surfbraid.finite import Overflow as FiniteOverflow
 from surfbraid.klein import (BadLevel, SemidirectElement, action_table,
                              base_generators, center_witness, fiber_basis,
                              normal_form, section_images, verify_action,
                              verify_central, verify_section)
 from surfbraid.presentations import catalog
-from surfbraid.words import Sym, Word, commutator, substitute
+from surfbraid.words import Overflow, Sym, Word, commutator, substitute
 
 A1, B1 = Sym("a", (1,)), Sym("b", (1,))
 A2, B2 = Sym("a", (2,)), Sym("b", (2,))
@@ -84,6 +89,23 @@ class TestNormalForm:
     def test_level_floor(self, n):
         with pytest.raises(BadLevel):
             normal_form(Word(), n=n)
+
+    def test_fiber_bound(self, monkeypatch):
+        # (a4*b3*C[2,4])^4 conjugating a5 peaks at 138,617 fiber letters
+        u = Word.from_syms(Sym("a", (4,)), Sym("b", (3,)), Sym("C", (2, 4))) ** 4
+        w = u * Word.from_syms(Sym("a", (5,))) * ~u
+        monkeypatch.setattr(klein, "MAX_FIBER_LETTERS", 10_000)
+        with pytest.raises(Overflow, match="fiber passed 10000 letters"):
+            normal_form(w, n=5)
+
+    def test_overflow_is_one_class(self):
+        assert FiniteOverflow is Overflow
+
+    def test_import_leaves_numpy_out(self):
+        code = ("import sys, surfbraid.klein; "
+                "sys.exit('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60)
+        assert proc.returncode == 0
 
     @given(_gen_word_strategy(2), _gen_word_strategy(2))
     @settings(max_examples=60, deadline=None)

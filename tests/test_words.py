@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,58 @@ def _stack_reduce(letters):
         else:
             stack.append((sym, exp))
     return tuple(stack)
+
+
+class TestSym:
+    def test_interned(self):
+        assert Sym("a", (1,)) is Sym("a", [1])
+        assert Sym("a", (1,)) is A1
+        assert Sym("x") is X
+
+    def test_never_equals_a_plain_tuple(self):
+        assert Sym("a", (1,)) != ("a", (1,))
+        assert ("a", (1,)) != Sym("a", (1,))
+        assert not Sym("a", (1,)) == ("a", (1,))
+        assert not ("a", (1,)) == Sym("a", (1,))
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for s in (X, A1, Sym("C", (1, 2)), Sym("th", (1, 2, 3))):
+            assert hash(s) == hash((s.name, s.indices))
+
+    def test_order_is_the_field_tuple_order(self):
+        syms = [Sym("b"), Sym("a", (2,)), Sym("C", (1, 3)), Sym("a", (1, 3)),
+                Sym("a", (1,)), Sym("a"), Sym("C", (1, 2))]
+        assert sorted(syms) == sorted(syms, key=lambda s: (s.name, s.indices))
+
+    def test_text_forms(self):
+        assert repr(A1) == "Sym(name='a', indices=(1,))"
+        assert str(A1) == "a[1]"
+        assert str(Sym("C", (1, 2))) == "C[1,2]"
+        assert str(X) == "x"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_returns_the_registered_object(self, protocol):
+        assert pickle.loads(pickle.dumps(A1, protocol)) is A1
+
+    def test_copies_return_the_registered_object(self):
+        assert copy.copy(A1) is A1
+        assert copy.deepcopy(A1) is A1
+        assert copy.deepcopy([(A1, 1)])[0][0] is A1
+
+    @pytest.mark.parametrize("name", ["", "1a", "a-b", "_a"])
+    def test_bad_name(self, name):
+        with pytest.raises(ValueError, match="bad symbol name"):
+            Sym(name)
+
+    def test_four_indices(self):
+        with pytest.raises(ValueError, match="too many indices"):
+            Sym("a", (1, 2, 3, 4))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            A1.name = "b"
+        with pytest.raises(AttributeError):
+            A1.indices = (2,)
 
 
 class TestReduction:
