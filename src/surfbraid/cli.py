@@ -15,7 +15,7 @@ from .finite import (hom_search, subgroup_image, tower_kernel_image,
                      two_quotient_tower)
 from .klein import ActionTable, action_table, fiber_basis, normal_form
 from .nilpotent import ClassUnsupported, NilpotentImage, nilpotent_quotient
-from .presentations import (TRIVIAL, BadParameters, Presentation,
+from .presentations import (BadParameters, Presentation,
                             TorusMetabelianElement, abelianization, catalog,
                             check_homomorphism, derived_relation_instances,
                             torus_metabelian_evaluate, torus_metabelian_oracle)
@@ -320,11 +320,10 @@ def _suite_torus_derived(result: SuiteResult, args) -> None:
         images[Sym("s", (i,))] = s
 
     def relators():
-        report = check_homomorphism(p, images, torus_metabelian_oracle(n))
-        bad = [r for r, verdict in report if verdict != TRIVIAL]
+        bad = check_homomorphism(p, images, torus_metabelian_oracle(n))
         if bad:
             return False, f"relator {print_word(bad[0])} acts nontrivially"
-        return True, f"{len(report)} relators"
+        return True, f"{len(p.relators)} relators"
     result.run("torus-derived-B5T-relators", relators)
 
 

@@ -486,7 +486,21 @@ def two_quotient_tower(p: Presentation, depth: int,
                        max_points: int = 1 << 20) -> List[FiniteModel]:
     """Models of the quotients by the mod-2 lower central terms: stage 1 is
     trivial, stage i+1 extends stage i by the elementary abelian layer
-    generated by squares and generator-commutators of the stage-i kernel."""
+    generated by squares and generator-commutators of the stage-i kernel.
+
+    The layer is V/R, where K is the kernel of the free group F onto stage
+    i, V = K/K^2 over F2 has the Schreier generators as basis, and R is
+    spanned by the conjugation-difference rows and by each relator traced
+    from the base point only. Tracing a relator r from every coset gives
+    nothing more. With I the augmentation ideal of F2[F] acting on V, the
+    conjugation differences (h - 1)s span [K, F]K^2/K^2 = I.V, because
+    (hg - 1)v = (h - 1)(gv) + (g - 1)v and (h^-1 - 1)v = (h - 1)(h^-1 v).
+    The row of r traced from coset c is the class of u_c r u_c^-1, which is
+    r + (u_c - 1)r and so lies in r + I.V. The row space is therefore the
+    same; its leading bits, so the pivot and free columns, depend only on
+    the row space, and each `_f2_project` value is the unique vector of the
+    coset supported on the free columns. Every stage permutation is the
+    one the per-coset rows give."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     gens = list(p.generators)
@@ -511,14 +525,14 @@ def two_quotient_tower(p: Presentation, depth: int,
             return vec, end
 
         rows: List[int] = []
-        # relator conjugates: the kernel's defining relations
+        # relators at the base point; the conjugation differences below
+        # supply their conjugates (see the docstring)
         for path in rel_paths:
-            for c in range(n):
-                vec, end = rewrite_parity(path, c)
-                if end != c:
-                    raise AssertionError("relator does not fix a coset")
-                if vec:
-                    rows.append(vec)
+            vec, end = rewrite_parity(path, 0)
+            if end != 0:
+                raise AssertionError("relator does not fix the base point")
+            if vec:
+                rows.append(vec)
         # conjugation differences: for each Schreier generator s and ambient
         # generator g, the class of (g s g^-1) s^-1
         for (c, g), sbit in sch.index.items():

@@ -141,13 +141,11 @@ def _p2k_fiber() -> Tuple[Word, Word]:
     return (Word.from_syms(Sym("a", (2,))), Word.from_syms(Sym("b", (2,))))
 
 
-def wn_tilde(n: int, fiber_rank: int = 2) -> SubgroupDescription:
+def wn_tilde(n: int) -> SubgroupDescription:
     """The candidate closed form for the fiber part of Gamma_n of the
     two-strand group: a_2^(2^(n-1)) together with every basic commutator
     of weight i in the rank-two fiber raised to the 2^(n-i)-th power,
     2 <= i <= n."""
-    if fiber_rank != 2:
-        raise BadParameters(f"only the rank-two fiber is supported, got {fiber_rank}")
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     a2, b2 = _p2k_fiber()

@@ -4,7 +4,8 @@ import pytest
 
 from surfbraid import cli, words
 from surfbraid.cli import SUITES, main
-from surfbraid.words import left_normed
+from surfbraid.presentations import Presentation, catalog
+from surfbraid.words import Sym, Word, left_normed
 
 
 def run(capsys, *argv):
@@ -149,6 +150,19 @@ class TestVerify:
         for c in rep["claims"]:
             assert c["verdict"] == "FAIL"
             assert "differ in F(u, v)" in c["witness"]
+
+    def test_torus_derived_names_a_failing_relator(self, capsys, monkeypatch):
+        # a relator a, which the metabelian quotient does not kill
+        def with_a(family, n, g=None):
+            p = catalog(family, n, g)
+            a = Word.from_syms(Sym("a"))
+            return Presentation(p.label, list(p.generators), list(p.relators) + [a])
+        monkeypatch.setattr(cli, "catalog", with_a)
+        code, rep = self._report(capsys, "torus-derived")
+        assert code == 1
+        claim = {c["id"]: c for c in rep["claims"]}["torus-derived-B5T-relators"]
+        assert claim["verdict"] == "FAIL"
+        assert claim["witness"] == "relator a acts nontrivially"
 
     @pytest.mark.parametrize("suite", ["action", "gammaP2", "gamma2P2",
                                        "torus-derived", "klein-derived",

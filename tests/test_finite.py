@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
+                              _f2_eliminate, _f2_project,
+                              _SchreierGenerators, _word_columns,
                               adjoin_kernel_relators, coset_action,
                               hom_search, model_table,
                               reidemeister_schreier, schreier_generator_words,
@@ -289,6 +291,44 @@ def _small_presentations(draw):
     return Presentation("random", gens, relators)
 
 
+def _per_coset_tower(p, depth):
+    """The stage columns of the tower built with every relator traced from
+    every coset, not from the base point only. `two_quotient_tower` proves
+    in its docstring that the two give one row space per layer, so this is
+    a reference for its stages."""
+    gens = list(p.generators)
+    idx = {g: i for i, g in enumerate(gens)}
+    rel_paths = [_word_columns(r, idx) for r in p.relators]
+    model = FiniteModel("ref", gens, [[0]] * len(gens), 1, regular=True)
+    out = [[col.tolist() for col in model.columns]]
+    for _ in range(depth - 1):
+        n = model.npoints
+        sch = _SchreierGenerators(model.columns, n)
+
+        def parity(path, start):
+            vec = 0
+            for i, _ in sch.rewrite(path, start)[0]:
+                vec ^= 1 << i
+            return vec
+
+        rows = [parity(path, c) for path in rel_paths for c in range(n)]
+        for (c, g), sbit in sch.index.items():
+            s_path = sch.generator_path(c, g)
+            rows += [parity([2 * h] + s_path + [2 * h + 1], 0) ^ (1 << sbit)
+                     for h in range(len(gens))]
+        pivots, free = _f2_eliminate(rows, len(sch.index))
+        d = len(free)
+        free_pos = {c: i for i, c in enumerate(free)}
+        perms = []
+        for g in range(len(gens)):
+            perms.append([(int(model.columns[2 * g][c]) << d)
+                          | (v ^ _f2_project(parity([2 * g], c), pivots, free_pos))
+                          for c in range(n) for v in range(1 << d)])
+        model = FiniteModel("ref", gens, perms, n << d, regular=True)
+        out.append([col.tolist() for col in model.columns])
+    return out
+
+
 def _b3k_sigmas_equal():
     p3 = catalog("BnK", 3)
     s1 = Word.from_syms(Sym("s", (1,)))
@@ -370,6 +410,15 @@ class TestTwoQuotientTower:
                 t = todd_coxeter(adjoin_kernel_relators(p, t), [], max_cosets=200000)
                 assert t.index == m.npoints
                 assert _table_lists(t) == _standardize(m.columns, m.npoints)
+
+    @given(_small_presentations(), st.just(3))
+    @example(catalog("P2K_reduced", 2), 4)
+    @example(Presentation("F3", [A, B, C], []), 3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_coset_relators(self, p, depth):
+        stages = two_quotient_tower(p, depth)
+        assert [[col.tolist() for col in m.columns] for m in stages] \
+            == _per_coset_tower(p, depth)
 
     def test_relators_vanish_in_every_stage(self):
         p = catalog("P2K_reduced", 2)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surfbraid
 from surfbraid import klein
 from surfbraid.finite import Overflow as FiniteOverflow
 from surfbraid.klein import (BadLevel, SemidirectElement, action_table,
@@ -102,10 +104,16 @@ class TestNormalForm:
         assert FiniteOverflow is Overflow
 
     def test_import_leaves_numpy_out(self):
-        code = ("import sys, surfbraid.klein; "
-                "sys.exit('numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], timeout=60)
-        assert proc.returncode == 0
+        # the child imports the same surfbraid as this process, and reports
+        # numpy's presence on stdout, apart from any failure to import
+        src = os.path.dirname(os.path.dirname(os.path.abspath(surfbraid.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, surfbraid.klein; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @given(_gen_word_strategy(2), _gen_word_strategy(2))
     @settings(max_examples=60, deadline=None)
@@ -131,6 +139,29 @@ class TestNormalForm:
     def test_three_strand_inverse(self, w):
         e = normal_form(w, n=3)
         assert (~e * e).is_identity()
+
+
+class TestOneStrandSolver:
+    # Pi1K = <a1, b1 : a1 b1 = b1 a1^-1>; the level-1 base (k, l) is b1^k a1^l
+    def test_normal_form_word(self):
+        w = Word([(B1, 1), (A1, 1), (B1, 1)])
+        assert normal_form(w, 1).base == (2, -1)
+
+    def test_relator_is_trivial(self):
+        for r in catalog("Pi1K", 1).relators:
+            assert normal_form(r, 1).is_identity()
+
+    def test_triviality(self):
+        assert normal_form(Word([]), 1).is_identity()
+        assert not normal_form(Word([(A1, 1)]), 1).is_identity()
+
+    @given(st.lists(st.tuples(st.sampled_from([A1, B1]),
+                              st.sampled_from([1, -1])), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_normal_form_is_homomorphic(self, letters):
+        # w * w^-1 always solves to the origin
+        w = Word(letters)
+        assert normal_form(w * ~w, 1).is_identity()
 
 
 class TestCentre:

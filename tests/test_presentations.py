@@ -10,13 +10,10 @@ from surfbraid.presentations import (BadParameters, IntMatrix, Presentation,
                                      catalog, check_homomorphism,
                                      derived_relation_instances,
                                      exponent_matrix,
-                                     pi1k_normal_form, pi1k_oracle,
                                      smith_normal_form,
                                      torus_metabelian_evaluate,
                                      torus_metabelian_oracle)
 from surfbraid.words import Sym, Word, commutator, substitute
-
-A1, B1 = Sym("a", (1,)), Sym("b", (1,))
 
 
 class TestSmithNormalForm:
@@ -124,29 +121,6 @@ class TestCatalog:
         assert len(m.entries) == len(p.relators)
 
 
-class TestOneStrandSolver:
-    def test_normal_form_word(self):
-        w = Word([(B1, 1), (A1, 1), (B1, 1)])
-        assert pi1k_normal_form(w) == (2, -1)
-
-    def test_relator_is_trivial(self):
-        p = catalog("Pi1K", 1)
-        for r in p.relators:
-            assert pi1k_normal_form(r) == (0, 0)
-
-    def test_oracle_verdicts(self):
-        assert pi1k_oracle(Word([])) == "Trivial"
-        assert pi1k_oracle(Word([(A1, 1)])) == "NonTrivial"
-
-    @given(st.lists(st.tuples(st.sampled_from([A1, B1]),
-                              st.sampled_from([1, -1])), max_size=10))
-    @settings(max_examples=100)
-    def test_normal_form_is_homomorphic(self, letters):
-        # w * w^-1 always solves to the origin
-        w = Word(letters)
-        assert pi1k_normal_form(w * ~w) == (0, 0)
-
-
 class TestTorusMetabelian:
     def test_sigma_order(self):
         n = 5
@@ -169,8 +143,17 @@ class TestTorusMetabelian:
                   Sym("b"): Word.from_syms(Sym("b"))}
         for i in range(1, n):
             images[Sym("s", (i,))] = Word.from_syms(Sym("s"))
-        report = check_homomorphism(p, images, torus_metabelian_oracle(n))
-        assert all(v == "Trivial" for _, v in report)
+        assert check_homomorphism(p, images, torus_metabelian_oracle(n)) == []
+
+    def test_failing_relator_is_reported(self):
+        n = 5
+        p = catalog("BnT", n)
+        a = Word.from_syms(Sym("a"))
+        images = {Sym("a"): a, Sym("b"): Word.from_syms(Sym("b"))}
+        for i in range(1, n):
+            images[Sym("s", (i,))] = Word.from_syms(Sym("s"))
+        bad = Presentation(p.label, list(p.generators), list(p.relators) + [a])
+        assert check_homomorphism(bad, images, torus_metabelian_oracle(n)) == [a]
 
 
 class TestDerivedInstances:

@@ -88,10 +88,6 @@ class TestWnTilde:
         img = _nilpotent_image(wn_tilde(2), 3)
         assert not img.contains_word(B2 ** 2)
 
-    def test_rank_restriction(self):
-        with pytest.raises(BadParameters):
-            wn_tilde(2, fiber_rank=3)
-
 
 class TestCompareDescriptions:
     def test_four_verdicts_nilpotent(self):
