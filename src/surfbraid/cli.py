@@ -279,8 +279,7 @@ def _suite_klein_derived(result: SuiteResult, args) -> None:
     for m in (2, 3):
         def check(m=m):
             _, _, V = series.serie_generators(at2, p2k_lcs, m)
-            _, _, _, Zt = series.klein_series_families(2, m)
-            img = subgroup_image(ftower[2], Zt)
+            img = subgroup_image(ftower[2], series.ztilde(2, m))
             bad = [print_word(w) for w in V.normal_generators
                    if not img.contains_word(w)]
             return not bad, f"escaping generators: {bad[:3]}" if bad else None
@@ -379,8 +378,7 @@ def _suite_separation(result: SuiteResult, args) -> None:
     b2 = Word.from_syms(Sym("b", (2,)))
     elements = [("a2", a2), ("b2sq", b2 ** 2), ("comm-a2-b2", commutator(a2, b2)),
                 ("a2b2a2inv-b2", a2 * b2 * ~a2 * b2)]
-    fam = series.FiltrationFamily(series.GAMMA_P, 2)
-    reports = series.residual_separation(p, [w for _, w in elements], fam,
+    reports = series.residual_separation(p, [w for _, w in elements],
                                          args.depth)
     for (tag, _), rep in zip(elements, reports):
         def check(rep=rep):
@@ -393,7 +391,7 @@ def _suite_separation(result: SuiteResult, args) -> None:
     ftower = two_quotient_tower(Presentation("F3", basis, []), 3)
     for m in (2, 3, 4, 5):
         def check(m=m):
-            _, _, _, Zt = series.klein_series_families(2, m)
+            Zt = series.ztilde(2, m)
             k = (m + 1) // 2
             img = tower_kernel_image(ftower, k, 3)
             bad = [print_word(w)[:50] for w in Zt.normal_generators

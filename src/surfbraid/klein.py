@@ -502,9 +502,7 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     form is small can still be refused, as (a4*C[1,4])^8 conjugating a5
     peaks at about 1.7 million letters and ends with a one-letter fiber."""
     if n is None:
-        n = 1
-        for sym, _ in w.letters:
-            n = max(n, max(sym.indices))
+        n = max([1] + [i for sym, _ in w.letters for i in sym.indices])
     if n < 1:
         raise BadLevel(f"need n >= 1, got {n}")
     if n > DEFAULT_MAX_LEVEL:

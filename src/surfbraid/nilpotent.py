@@ -31,21 +31,6 @@ class ClassUnsupported(ValueError):
     pass
 
 
-class _AboveBound:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "AboveBound"
-
-
-ABOVE_BOUND = _AboveBound()
-
-
 # -- truncated series ----------------------------------------------------
 
 def series_one() -> Series:
@@ -113,14 +98,10 @@ def series_inverse(s: Series, c: int) -> Series:
     return out
 
 
-def series_leading_weight(s: Series, c: int):
-    """Smallest positive degree with a nonzero coefficient, or ABOVE_BOUND."""
-    best = None
-    for m, v in s.items():
-        if m and v:
-            if best is None or len(m) < best:
-                best = len(m)
-    return ABOVE_BOUND if best is None else best
+def series_leading_weight(s: Series) -> Optional[int]:
+    """Smallest positive degree with a nonzero coefficient, or None when
+    there is none below the series' truncation."""
+    return min((len(m) for m, v in s.items() if m and v), default=None)
 
 
 def series_component(s: Series, k: int) -> Dict[Monomial, int]:
@@ -224,9 +205,10 @@ def _letters_to_indices(w: Word, gens: Sequence[Sym]) -> List[Tuple[int, int]]:
     return out
 
 
-def lcs_weight(w: Word, rank: int, cmax: int, gens: Optional[Sequence[Sym]] = None):
+def lcs_weight(w: Word, rank: int, cmax: int,
+               gens: Optional[Sequence[Sym]] = None) -> Optional[int]:
     """Largest k <= cmax with w in the k-th lower central term of the free
-    group, or ABOVE_BOUND when all coordinates vanish up to cmax.
+    group, or None when all coordinates vanish up to cmax.
 
     No other routine of the package calls it. It stays as the independent
     weight check of the Hall basis: the tests use it to confirm that each
@@ -238,7 +220,7 @@ def lcs_weight(w: Word, rank: int, cmax: int, gens: Optional[Sequence[Sym]] = No
     if len(gens) > rank:
         raise BadParameters(f"{len(gens)} symbols exceed rank {rank}")
     series = word_series(_letters_to_indices(w, list(gens)), cmax)
-    return series_leading_weight(series, cmax)
+    return series_leading_weight(series)
 
 
 # -- nilpotent quotients --------------------------------------------------
@@ -399,8 +381,8 @@ class NilpotentImage:
         c = self.c
         changed: List[Series] = []
         while True:
-            k = series_leading_weight(s, c)
-            if k is ABOVE_BOUND:
+            k = series_leading_weight(s)
+            if k is None:
                 return changed
             comp = series_component(s, k)
             lead = min(comp)
@@ -440,8 +422,8 @@ class NilpotentImage:
         c = self.c
         s = self._word_series(w)
         while True:
-            k = series_leading_weight(s, c)
-            if k is ABOVE_BOUND:
+            k = series_leading_weight(s)
+            if k is None:
                 return True
             comp = series_component(s, k)
             lead = min(comp)

@@ -1,7 +1,9 @@
 """Filtration subgroups of semidirect products of surface braid groups:
 generator recursions for the induced series on the fiber, candidate
-closed-form families, and comparison of normal-closure descriptions at
-finite or nilpotent resolution."""
+closed-form families (among them the fiber family Zt_m), comparison of
+normal-closure descriptions at finite or nilpotent resolution, and the
+search for the first stage of the mod-2 lower central tower that separates
+an element from the identity."""
 
 from __future__ import annotations
 
@@ -19,10 +21,6 @@ A_IN_B = "AStrictlyInB"
 B_IN_A = "BStrictlyInA"
 INCOMPARABLE = "Incomparable"
 
-LOWER_CENTRAL = "LowerCentral"
-DERIVED = "Derived"
-GAMMA_P = "GammaP"
-
 
 class DepthUnsupported(ValueError):
     pass
@@ -30,30 +28,6 @@ class DepthUnsupported(ValueError):
 
 class OracleMismatch(ValueError):
     pass
-
-
-class FiltrationFamily:
-    """One of the series a residual-separation question can be asked about:
-    the lower central series, the derived series, or the mod-p lower central
-    series gamma^p (only p = 2 is implemented)."""
-
-    __slots__ = ("kind", "p")
-
-    def __init__(self, kind: str, p: Optional[int] = None):
-        if kind not in (LOWER_CENTRAL, DERIVED, GAMMA_P):
-            raise BadParameters(f"unknown filtration kind {kind!r}")
-        if kind == GAMMA_P:
-            if p != 2:
-                raise BadParameters(f"gamma^p is only implemented for p = 2, got {p}")
-        elif p is not None:
-            raise BadParameters(f"{kind} takes no prime parameter")
-        self.kind = kind
-        self.p = p
-
-    def __repr__(self) -> str:
-        if self.kind == GAMMA_P:
-            return f"FiltrationFamily({self.kind}, p={self.p})"
-        return f"FiltrationFamily({self.kind})"
 
 
 # -- the generator recursion for Gamma_n(H x| G) = L_n x| Gamma_n(G) ------
@@ -221,19 +195,11 @@ def elm_generators(l: int, m: int,
     return SubgroupDescription(ambient, _dedupe(out), label=tag)
 
 
-def klein_series_families(n: int, m: int
-                          ) -> Tuple[SubgroupDescription, SubgroupDescription,
-                                     SubgroupDescription, SubgroupDescription]:
-    """The four nested families inside the free fiber H of the (n+1)-strand
-    splitting, at stage m:
-
-      A_pow   the normal closure of the 2^(m-2)-th powers of the A-letters
-      Y_m     Y_1 = H, Y_m = << those powers, [Y_i, Y_k] for i + k = m >>
-      Z_m     Z_1 = H, Z_2 = Y_2, Z_m = << squares of Z_{m-1}, X_m >> where
-              X_m collects brackets with exactly m - i entries among the
-              A-letters
-      Zt_m    the power-decorated variant: A-powers together with brackets
-              [x_1..x_i]^(2^(m-i-k)) having k A-entries, 0 <= k <= m - i."""
+def ztilde(n: int, m: int) -> SubgroupDescription:
+    """The family Zt_m inside the free fiber H of the (n+1)-strand
+    splitting, at stage m >= 2: the 2^(m-2)-th powers of the A-letters
+    together with the brackets [x_1..x_i]^(2^(m-i-k)) having k A-entries,
+    2 <= i <= m and 0 <= k <= m - i (those of `elm_generators(2, m, ...)`)."""
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     if m < 2:
@@ -244,43 +210,10 @@ def klein_series_families(n: int, m: int
     h_words = [Word.from_syms(s) for s in basis]
     a_words = [Word.from_syms(Sym("D", (j, level))) for j in range(1, n)]
     a_words.append(_top_d_expansion(level))
-
     a_pow = [w ** (2 ** (m - 2)) for w in a_words]
-
-    y_stages: List[List[Word]] = [h_words]
-    for mm in range(2, m + 1):
-        gens = [w ** (2 ** (mm - 2)) for w in a_words]
-        for i in range(1, mm // 2 + 1):
-            k = mm - i
-            gens += [commutator(u, v) for u in y_stages[i - 1]
-                     for v in y_stages[k - 1]]
-        y_stages.append(_dedupe(gens))
-
-    def x_m(mm: int) -> List[Word]:
-        plain = [(w, 0) for w in h_words]
-        special = [(w, 1) for w in a_words]
-        out: List[Word] = []
-        for i in range(2, mm + 1):
-            need = mm - i
-            if need > i:
-                continue
-            for combo in itertools.product(plain + special, repeat=i):
-                if sum(tag for _, tag in combo) != need:
-                    continue
-                out.append(left_normed([w for w, _ in combo]))
-        return out
-
-    z_stages: List[List[Word]] = [h_words, y_stages[1]]
-    for mm in range(3, m + 1):
-        gens = [w * w for w in z_stages[-1]] + x_m(mm)
-        z_stages.append(_dedupe(gens))
-
-    zt = a_pow + list(elm_generators(2, m, h_words, a_words, ambient).normal_generators)
-
-    return (SubgroupDescription(ambient, _dedupe(a_pow), label=f"Apow_{m}"),
-            SubgroupDescription(ambient, y_stages[-1], label=f"Y_{m}"),
-            SubgroupDescription(ambient, z_stages[-1], label=f"Z_{m}"),
-            SubgroupDescription(ambient, _dedupe(zt), label=f"Ztilde_{m}"))
+    brackets = elm_generators(2, m, h_words, a_words, ambient).normal_generators
+    return SubgroupDescription(ambient, _dedupe(a_pow + list(brackets)),
+                               label=f"Ztilde_{m}")
 
 
 def lower_central_description(p: Presentation, n: int) -> SubgroupDescription:
@@ -372,51 +305,22 @@ def lemaprinc_check(x: Word, y: Word, i: int, m: int,
 # -- residual separation ---------------------------------------------------
 
 def residual_separation(p: Presentation, elements: Sequence[Word],
-                        family: FiltrationFamily, depth: int) -> List[Dict]:
-    """For each element, search the first stage of the chosen filtration of
-    the group presented by p whose quotient separates it from the identity.
-    The verdicts are evidence at the explored depth, not residuality proofs:
+                        depth: int) -> List[Dict]:
+    """For each element, search the first stage of the mod-2 lower central
+    series of the group presented by p whose quotient separates it from the
+    identity, among the stages of `two_quotient_tower(p, depth)`. The
+    verdicts are evidence at the explored depth, not residuality proofs:
     'NotSeparatedWithinDepth' only says the search was exhausted."""
     if depth < 1:
         raise DepthUnsupported(f"need depth >= 1, got {depth}")
+    tower = two_quotient_tower(p, depth)
     reports: List[Dict] = []
-    if family.kind == GAMMA_P:
-        tower = two_quotient_tower(p, depth)
-        for w in elements:
-            stage = None
-            for idx in range(1, len(tower)):
-                if tower[idx].apply_word(w, 0) != 0:
-                    stage = idx + 1
-                    break
-            reports.append(_separation_report(w, stage, depth))
-        return reports
-    if family.kind == LOWER_CENTRAL:
-        if depth > 5:
-            raise DepthUnsupported(
-                f"lower central separation is bounded by class 4 quotients "
-                f"(depth <= 5), got {depth}")
-        images = {}
-        for w in elements:
-            stage = None
-            for n in range(2, depth + 1):
-                c = n - 1
-                if c not in images:
-                    images[c] = NilpotentImage.of(p.generators, c, p.relators)
-                if not images[c].contains_word(w):
-                    stage = n
-                    break
-            reports.append(_separation_report(w, stage, depth))
-        return reports
-    # derived series: only the abelianization quotient is computable
-    if depth > 2:
-        raise DepthUnsupported(
-            f"derived-series separation is supported to depth 2 "
-            f"(abelianization), got {depth}")
-    img = NilpotentImage.of(p.generators, 1, p.relators)
     for w in elements:
         stage = None
-        if depth >= 2 and not img.contains_word(w):
-            stage = 2
+        for idx in range(1, len(tower)):
+            if tower[idx].apply_word(w, 0) != 0:
+                stage = idx + 1
+                break
         reports.append(_separation_report(w, stage, depth))
     return reports
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +227,32 @@ def test_deterministic_reports(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     strip = lambda r: [(c["id"], c["verdict"]) for c in r["claims"]]
     assert strip(r1) == strip(r2)
+
+
+FROZEN_REPORTS = Path(__file__).with_name("verify_reports.json")
+
+
+def suite_claims():
+    """Each suite's claims at default bounds, as [id, verdict, witness]
+    lists (witness None when a passing claim has none)."""
+    claims = {}
+    for suite in SUITES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["verify", suite])
+        claims[suite] = [[c["id"], c["verdict"], c.get("witness")]
+                         for c in json.loads(out.getvalue())["claims"]]
+    return claims
+
+
+def test_reports_match_frozen():
+    # regenerate with: PYTHONPATH=src python tests/test_cli.py
+    assert suite_claims() == json.loads(FROZEN_REPORTS.read_text())
+
+
+if __name__ == "__main__":
+    # one claim a line, so a change to the file reads as a change of claims
+    FROZEN_REPORTS.write_text("{\n" + ",\n".join(
+        f" {json.dumps(suite)}: [\n"
+        + ",\n".join(f"  {json.dumps(claim)}" for claim in claims) + "\n ]"
+        for suite, claims in suite_claims().items()) + "\n}\n")

@@ -82,6 +82,11 @@ class TestNormalForm:
         e = normal_form(Word.from_syms(A2))
         assert e.level == 2
 
+    def test_level_inference_index_free_symbol(self):
+        # inferred level 1, where x is not a generator
+        with pytest.raises(BadLevel):
+            normal_form(Word.from_syms(Sym("x")))
+
     def test_level_cap(self):
         w = Word.from_syms(Sym("a", (7,)))
         with pytest.raises(BadLevel):

@@ -5,14 +5,13 @@ from surfbraid.finite import (Presentation, SubgroupDescription,
                               two_quotient_tower)
 from surfbraid.klein import ActionTable, action_table, base_generators, fiber_basis
 from surfbraid.presentations import BadParameters, catalog
-from surfbraid.series import (A_IN_B, B_IN_A, DERIVED, EQUAL, GAMMA_P,
-                              INCOMPARABLE, LOWER_CENTRAL, DepthUnsupported,
-                              FiltrationFamily, OracleMismatch,
+from surfbraid.series import (A_IN_B, B_IN_A, EQUAL, INCOMPARABLE,
+                              DepthUnsupported, OracleMismatch,
                               compare_descriptions, elm_generators,
                               gamma2_p2k_claimed, gamma_p2k_claimed,
-                              klein_series_families, lemaprinc_check,
-                              lower_central_description, pi1k_base_lcs,
-                              residual_separation, serie_generators, wn_tilde)
+                              lemaprinc_check, lower_central_description,
+                              pi1k_base_lcs, residual_separation,
+                              serie_generators, wn_tilde, ztilde)
 from surfbraid.series import _nilpotent_image
 from surfbraid.words import Sym, Word, commutator
 
@@ -28,19 +27,6 @@ def p2k():
 @pytest.fixture(scope="module")
 def tower(p2k):
     return two_quotient_tower(p2k, 4)
-
-
-class TestFiltrationFamily:
-    def test_gamma_p_needs_two(self):
-        assert FiltrationFamily(GAMMA_P, 2).p == 2
-        with pytest.raises(BadParameters):
-            FiltrationFamily(GAMMA_P, 3)
-
-    def test_other_kinds_take_no_prime(self):
-        with pytest.raises(BadParameters):
-            FiltrationFamily(LOWER_CENTRAL, 2)
-        with pytest.raises(BadParameters):
-            FiltrationFamily("Unknown")
 
 
 class TestSerieGenerators:
@@ -139,15 +125,10 @@ class TestClaimedClosedForms:
 
 
 class TestKleinFamilies:
-    def test_y2_equals_z2(self):
-        _, Y2, Z2, _ = klein_series_families(2, 2)
-        assert list(Y2.normal_generators) == list(Z2.normal_generators)
-
     def test_generator_counts(self):
         counts = []
         for m in (2, 3, 4, 5):
-            _, _, _, Zt = klein_series_families(2, m)
-            counts.append(len(Zt.normal_generators))
+            counts.append(len(ztilde(2, m).normal_generators))
         assert counts == [8, 36, 130, 452]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -157,8 +138,7 @@ class TestKleinFamilies:
         ftower = two_quotient_tower(Presentation("F3", basis, []), 3)
         k = (m + 1) // 2
         img = tower_kernel_image(ftower, k, 3)
-        _, _, _, Zt = klein_series_families(2, m)
-        assert all(img.contains_word(w) for w in Zt.normal_generators)
+        assert all(img.contains_word(w) for w in ztilde(2, m).normal_generators)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_v_inside_ztilde(self, m):
@@ -170,17 +150,16 @@ class TestKleinFamilies:
             return list(gamma_p2k_claimed(i).normal_generators)
 
         _, _, V = serie_generators(at, lcs, m)
-        _, _, _, Zt = klein_series_families(2, m)
         basis = fiber_basis(3)
         ftower = two_quotient_tower(Presentation("F3", basis, []), 3)
-        img = subgroup_image(ftower[2], Zt)
+        img = subgroup_image(ftower[2], ztilde(2, m))
         assert all(img.contains_word(w) for w in V.normal_generators)
 
     def test_parameter_validation(self):
         with pytest.raises(BadParameters):
-            klein_series_families(0, 2)
+            ztilde(0, 2)
         with pytest.raises(BadParameters):
-            klein_series_families(2, 1)
+            ztilde(2, 1)
 
 
 class TestElmGenerators:
@@ -217,28 +196,12 @@ class TestLemaprinc:
 
 class TestResidualSeparation:
     def test_two_series(self, p2k):
-        elements = [A2, B2 ** 2, commutator(A2, B2), A2 * B2 * ~A2 * B2]
-        fam = FiltrationFamily(GAMMA_P, 2)
-        reports = residual_separation(p2k, elements, fam, 4)
-        assert [r["verdict"] for r in reports] == ["Separated"] * 4
-        assert [r["stage"] for r in reports] == [2, 3, 3, 3]
-
-    def test_lower_central(self, p2k):
-        fam = FiltrationFamily(LOWER_CENTRAL)
-        reports = residual_separation(p2k, [A2, Word([])], fam, 4)
-        assert reports[0]["verdict"] == "Separated"
-        assert reports[1]["verdict"] == "Trivial"
-
-    def test_derived_depth_two(self, p2k):
-        fam = FiltrationFamily(DERIVED)
-        reports = residual_separation(p2k, [A2, commutator(A2, B2)], fam, 2)
-        assert reports[0]["verdict"] == "Separated"
-        assert reports[1]["verdict"] == "NotSeparatedWithinDepth"
-
-    def test_derived_depth_cap(self, p2k):
-        with pytest.raises(DepthUnsupported):
-            residual_separation(p2k, [A2], FiltrationFamily(DERIVED), 3)
+        elements = [A2, B2 ** 2, commutator(A2, B2), A2 * B2 * ~A2 * B2,
+                    Word([])]
+        reports = residual_separation(p2k, elements, 4)
+        assert [r["verdict"] for r in reports] == ["Separated"] * 4 + ["Trivial"]
+        assert [r["stage"] for r in reports] == [2, 3, 3, 3, None]
 
     def test_depth_validation(self, p2k):
         with pytest.raises(DepthUnsupported):
-            residual_separation(p2k, [A2], FiltrationFamily(GAMMA_P, 2), 0)
+            residual_separation(p2k, [A2], 0)
