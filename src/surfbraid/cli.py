@@ -4,6 +4,7 @@ named verification suites emitting JSON reports."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -11,11 +12,9 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import klein, series
-from .finite import (hom_search, subgroup_image, tower_kernel_image,
-                     two_quotient_tower)
 from .klein import ActionTable, action_table, fiber_basis, normal_form
 from .nilpotent import ClassUnsupported, NilpotentImage, nilpotent_quotient
-from .presentations import (BadParameters, Presentation,
+from .presentations import (BadParameters, Presentation, SubgroupDescription,
                             TorusMetabelianElement, abelianization, catalog,
                             check_homomorphism, derived_relation_instances,
                             torus_metabelian_evaluate, torus_metabelian_oracle)
@@ -157,6 +156,7 @@ def _need_depth(args, least: int) -> None:
 
 
 def _suite_gammaP2(result: SuiteResult, args) -> None:
+    from .finite import two_quotient_tower
     _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
@@ -171,6 +171,7 @@ def _suite_gammaP2(result: SuiteResult, args) -> None:
 
 
 def _suite_gamma2P2(result: SuiteResult, args) -> None:
+    from .finite import subgroup_image, tower_kernel_image, two_quotient_tower
     _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
@@ -189,6 +190,7 @@ def _suite_gamma2P2(result: SuiteResult, args) -> None:
 
 
 def _suite_klein_collapse(result: SuiteResult, args) -> None:
+    from .finite import hom_search
     for n in (3, 4):
         def check(n=n):
             rep = nilpotent_quotient(catalog("BnK", n), 3)
@@ -239,7 +241,7 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
 
 
 def _suite_klein_derived(result: SuiteResult, args) -> None:
-    from .finite import SubgroupDescription
+    from .finite import subgroup_image, two_quotient_tower
     at = action_table(1)
     a2 = Word.from_syms(Sym("a", (2,)))
     b2 = Word.from_syms(Sym("b", (2,)))
@@ -373,6 +375,7 @@ def _suite_nonorientable(result: SuiteResult, args) -> None:
 
 
 def _suite_separation(result: SuiteResult, args) -> None:
+    from .finite import tower_kernel_image, two_quotient_tower
     p = catalog("P2K_reduced", 2)
     a2 = Word.from_syms(Sym("a", (2,)))
     b2 = Word.from_syms(Sym("b", (2,)))
@@ -443,6 +446,7 @@ def _cmd_nq(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    from .finite import two_quotient_tower
     stages = two_quotient_tower(catalog(args.family, args.n, args.g),
                                 args.depth)
     print("orders=" + str([m.npoints for m in stages]))
@@ -462,14 +466,20 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0 <= args.hom_degree <= 6:
         raise BadParameters(f"--hom-degree must be 0..6, got {args.hom_degree}")
+    # open the report file before the suite runs, so that a path that
+    # cannot be written is a usage error and costs no computation
+    try:
+        fh = open(args.json, "w") if args.json else contextlib.nullcontext()
+    except OSError as e:
+        raise BadParameters(f"cannot write --json file: {e}") from None
     bounds = {"class": args.class_bound, "depth": args.depth,
               "hom_degree": args.hom_degree}
     result = SuiteResult(args.suite, bounds)
-    _SUITE_IMPL[args.suite](result, args)
-    payload = json.dumps(result.to_json(), indent=2)
-    print(payload)
-    if args.json:
-        with open(args.json, "w") as fh:
+    with fh:
+        _SUITE_IMPL[args.suite](result, args)
+        payload = json.dumps(result.to_json(), indent=2)
+        print(payload)
+        if args.json:
             fh.write(payload + "\n")
     return result.exit_code
 

@@ -10,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .presentations import Presentation
+from .presentations import Presentation, SubgroupDescription
 from .words import Overflow, Sym, Word
 
 
@@ -583,20 +583,6 @@ def tower_kernel_image(stages: Sequence[FiniteModel], n: int,
 
 
 # -- subgroup images -------------------------------------------------------
-
-class SubgroupDescription:
-    __slots__ = ("ambient", "normal_generators", "label")
-
-    def __init__(self, ambient: Presentation, normal_generators: Sequence[Word],
-                 label: str = ""):
-        self.ambient = ambient
-        self.normal_generators = tuple(normal_generators)
-        self.label = label
-
-    def __repr__(self) -> str:
-        return (f"SubgroupDescription({self.label or self.ambient.label}, "
-                f"{len(self.normal_generators)} normal generators)")
-
 
 class SubgroupImage:
     """The image of a normal closure in a finite model, as a set of points

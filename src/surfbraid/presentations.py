@@ -1,6 +1,7 @@
 """Finitely presented groups: a catalog of surface braid presentations,
-abelianization via Smith normal form, relation checking, and the
-derived-subgroup generator expansion for torus braid groups."""
+normal-closure subgroup descriptions, abelianization via Smith normal form,
+relation checking, and the derived-subgroup generator expansion for torus
+braid groups."""
 
 from __future__ import annotations
 
@@ -46,6 +47,23 @@ class Presentation:
         for r in self.relators:
             lines.append(f"rel: {print_word(r)}")
         return "\n".join(lines) + "\n"
+
+
+class SubgroupDescription:
+    """The normal closure of some words in the group an ambient
+    presentation presents."""
+
+    __slots__ = ("ambient", "normal_generators", "label")
+
+    def __init__(self, ambient: Presentation, normal_generators: Sequence[Word],
+                 label: str = ""):
+        self.ambient = ambient
+        self.normal_generators = tuple(normal_generators)
+        self.label = label
+
+    def __repr__(self) -> str:
+        return (f"SubgroupDescription({self.label or self.ambient.label}, "
+                f"{len(self.normal_generators)} normal generators)")
 
 
 class IntMatrix:

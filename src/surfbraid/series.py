@@ -8,13 +8,17 @@ an element from the identity."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
-from .finite import FiniteModel, SubgroupDescription, subgroup_image, two_quotient_tower
 from .klein import ActionTable, fiber_basis, _top_d_expansion
 from .nilpotent import NilpotentImage, hall_basis, hall_word
-from .presentations import BadParameters, Presentation, catalog
+from .presentations import (BadParameters, Presentation, SubgroupDescription,
+                            catalog)
 from .words import Sym, Word, commutator, left_normed
+
+if TYPE_CHECKING:
+    from .finite import FiniteModel
 
 EQUAL = "EqualInOracle"
 A_IN_B = "AStrictlyInB"
@@ -233,7 +237,8 @@ def lower_central_description(p: Presentation, n: int) -> SubgroupDescription:
 
 # -- comparison oracles ----------------------------------------------------
 
-Oracle = Union[FiniteModel, int]
+# finite, and with it numpy, is imported only where a finite model is used
+Oracle = Union["FiniteModel", int]
 
 
 def _same_ambient(a: SubgroupDescription, b: SubgroupDescription) -> None:
@@ -253,10 +258,11 @@ def _nilpotent_image(desc: SubgroupDescription, c: int) -> NilpotentImage:
 
 def _oracle_image(desc: SubgroupDescription, oracle: Oracle):
     """The normal closure of the description at the oracle's resolution."""
-    if isinstance(oracle, FiniteModel):
-        return subgroup_image(oracle, desc)
     if isinstance(oracle, int):
         return _nilpotent_image(desc, oracle)
+    from .finite import FiniteModel, subgroup_image
+    if isinstance(oracle, FiniteModel):
+        return subgroup_image(oracle, desc)
     raise OracleMismatch(f"unsupported oracle {oracle!r}")
 
 
@@ -313,6 +319,7 @@ def residual_separation(p: Presentation, elements: Sequence[Word],
     'NotSeparatedWithinDepth' only says the search was exhausted."""
     if depth < 1:
         raise DepthUnsupported(f"need depth >= 1, got {depth}")
+    from .finite import two_quotient_tower
     tower = two_quotient_tower(p, depth)
     reports: List[Dict] = []
     for w in elements:

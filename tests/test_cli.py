@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import surfbraid
 from surfbraid import cli, words
 from surfbraid.cli import SUITES, main
 from surfbraid.presentations import Presentation, catalog
@@ -110,7 +114,7 @@ class TestSingleShot:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("surfbraid.cli.two_quotient_tower", exhausted)
+        monkeypatch.setattr("surfbraid.finite.two_quotient_tower", exhausted)
         code, _, err = run(capsys, "tower", "PnK", "3", "4")
         assert code == 1
         assert err == "error: MemoryError\n"
@@ -181,13 +185,26 @@ class TestVerify:
         assert code == 0
         assert json.loads(path.read_text()) == rep
 
+    def test_unwritable_json_path_is_usage_error(self, capsys, monkeypatch,
+                                                 tmp_path):
+        def no_work(result, args):
+            raise AssertionError("suite ran before the report file opened")
+
+        monkeypatch.setitem(cli._SUITE_IMPL, "section", no_work)
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "section", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     @pytest.mark.parametrize("suite", ["gammaP2", "gamma2P2"])
     def test_depth_below_suite_claims_is_usage_error(self, capsys, monkeypatch,
                                                      suite):
         def no_work(*args, **kwargs):
             raise AssertionError("tower built before the depth was checked")
 
-        monkeypatch.setattr("surfbraid.cli.two_quotient_tower", no_work)
+        monkeypatch.setattr("surfbraid.finite.two_quotient_tower", no_work)
         code, out, err = run(capsys, "verify", suite, "--depth", "1")
         assert code == 2
         assert out == ""
@@ -200,7 +217,7 @@ class TestVerify:
             raise AssertionError("suite ran before the degree was checked")
 
         monkeypatch.setattr("surfbraid.cli.nilpotent_quotient", no_work)
-        monkeypatch.setattr("surfbraid.cli.hom_search", no_work)
+        monkeypatch.setattr("surfbraid.finite.hom_search", no_work)
         code, out, err = run(capsys, "verify", "klein-collapse",
                              "--hom-degree", degree)
         assert code == 2
@@ -219,6 +236,47 @@ class TestVerify:
 
     def test_suite_names_complete(self):
         assert len(SUITES) == 12
+
+
+def _child(code):
+    """Run code in a fresh interpreter that imports the same surfbraid as
+    this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfbraid.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestWithoutNumpy:
+    """Only finite imports numpy, and only commands that build a finite
+    model import finite."""
+
+    def test_import_leaves_numpy_out(self):
+        proc = _child("import sys, surfbraid.cli, surfbraid.series, "
+                      "surfbraid.nilpotent, surfbraid.presentations; "
+                      "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_commands_run_without_numpy(self):
+        argvs = [["verify", suite] for suite in
+                 ("colchete", "section", "action", "center", "torus-derived",
+                  "bnT1-instances", "nonorientable")]
+        argvs += [["solve", "2", "a1*a2"], ["catalog", "BnK", "3"],
+                  ["abelianize", "BnK", "3"], ["nq", "BnK", "2", "2"]]
+        # numpy set to None in sys.modules makes any import of it fail
+        proc = _child(
+            "import contextlib, io, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from surfbraid import cli\n"
+            "codes = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(codes)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([0] * len(argvs))
 
 
 def test_deterministic_reports(capsys):
