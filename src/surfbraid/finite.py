@@ -452,6 +452,11 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
 
 # -- the mod-2 lower central tower ----------------------------------------
 
+# Bound on one layer's F2 rows, counted in bits before elimination: about
+# 512 MB of dense rows. Stage 4 of the P2K_reduced tower needs 9.5e6 bits,
+# stage 5 1.5e11.
+MAX_LAYER_BITS = 1 << 32
+
 def _f2_eliminate(rows: List[int], width: int) -> Tuple[Dict[int, int], List[int]]:
     """Gaussian elimination over F2 on bitmask rows; returns pivot-column ->
     row map and the sorted list of free columns."""
@@ -515,6 +520,10 @@ def two_quotient_tower(p: Presentation, depth: int,
         n = model.npoints
         sch = _SchreierGenerators(model.columns, n)
         width = len(sch.index)
+        nrows = len(rel_paths) + width * ngens
+        if width * nrows > MAX_LAYER_BITS:
+            raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
+                           f"of {width} bits")
 
         def rewrite_parity(path: Sequence[int], start: int) -> Tuple[int, int]:
             """(parity bitmask over Schreier generators, end coset)."""

@@ -75,27 +75,37 @@ def word_series(letters: Sequence[Tuple[int, int]], c: int) -> Series:
     return out
 
 
+def series_powers(s: Series, c: int) -> List[Series]:
+    """[U, U^2, ...] for U = s - 1, up to the last nonzero power: U has no
+    constant term, so a weight-w U keeps at most c // w of them."""
+    u = {m: v for m, v in s.items() if m}
+    powers: List[Series] = []
+    power = u
+    while power:
+        powers.append(power)
+        power = series_mul(power, u, c)
+    return powers
+
+
+def series_pow(powers: Sequence[Series], n: int) -> Series:
+    """(1 + U)^n for any integer n, given the `series_powers` of 1 + U.
+    U^(c+1) vanishes, so (1 + U)^n = sum_k C(n, k) U^k, with no product."""
+    out = series_one()
+    b = 1
+    for k, power in enumerate(powers, start=1):
+        b = b * (n - k + 1) // k  # C(n, k), exact for negative n too
+        if not b:
+            break
+        for m, v in power.items():
+            out[m] = out.get(m, 0) + b * v
+    return {m: v for m, v in out.items() if v}
+
+
 def series_inverse(s: Series, c: int) -> Series:
     """Inverse of a group-like series (constant term 1)."""
     if s.get((), 0) != 1:
         raise ValueError("can only invert series with constant term 1")
-    # 1/(1+U) = 1 - U + U^2 - ... with U = s - 1 (no constant term)
-    u = {m: v for m, v in s.items() if m}
-    out = series_one()
-    power = series_one()
-    sign = 1
-    for _ in range(c):
-        power = series_mul(power, u, c)
-        if not power:
-            break
-        sign = -sign
-        for m, v in power.items():
-            w = out.get(m, 0) + sign * v
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-    return out
+    return series_pow(series_powers(s, c), -1)
 
 
 def series_leading_weight(s: Series) -> Optional[int]:
@@ -258,40 +268,6 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _series_pow(s: Series, n: int, c: int) -> Series:
-    """s**n for n >= 0, by repeated squaring."""
-    if n == 0:
-        return series_one()
-    out = None
-    while True:
-        if n & 1:
-            out = s if out is None else series_mul(out, s, c)
-        n >>= 1
-        if not n:
-            return out
-        s = series_mul(s, s, c)
-
-
-class _Pivot:
-    """A series with its inverse, computed the first time a negative power
-    is asked for. `NilpotentImage` keeps one per pivot."""
-
-    __slots__ = ("series", "_inverse")
-
-    def __init__(self, series: Series, inverse: Optional[Series] = None):
-        self.series = series
-        self._inverse = inverse
-
-    def pow(self, n: int, c: int) -> Series:
-        """The pivot series to the power n; a negative n inverts it the
-        first time."""
-        if n >= 0:
-            return _series_pow(self.series, n, c)
-        if self._inverse is None:
-            self._inverse = series_inverse(self.series, c)
-        return _series_pow(self._inverse, -n, c)
-
-
 def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
     """Invariants of the graded layers of G modulo its (c+1)-st lower
     central term, for G given by the presentation."""
@@ -299,7 +275,7 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
     rank = len(p.generators)
     layers = []
     for k in range(1, c + 1):
-        comps = [series_component(p.series, k) for p in img._pivots[k].values()]
+        comps = [series_component(p[0], k) for p in img._pivots[k].values()]
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
         diag = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
@@ -316,10 +292,12 @@ class NilpotentImage:
     The closure is kept as echelonized lattices, one per weight k, spanned
     by the weight-k components of the Magnus series of its elements in
     monomial coordinates: `_pivots[k]` maps a leading (least) monomial to
-    the pivot element (its series, whose coefficient there is positive, and
-    the inverse series once a reduction has needed it). Row reduction over
+    the pivot element p = 1 + U, whose coefficient there is positive, kept
+    as its list of powers [U, U^2, ...]. U has no constant term, so
+    U^(c+1) = 0 and p^n = sum_k C(n, k) U^k for every integer n: a power
+    or an inverse of a pivot needs no series product. Row reduction over
     the integers is carried out on the series themselves, so each pivot's
-    component is read off its series.
+    component is read off U, the first entry, since k >= 1.
 
     Monomial coordinates give the same answers as basic-commutator ones:
     the leading component of an element of gamma_k is a degree-k Lie
@@ -360,9 +338,9 @@ class NilpotentImage:
         self.gens = list(gens)
         self.c = c
         self._rank = len(self.gens)
-        self._gen_series = [word_series([(i, 1)], c) for i in range(self._rank)]
-        self._gen_inv = [series_inverse(g, c) for g in self._gen_series]
-        self._pivots: Dict[int, Dict[Monomial, _Pivot]] = {
+        self._gen_series = [generator_series(i, 1, c) for i in range(self._rank)]
+        self._gen_inv = [generator_series(i, -1, c) for i in range(self._rank)]
+        self._pivots: Dict[int, Dict[Monomial, List[Series]]] = {
             k: {} for k in range(1, c + 1)}
 
     @classmethod
@@ -390,24 +368,23 @@ class NilpotentImage:
             p = row.get(lead)
             if p is None:
                 if comp[lead] < 0:
-                    p = _Pivot(series_inverse(s, c), s)
-                else:
-                    p = _Pivot(s)
-                row[lead] = p
-                changed.append(p.series)
+                    s = series_inverse(s, c)
+                row[lead] = series_powers(s, c)
+                changed.append(s)
                 return changed
-            a, b = p.series[lead], comp[lead]  # a > 0 by the insertion convention
+            a, b = p[0][lead], comp[lead]  # a > 0 by the insertion convention
             if b % a == 0:
-                s = series_mul(p.pow(-(b // a), c), s, c)
+                s = series_mul(series_pow(p, -(b // a)), s, c)
                 continue
             g, sa, sb = _xgcd(a, b)
             # unimodular basis change of the pair (pivot, element):
             #   new pivot = p^sa * s^sb   (leading coefficient gcd > 0)
             #   residual  = p^(-b/g) * s^(a/g)   (leading coefficient 0)
-            t = _Pivot(s)
-            row[lead] = _Pivot(series_mul(p.pow(sa, c), t.pow(sb, c), c))
-            changed.append(row[lead].series)
-            s = series_mul(p.pow(-b // g, c), t.pow(a // g, c), c)
+            t = series_powers(s, c)
+            new = series_mul(series_pow(p, sa), series_pow(t, sb), c)
+            row[lead] = series_powers(new, c)
+            changed.append(new)
+            s = series_mul(series_pow(p, -b // g), series_pow(t, a // g), c)
 
     def add_words(self, words: Sequence[Word]) -> None:
         c = self.c
@@ -428,6 +405,6 @@ class NilpotentImage:
             comp = series_component(s, k)
             lead = min(comp)
             p = self._pivots[k].get(lead)
-            if p is None or comp[lead] % p.series[lead]:
+            if p is None or comp[lead] % p[0][lead]:
                 return False
-            s = series_mul(p.pow(-(comp[lead] // p.series[lead]), c), s, c)
+            s = series_mul(series_pow(p, -(comp[lead] // p[0][lead])), s, c)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,22 @@ class TestSingleShot:
         assert code == 1
         assert out == ""
         assert err == "error: stage 3 would need 67108864 points\n"
+
+    def test_tower_row_bound_exits_one(self):
+        # stage 5 of the P2K_reduced tower has 196,609 Schreier generators:
+        # its dense F2 rows would take about 19 GB, so the row bound stops it
+        # before they are built. The child's address space is capped, so a
+        # tower without the bound ends in MemoryError, not in a full machine.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = _child("-m", "surfbraid.cli", "tower", "P2K_reduced", "2", "5",
+                      preexec_fn=cap)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: stage 5 would need ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "MemoryError" not in proc.stderr
 
     def test_solve_fiber_bound_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("surfbraid.klein.MAX_FIBER_LETTERS", 10_000)
@@ -238,14 +255,15 @@ class TestVerify:
         assert len(SUITES) == 12
 
 
-def _child(code):
-    """Run code in a fresh interpreter that imports the same surfbraid as
-    this process."""
+def _child(*argv, **kwargs):
+    """Run a fresh interpreter with the arguments `argv`; it imports the
+    same surfbraid as this process. `kwargs` go to `subprocess.run`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfbraid.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          **kwargs)
 
 
 class TestWithoutNumpy:
@@ -253,7 +271,7 @@ class TestWithoutNumpy:
     model import finite."""
 
     def test_import_leaves_numpy_out(self):
-        proc = _child("import sys, surfbraid.cli, surfbraid.series, "
+        proc = _child("-c", "import sys, surfbraid.cli, surfbraid.series, "
                       "surfbraid.nilpotent, surfbraid.presentations; "
                       "print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
@@ -267,6 +285,7 @@ class TestWithoutNumpy:
                   ["abelianize", "BnK", "3"], ["nq", "BnK", "2", "2"]]
         # numpy set to None in sys.modules makes any import of it fail
         proc = _child(
+            "-c",
             "import contextlib, io, sys\n"
             "sys.modules['numpy'] = None\n"
             "from surfbraid import cli\n"
