@@ -228,49 +228,26 @@ def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
     return path
 
 
-class _SchreierGenerators:
-    """The Schreier generators of the subgroup a coset table enumerates: one
-    for each (coset, generator) edge off the BFS spanning tree, numbered in
-    (coset, generator) order."""
-
-    __slots__ = ("columns", "parent", "letter", "index")
-
-    def __init__(self, columns: Sequence[np.ndarray], n: int):
-        self.parent, self.letter, _ = _schreier_tree(columns, n)
-        self.columns = [col.tolist() for col in columns]
-        tree_edges: Set[Tuple[int, int]] = set()
-        for c in range(1, n):
-            col = int(self.letter[c])
-            # an inverse column enters c along the edge (c, g) backwards
-            tree_edges.add((c if col & 1 else int(self.parent[c]), col >> 1))
-        self.index: Dict[Tuple[int, int], int] = {}
-        for c in range(n):
-            for g in range(len(columns) // 2):
-                if (c, g) not in tree_edges:
-                    self.index[(c, g)] = len(self.index)
-
-    def rewrite(self, path: Sequence[int], start: int) -> Tuple[List[Tuple[int, int]], int]:
-        """The Schreier generators, as (number, exponent), met along the
-        column path from coset `start`, and the end coset."""
-        out: List[Tuple[int, int]] = []
-        cur = start
-        for col in path:
-            if col & 1:
-                cur = self.columns[col][cur]
-                if (cur, col >> 1) in self.index:
-                    out.append((self.index[(cur, col >> 1)], -1))
-            else:
-                if (cur, col >> 1) in self.index:
-                    out.append((self.index[(cur, col >> 1)], 1))
-                cur = self.columns[col][cur]
-        return out, cur
-
-    def generator_path(self, c: int, g: int) -> List[int]:
-        """The generator of edge (c, g) as the column path u_c . x_g . u_d^-1,
-        with u the tree transversal and d the coset the edge enters."""
-        d = self.columns[2 * g][c]
-        return (_tree_path(self.parent, self.letter, c) + [2 * g]
-                + [x ^ 1 for x in reversed(_tree_path(self.parent, self.letter, d))])
+def _edge_bits(columns: Sequence[np.ndarray],
+               tree: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[List[int]]:
+    """The Schreier generators as edge bits over the BFS tree of the
+    action: the edge (c, g) has the bit 1 << (c * ngens + g), or 0 if it is
+    a tree edge, so the nonzero bits are the Schreier generators in (coset,
+    generator) order. Returns the bit each column move crosses: bits[2g][c]
+    is that of (c, g), and bits[2g+1][c] that of (d, g), which the inverse
+    move from c to d walks backwards."""
+    parent, letter, _ = tree
+    ngens = len(columns) // 2
+    edge = [1 << i for i in range(len(parent) * ngens)]
+    for c, a, col in zip(range(1, len(parent)), parent[1:].tolist(),
+                         letter[1:].tolist()):
+        # an inverse column enters c along the edge (c, g) backwards
+        edge[(c if col & 1 else a) * ngens + (col >> 1)] = 0
+    bits: List[List[int]] = []
+    for g in range(ngens):
+        bits.append(edge[g::ngens])
+        bits.append([edge[d * ngens + g] for d in columns[2 * g + 1].tolist()])
+    return bits
 
 
 def reidemeister_schreier(t: CosetTable) -> Presentation:
@@ -279,21 +256,29 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
     independently, by known subgroup abelianizations (A3 in S3) and by
     equal dumps across a `model_table` round trip."""
     p = t.presentation
-    sch = _SchreierGenerators(t.columns, t.index)
-    sgen_syms = [Sym("y", key) for key in sch.index]
+    ngens = len(p.generators)
+    bits = _edge_bits(t.columns, _schreier_tree(t.columns, t.index))
+    # the Schreier generators' symbols by edge bit, in bit order
+    ys = {bits[2 * g][c]: Sym("y", (c, g))
+          for c, g in itertools.product(range(t.index), range(ngens))
+          if bits[2 * g][c]}
 
     idx = {g: i for i, g in enumerate(p.generators)}
     relators = []
     for r in p.relators:
         path = _word_columns(r, idx)
         for c in range(t.index):
-            met, end = sch.rewrite(path, c)
-            if end != c:
+            met, cur = [], c
+            for col in path:
+                if bits[col][cur]:
+                    met.append((ys[bits[col][cur]], -1 if col & 1 else 1))
+                cur = int(t.columns[col][cur])
+            if cur != c:
                 raise ValueError("rewriting a non-closed path")
-            w = Word([(sgen_syms[i], e) for i, e in met])
+            w = Word(met)
             if not w.is_identity():
                 relators.append(w)
-    return Presentation(f"{p.label}_sub{t.index}", sgen_syms, relators)
+    return Presentation(f"{p.label}_sub{t.index}", list(ys.values()), relators)
 
 
 def schreier_generator_words(t: CosetTable) -> List[Word]:
@@ -303,10 +288,17 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     `adjoin_kernel_relators` it makes the independent coset route to the
     mod-2 tower that the tests check `two_quotient_tower` against."""
     gens = t.presentation.generators
-    sch = _SchreierGenerators(t.columns, t.index)
-    return [Word([(gens[x >> 1], -1 if x & 1 else 1)
-                  for x in sch.generator_path(c, g)])
-            for c, g in sch.index]
+    parent, letter, _ = tree = _schreier_tree(t.columns, t.index)
+    bits = _edge_bits(t.columns, tree)
+    words = []
+    for c, g in itertools.product(range(t.index), range(len(gens))):
+        if bits[2 * g][c]:
+            # u_c . x_g . u_d^-1, with d the coset the edge enters
+            d = int(t.columns[2 * g][c])
+            path = (_tree_path(parent, letter, c) + [2 * g]
+                    + [x ^ 1 for x in reversed(_tree_path(parent, letter, d))])
+            words.append(Word([(gens[x >> 1], -1 if x & 1 else 1) for x in path]))
+    return words
 
 
 def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
@@ -354,12 +346,17 @@ class FiniteModel:
     def apply_word(self, w: Word, point: int) -> int:
         return int(_trace(self.columns, _word_columns(w, self._index), point))
 
-    def _path(self, point: int) -> List[int]:
-        """Column codes tracing the base point to `point` along a BFS tree
-        (regular models: a word for every group element)."""
+    def _spanning_tree(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The `_schreier_tree` of the points, built once; building it
+        certifies that the action is transitive."""
         if self._tree is None:
-            self._tree = _schreier_tree(self.columns, self.npoints)[:2]
-        return _tree_path(*self._tree, point)
+            self._tree = _schreier_tree(self.columns, self.npoints)
+        return self._tree
+
+    def _path(self, point: int) -> List[int]:
+        """Column codes tracing the base point to `point` along the BFS tree
+        (regular models: a word for every group element)."""
+        return _tree_path(*self._spanning_tree()[:2], point)
 
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
@@ -456,10 +453,13 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
 # 512 MB of dense rows. Stage 4 of the P2K_reduced tower needs 9.5e6 bits,
 # stage 5 1.5e11.
 MAX_LAYER_BITS = 1 << 32
+# Bound on the points of one tower stage.
+MAX_POINTS = 1 << 20
 
-def _f2_eliminate(rows: List[int], width: int) -> Tuple[Dict[int, int], List[int]]:
-    """Gaussian elimination over F2 on bitmask rows; returns pivot-column ->
-    row map and the sorted list of free columns."""
+
+def _f2_eliminate(rows: List[int]) -> Dict[int, int]:
+    """Gaussian elimination over F2 on bitmask rows; returns the pivot-column
+    -> row map."""
     pivots: Dict[int, int] = {}
     for row in rows:
         r = row
@@ -470,8 +470,7 @@ def _f2_eliminate(rows: List[int], width: int) -> Tuple[Dict[int, int], List[int
             else:
                 pivots[lead] = r
                 break
-    free = [c for c in range(width) if c not in pivots]
-    return pivots, free
+    return pivots
 
 
 def _f2_project(vec: int, pivots: Dict[int, int], free_pos: Dict[int, int]) -> int:
@@ -487,8 +486,7 @@ def _f2_project(vec: int, pivots: Dict[int, int], free_pos: Dict[int, int]) -> i
     return out
 
 
-def two_quotient_tower(p: Presentation, depth: int,
-                       max_points: int = 1 << 20) -> List[FiniteModel]:
+def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     """Models of the quotients by the mod-2 lower central terms: stage 1 is
     trivial, stage i+1 extends stage i by the elementary abelian layer
     generated by squares and generator-commutators of the stage-i kernel.
@@ -505,7 +503,19 @@ def two_quotient_tower(p: Presentation, depth: int,
     same; its leading bits, so the pivot and free columns, depend only on
     the row space, and each `_f2_project` value is the unique vector of the
     coset supported on the free columns. Every stage permutation is the
-    one the per-coset rows give."""
+    one the per-coset rows give.
+
+    Each Schreier generator is its edge bit (`_edge_bits`). The bits keep
+    the (coset, generator) order, and tree edges have none, so the leading
+    bits, the free columns and every `_f2_project` value are those of the
+    generators numbered 0, 1, ... in that order. The row of s = u_c x_g
+    u_d^-1 and h is the parity of h s h^-1 plus s. Walked from the base
+    point, the letters h and h^-1 cross the same edge and cancel. In
+    between, u_c walked from P[0] = h.0 ends at P[c] with parity T[c]; for
+    the tree parent a of c, both follow from P[a] and T[a] by the tree
+    letter into c. The stage acts regularly, so u_c x_g and u_d walked
+    from P[0] both end at P[d], and the row is T[c] + (the bit of
+    (P[c], g)) + T[d] + s."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     gens = list(p.generators)
@@ -518,48 +528,53 @@ def two_quotient_tower(p: Presentation, depth: int,
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
-        sch = _SchreierGenerators(model.columns, n)
-        width = len(sch.index)
+        # one Schreier generator per edge off the tree's n - 1 edges
+        width = n * (ngens - 1) + 1
         nrows = len(rel_paths) + width * ngens
         if width * nrows > MAX_LAYER_BITS:
             raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
                            f"of {width} bits")
-
-        def rewrite_parity(path: Sequence[int], start: int) -> Tuple[int, int]:
-            """(parity bitmask over Schreier generators, end coset)."""
-            met, end = sch.rewrite(path, start)
-            vec = 0
-            for i, _ in met:
-                vec ^= 1 << i
-            return vec, end
+        tree = model._spanning_tree()
+        bits = _edge_bits(model.columns, tree)
+        parent, letter, order = (a.tolist() for a in tree)
+        cols = [col.tolist() for col in model.columns]
 
         rows: List[int] = []
         # relators at the base point; the conjugation differences below
         # supply their conjugates (see the docstring)
         for path in rel_paths:
-            vec, end = rewrite_parity(path, 0)
-            if end != 0:
+            vec = x = 0
+            for col in path:
+                vec ^= bits[col][x]
+                x = cols[col][x]
+            if x != 0:
                 raise AssertionError("relator does not fix the base point")
-            if vec:
-                rows.append(vec)
+            rows.append(vec)
         # conjugation differences: for each Schreier generator s and ambient
-        # generator g, the class of (g s g^-1) s^-1
-        for (c, g), sbit in sch.index.items():
-            s_path = sch.generator_path(c, g)
-            for h in range(ngens):
-                vec, end = rewrite_parity([2 * h] + s_path + [2 * h + 1], 0)
-                if end != 0:
-                    raise AssertionError("kernel conjugate left the kernel")
-                vec ^= 1 << sbit
-                if vec:
-                    rows.append(vec)
-        pivots, free = _f2_eliminate(rows, width)
+        # generator h, the class of (h s h^-1) s^-1, by the tree recurrence
+        walks = []
+        for h in range(ngens):
+            P, T = [cols[2 * h][0]] * n, [0] * n
+            for c in order[1:]:
+                a, col = parent[c], letter[c]
+                T[c] = T[a] ^ bits[col][P[a]]
+                P[c] = cols[col][P[a]]
+            walks.append((P, T))
+        for c, g in itertools.product(range(n), range(ngens)):
+            s = bits[2 * g][c]
+            if s:
+                d = cols[2 * g][c]
+                rows += [T[c] ^ bits[2 * g][P[c]] ^ T[d] ^ s for P, T in walks]
+        pivots = _f2_eliminate(rows)
+        # the edge bits off the tree that are not pivots
+        free = [i for i in range(n * ngens)
+                if bits[2 * (i % ngens)][i // ngens] and i not in pivots]
         d = len(free)
         free_pos = {c: i for i, c in enumerate(free)}
-        if n << d > max_points:
+        if n << d > MAX_POINTS:
             raise Overflow(f"stage {stage_no} would need {n << d} points")
         # cocycle of a single generator move from each coset
-        cocycle = np.array([[_f2_project(rewrite_parity([2 * g], c)[0], pivots, free_pos)
+        cocycle = np.array([[_f2_project(bits[2 * g][c], pivots, free_pos)
                              for g in range(ngens)] for c in range(n)], dtype=np.int64)
         # point (c << d) | v moves to (target of c << d) | (v ^ cocycle)
         layer = np.arange(1 << d)
@@ -571,7 +586,7 @@ def two_quotient_tower(p: Presentation, depth: int,
         for r in p.relators:
             if new_model.apply_word(r, 0) != 0:
                 raise AssertionError("relator acts nontrivially on the tower stage")
-        new_model._path(0)  # builds the point tree, which certifies transitivity
+        new_model._spanning_tree()  # certifies transitivity; the next stage reads it
         stages.append(new_model)
     return stages
 

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .presentations import (
     AbelianInvariants,
     BadParameters,
-    IntMatrix,
     Presentation,
     smith_normal_form,
 )
@@ -278,7 +277,7 @@ def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
         comps = [series_component(p[0], k) for p in img._pivots[k].values()]
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-        diag = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+        diag = smith_normal_form(rows, len(monomials))
         layers.append(AbelianInvariants(witt_rank(rank, k) - len(comps),
                                         sorted(d for d in diag if d > 1)))
     return NilQuotientReport(c, layers)

@@ -66,32 +66,6 @@ class SubgroupDescription:
                 f"{len(self.normal_generators)} normal generators)")
 
 
-class IntMatrix:
-    """A dense matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        if self.rows:
-            widths = {len(row) for row in self.entries}
-            if len(widths) != 1:
-                raise ValueError("ragged matrix")
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise ValueError(f"expected {cols} columns, got {self.cols}")
-        else:
-            self.cols = 0 if cols is None else cols
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.entries!r})"
-
-
 class AbelianInvariants:
     """Invariant factors of a finitely generated abelian group."""
 
@@ -119,14 +93,15 @@ class AbelianInvariants:
         return f"AbelianInvariants(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
 
-def smith_normal_form(m: IntMatrix) -> List[int]:
-    """The Smith diagonal d1 | d2 | ... | dr >= 0 of m over the integers,
-    r = min(rows, cols), reached by unimodular row and column operations.
+def smith_normal_form(entries: Sequence[Sequence[int]], cols: int) -> List[int]:
+    """The Smith diagonal d1 | d2 | ... | dr >= 0 over the integers of the
+    matrix with these rows and `cols` columns, r = min(rows, cols), reached
+    by unimodular row and column operations.
     Each pass moves a least nonzero entry of the remaining block to the
     pivot and clears its row and column by division; a remainder left
     there is smaller than the pivot and becomes the next pass's pivot."""
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
+    a = [list(row) for row in entries]
+    rows = len(a)
     t = 0
     while t < rows and t < cols:
         block = [(abs(a[i][j]), i, j) for i in range(t, rows)
@@ -407,7 +382,8 @@ def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
 
 # -- abelianization -----------------------------------------------------
 
-def exponent_matrix(p: Presentation) -> IntMatrix:
+def exponent_matrix(p: Presentation) -> List[List[int]]:
+    """One row of exponent sums per relator, one column per generator."""
     index = {g: k for k, g in enumerate(p.generators)}
     rows = []
     for r in p.relators:
@@ -415,13 +391,13 @@ def exponent_matrix(p: Presentation) -> IntMatrix:
         for sym, exp in r.letters:
             row[index[sym]] += exp
         rows.append(row)
-    return IntMatrix(rows, cols=len(p.generators))
+    return rows
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    m = exponent_matrix(p)
-    nonzero = [d for d in smith_normal_form(m) if d]
-    free_rank = m.cols - len(nonzero)
+    ncols = len(p.generators)
+    nonzero = [d for d in smith_normal_form(exponent_matrix(p), ncols) if d]
+    free_rank = ncols - len(nonzero)
     torsion = sorted(d for d in nonzero if d > 1)
     return AbelianInvariants(free_rank, torsion)
 

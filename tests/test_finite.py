@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from surfbraid import finite
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
-                              _f2_eliminate, _f2_project,
-                              _SchreierGenerators, _word_columns,
+                              _f2_eliminate, _f2_project, _word_columns,
                               adjoin_kernel_relators, coset_action,
                               hom_search, model_table,
                               reidemeister_schreier, schreier_generator_words,
@@ -83,6 +83,60 @@ def _two_generator_enumerations(draw):
     relators += draw(st.lists(words, min_size=1, max_size=2))
     subgroup = draw(st.lists(words, max_size=1))
     return Presentation("random", [A, B], relators), subgroup
+
+
+class _ReferenceSchreier:
+    """The Schreier generators of a transitive action, numbered without the
+    package's Schreier code: the tree of a queue-driven breadth-first
+    search from coset 0 over (coset, column), the set of its edges, a
+    (coset, generator) -> number index of the other edges, and a rewriting
+    walk."""
+
+    def __init__(self, columns, n):
+        self.columns = [col.tolist() for col in columns]
+        self.paths = {0: []}
+        tree_edges = set()
+        order = [0]
+        for c in order:  # grows as cosets are met
+            for j, col in enumerate(self.columns):
+                d = col[c]
+                if d not in self.paths:
+                    self.paths[d] = self.paths[c] + [j]
+                    order.append(d)
+                    # an inverse column enters d along the edge (d, g)
+                    tree_edges.add((d if j & 1 else c, j >> 1))
+        assert len(order) == n
+        self.index = {}
+        for c in range(n):
+            for g in range(len(columns) // 2):
+                if (c, g) not in tree_edges:
+                    self.index[(c, g)] = len(self.index)
+
+    def rewrite(self, path, start):
+        """The generators, as (number, exponent), met along the column path
+        from coset `start`, and the end coset."""
+        out, cur = [], start
+        for col in path:
+            if col & 1:
+                cur = self.columns[col][cur]
+                if (cur, col >> 1) in self.index:
+                    out.append((self.index[(cur, col >> 1)], -1))
+            else:
+                if (cur, col >> 1) in self.index:
+                    out.append((self.index[(cur, col >> 1)], 1))
+                cur = self.columns[col][cur]
+        return out, cur
+
+    def parity(self, path, start):
+        vec = 0
+        for i, _ in self.rewrite(path, start)[0]:
+            vec ^= 1 << i
+        return vec
+
+    def generator_path(self, c, g):
+        """u_c . x_g . u_d^-1 for the edge (c, g), entering coset d."""
+        d = self.columns[2 * g][c]
+        return self.paths[c] + [2 * g] + [x ^ 1 for x in reversed(self.paths[d])]
 
 
 class TestToddCoxeter:
@@ -233,6 +287,36 @@ class TestReidemeisterSchreier:
         for w in words:
             assert m.apply_word(w, 0) == 0
 
+    @given(_two_generator_enumerations())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, case):
+        p, subgroup = case
+        try:
+            t = todd_coxeter(p, subgroup, max_cosets=3000)
+        except Overflow:
+            return
+        ref = _ReferenceSchreier(t.columns, t.index)
+        ys = [Sym("y", key) for key in ref.index]
+        relators = []
+        for r in p.relators:
+            for c in range(t.index):
+                met, end = ref.rewrite(_word_columns(r, {A: 0, B: 1}), c)
+                assert end == c
+                w = Word([(ys[i], e) for i, e in met])
+                if not w.is_identity():
+                    relators.append(w)
+        sub = reidemeister_schreier(t)
+        assert sub.dumps() == Presentation(f"random_sub{t.index}", ys,
+                                           relators).dumps()
+        assert len(sub.generators) == t.index * (2 - 1) + 1
+        assert list(sub.generators) == ys
+        words = schreier_generator_words(t)
+        assert words == [Word([((A, B)[x >> 1], -1 if x & 1 else 1)
+                               for x in ref.generator_path(c, g)])
+                         for c, g in ref.index]
+        m = coset_action(t)
+        assert all(m.apply_word(w, 0) == 0 for w in words)
+
     def test_adjoin_kernel_relators_trivializes(self):
         # adding s^2 and [s, g] for all Schreier generators of the whole
         # group kills the group modulo squares and commutators: Z4 -> Z2
@@ -293,9 +377,10 @@ def _small_presentations(draw):
 
 def _per_coset_tower(p, depth):
     """The stage columns of the tower built with every relator traced from
-    every coset, not from the base point only. `two_quotient_tower` proves
-    in its docstring that the two give one row space per layer, so this is
-    a reference for its stages."""
+    every coset, not from the base point only, and every conjugation
+    difference rewritten as a word, in `_ReferenceSchreier`'s numbering.
+    `two_quotient_tower` proves in its docstring that the two give one row
+    space per layer, so this is a reference for its stages."""
     gens = list(p.generators)
     idx = {g: i for i, g in enumerate(gens)}
     rel_paths = [_word_columns(r, idx) for r in p.relators]
@@ -303,26 +388,21 @@ def _per_coset_tower(p, depth):
     out = [[col.tolist() for col in model.columns]]
     for _ in range(depth - 1):
         n = model.npoints
-        sch = _SchreierGenerators(model.columns, n)
-
-        def parity(path, start):
-            vec = 0
-            for i, _ in sch.rewrite(path, start)[0]:
-                vec ^= 1 << i
-            return vec
-
-        rows = [parity(path, c) for path in rel_paths for c in range(n)]
+        sch = _ReferenceSchreier(model.columns, n)
+        rows = [sch.parity(path, c) for path in rel_paths for c in range(n)]
         for (c, g), sbit in sch.index.items():
             s_path = sch.generator_path(c, g)
-            rows += [parity([2 * h] + s_path + [2 * h + 1], 0) ^ (1 << sbit)
+            rows += [sch.parity([2 * h] + s_path + [2 * h + 1], 0) ^ (1 << sbit)
                      for h in range(len(gens))]
-        pivots, free = _f2_eliminate(rows, len(sch.index))
+        pivots = _f2_eliminate(rows)
+        free = [i for i in range(len(sch.index)) if i not in pivots]
         d = len(free)
         free_pos = {c: i for i, c in enumerate(free)}
         perms = []
         for g in range(len(gens)):
-            perms.append([(int(model.columns[2 * g][c]) << d)
-                          | (v ^ _f2_project(parity([2 * g], c), pivots, free_pos))
+            cocycle = [_f2_project(sch.parity([2 * g], c), pivots, free_pos)
+                       for c in range(n)]
+            perms.append([(int(model.columns[2 * g][c]) << d) | (v ^ cocycle[c])
                           for c in range(n) for v in range(1 << d)])
         model = FiniteModel("ref", gens, perms, n << d, regular=True)
         out.append([col.tolist() for col in model.columns])
@@ -391,9 +471,10 @@ class TestTwoQuotientTower:
         stages = two_quotient_tower(catalog("P2K_reduced", 2), 4)
         assert [m.npoints for m in stages] == [1, 16, 512, 65536]
 
-    def test_point_bound(self):
+    def test_point_bound(self, monkeypatch):
+        monkeypatch.setattr(finite, "MAX_POINTS", 1000)
         with pytest.raises(Overflow, match="stage 4 would need 65536 points"):
-            two_quotient_tower(catalog("P2K_reduced", 2), 4, max_points=1000)
+            two_quotient_tower(catalog("P2K_reduced", 2), 4)
 
     def test_stage_orders_match_coset_enumeration(self):
         # independent route: adjoin squares and generator-commutators of the

@@ -11,8 +11,7 @@ from surfbraid.nilpotent import (ClassUnsupported, NilpotentImage,
                                  series_leading_weight, series_mul,
                                  series_one, series_pow, series_powers,
                                  witt_rank, word_series)
-from surfbraid.presentations import (IntMatrix, Presentation, catalog,
-                                     smith_normal_form)
+from surfbraid.presentations import Presentation, catalog, smith_normal_form
 from surfbraid.words import Sym, Word, commutator
 
 A, B = Sym("a"), Sym("b")
@@ -201,7 +200,7 @@ class TestHallBasis:
                     word_series([(gens.index(s), x) for s, x in w.letters], c), k))
             monomials = sorted({m for comp in comps for m in comp})
             rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-            diag = smith_normal_form(IntMatrix(rows, cols=len(monomials)))
+            diag = smith_normal_form(rows, len(monomials))
             assert diag == [1] * witt_rank(rank, k)
 
     def test_identity_weight_above_bound(self):
@@ -386,8 +385,7 @@ def _diagonal(comps):
     """The nonzero Smith diagonal of the lattice the components span."""
     monomials = sorted({m for comp in comps for m in comp})
     rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-    return [d for d in smith_normal_form(IntMatrix(rows, cols=len(monomials)))
-            if d]
+    return [d for d in smith_normal_form(rows, len(monomials)) if d]
 
 
 class TestConjugateClosure:
