@@ -193,15 +193,13 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
     from .finite import hom_search
     for n in (3, 4):
         def check(n=n):
-            rep = nilpotent_quotient(catalog("BnK", n), 3)
-            lay = rep.layers[1]
+            lay = nilpotent_quotient(catalog("BnK", n), 2)[1]
             ok = lay.free_rank == 0 and not lay.torsion
             return ok, f"layer 2 of B{n}K: {_fmt_invariants(lay)}"
         result.run(f"klein-collapse-nq-B{n}K-layer2-trivial", check)
 
     def nontrivial2():
-        rep = nilpotent_quotient(catalog("BnK", 2), 3)
-        lay = rep.layers[1]
+        lay = nilpotent_quotient(catalog("BnK", 2), 2)[1]
         ok = lay.free_rank > 0 or bool(lay.torsion)
         return ok, f"layer 2 of B2K: {_fmt_invariants(lay)}"
     result.run("klein-collapse-nq-B2K-layer2-nontrivial", nontrivial2)
@@ -360,8 +358,7 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
 
 def _suite_nonorientable(result: SuiteResult, args) -> None:
     def nq33():
-        rep = nilpotent_quotient(catalog("BnNg", 3, g=3), 3)
-        lay = rep.layers[1]
+        lay = nilpotent_quotient(catalog("BnNg", 3, g=3), 2)[1]
         ok = lay.free_rank == 0 and not lay.torsion
         return ok, f"layer 2: {_fmt_invariants(lay)}"
     result.run("nonorientable-nq-B3N3-layer2-trivial", nq33)
@@ -439,8 +436,8 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_nq(args) -> int:
-    rep = nilpotent_quotient(catalog(args.family, args.n, args.g), args.c)
-    for k, lay in enumerate(rep.layers, start=1):
+    layers = nilpotent_quotient(catalog(args.family, args.n, args.g), args.c)
+    for k, lay in enumerate(layers, start=1):
         print(f"layer{k}: {_fmt_invariants(lay)}")
     return 0
 
@@ -464,8 +461,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0 <= args.hom_degree <= 6:
-        raise BadParameters(f"--hom-degree must be 0..6, got {args.hom_degree}")
+    if not 0 <= args.hom_degree <= 5:
+        raise BadParameters(f"--hom-degree must be 0..5, got {args.hom_degree}")
     # open the report file before the suite runs, so that a path that
     # cannot be written is a usage error and costs no computation
     try:

@@ -100,13 +100,6 @@ def series_pow(powers: Sequence[Series], n: int) -> Series:
     return {m: v for m, v in out.items() if v}
 
 
-def series_inverse(s: Series, c: int) -> Series:
-    """Inverse of a group-like series (constant term 1)."""
-    if s.get((), 0) != 1:
-        raise ValueError("can only invert series with constant term 1")
-    return series_pow(series_powers(s, c), -1)
-
-
 def series_leading_weight(s: Series) -> Optional[int]:
     """Smallest positive degree with a nonzero coefficient, or None when
     there is none below the series' truncation."""
@@ -234,24 +227,6 @@ def lcs_weight(w: Word, rank: int, cmax: int,
 
 # -- nilpotent quotients --------------------------------------------------
 
-class NilQuotientReport:
-    __slots__ = ("class_bound", "layers")
-
-    def __init__(self, class_bound: int, layers: Sequence[AbelianInvariants]):
-        if len(layers) != class_bound:
-            raise ValueError("layer count must equal the class bound")
-        self.class_bound = class_bound
-        self.layers = tuple(layers)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NilQuotientReport)
-                and self.class_bound == other.class_bound
-                and self.layers == other.layers)
-
-    def __repr__(self) -> str:
-        return f"NilQuotientReport(class={self.class_bound}, layers={list(self.layers)})"
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
     old_r, r = a, b
@@ -267,20 +242,11 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def nilpotent_quotient(p: Presentation, c: int) -> NilQuotientReport:
-    """Invariants of the graded layers of G modulo its (c+1)-st lower
+def nilpotent_quotient(p: Presentation, c: int) -> List[AbelianInvariants]:
+    """Invariants of the graded layers 1..c of G modulo its (c+1)-st lower
     central term, for G given by the presentation."""
     img = NilpotentImage.of(p.generators, c, p.relators)
-    rank = len(p.generators)
-    layers = []
-    for k in range(1, c + 1):
-        comps = [series_component(p[0], k) for p in img._pivots[k].values()]
-        monomials = sorted({m for comp in comps for m in comp})
-        rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-        diag = smith_normal_form(rows, len(monomials))
-        layers.append(AbelianInvariants(witt_rank(rank, k) - len(comps),
-                                        sorted(d for d in diag if d > 1)))
-    return NilQuotientReport(c, layers)
+    return [img.layer(k) for k in range(1, c + 1)]
 
 
 class NilpotentImage:
@@ -352,29 +318,41 @@ class NilpotentImage:
     def _word_series(self, w: Word) -> Series:
         return word_series(_letters_to_indices(w, self.gens), self.c)
 
+    def _reduce(self, s: Series) -> Optional[Tuple[Series, Monomial,
+                                                   Optional[List[Series]]]]:
+        """Divide s by the pivots while each leading (least nonzero, of least
+        positive degree) coefficient is a multiple of its pivot's. None once
+        s is the identity; else (s, lead, pivot or None) at the first lead
+        that does not divide."""
+        c = self.c
+        while True:
+            lead = min((m for m, v in s.items() if m and v),
+                       key=lambda m: (len(m), m), default=None)
+            if lead is None:
+                return None
+            p = self._pivots[len(lead)].get(lead)
+            if p is None or s[lead] % p[0][lead]:
+                return s, lead, p
+            s = series_mul(series_pow(p, -(s[lead] // p[0][lead])), s, c)
+
     def _sift(self, s: Series) -> List[Series]:
         """Insert a subgroup element; returns every pivot series that was
         newly created or replaced."""
         c = self.c
         changed: List[Series] = []
         while True:
-            k = series_leading_weight(s)
-            if k is None:
+            reduced = self._reduce(s)
+            if reduced is None:
                 return changed
-            comp = series_component(s, k)
-            lead = min(comp)
-            row = self._pivots[k]
-            p = row.get(lead)
+            s, lead, p = reduced
+            row = self._pivots[len(lead)]
             if p is None:
-                if comp[lead] < 0:
-                    s = series_inverse(s, c)
+                if s[lead] < 0:
+                    s = series_pow(series_powers(s, c), -1)
                 row[lead] = series_powers(s, c)
                 changed.append(s)
                 return changed
-            a, b = p[0][lead], comp[lead]  # a > 0 by the insertion convention
-            if b % a == 0:
-                s = series_mul(series_pow(p, -(b // a)), s, c)
-                continue
+            a, b = p[0][lead], s[lead]  # a > 0 by the insertion convention
             g, sa, sb = _xgcd(a, b)
             # unimodular basis change of the pair (pivot, element):
             #   new pivot = p^sa * s^sb   (leading coefficient gcd > 0)
@@ -395,15 +373,15 @@ class NilpotentImage:
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
 
     def contains_word(self, w: Word) -> bool:
-        c = self.c
-        s = self._word_series(w)
-        while True:
-            k = series_leading_weight(s)
-            if k is None:
-                return True
-            comp = series_component(s, k)
-            lead = min(comp)
-            p = self._pivots[k].get(lead)
-            if p is None or comp[lead] % p[0][lead]:
-                return False
-            s = series_mul(series_pow(p, -(comp[lead] // p[0][lead])), s, c)
+        return self._reduce(self._word_series(w)) is None
+
+    def layer(self, k: int) -> AbelianInvariants:
+        """Invariants of layer k, gamma_k / (N cap gamma_k) gamma_{k+1}: the
+        torsion is the Smith diagonal of the weight-k pivot components, and
+        the free rank is the basic commutators of weight k less the pivots."""
+        comps = [series_component(p[0], k) for p in self._pivots[k].values()]
+        monomials = sorted({m for comp in comps for m in comp})
+        rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
+        diag = smith_normal_form(rows, len(monomials))
+        return AbelianInvariants(witt_rank(self._rank, k) - len(comps),
+                                 sorted(d for d in diag if d > 1))

@@ -227,7 +227,7 @@ class TestVerify:
         assert out == ""
         assert err == f"error: suite {suite} needs --depth >= 2, got 1\n"
 
-    @pytest.mark.parametrize("degree", ["7", "-1"])
+    @pytest.mark.parametrize("degree", ["6", "7", "-1"])
     def test_hom_degree_out_of_range_is_usage_error(self, capsys, monkeypatch,
                                                     degree):
         def no_work(*args, **kwargs):
@@ -239,7 +239,7 @@ class TestVerify:
                              "--hom-degree", degree)
         assert code == 2
         assert out == ""
-        assert err == f"error: --hom-degree must be 0..6, got {degree}\n"
+        assert err == f"error: --hom-degree must be 0..5, got {degree}\n"
 
     def test_exhausted_separation_is_indeterminate(self, capsys):
         code, rep = self._report(capsys, "separation", "--depth", "2")

@@ -1,4 +1,5 @@
 import itertools
+from copy import deepcopy
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 from surfbraid.nilpotent import (ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
                                  lcs_weight, nilpotent_quotient,
-                                 series_component, series_inverse,
-                                 series_leading_weight, series_mul,
-                                 series_one, series_pow, series_powers,
-                                 witt_rank, word_series)
-from surfbraid.presentations import Presentation, catalog, smith_normal_form
+                                 series_component, series_leading_weight,
+                                 series_mul, series_one, series_pow,
+                                 series_powers, witt_rank, word_series)
+from surfbraid.presentations import (Presentation, abelianization, catalog,
+                                     smith_normal_form)
 from surfbraid.words import Sym, Word, commutator
 
 A, B = Sym("a"), Sym("b")
@@ -108,7 +109,8 @@ class TestSeriesArithmetic:
     def test_inverse(self, letters):
         c = 3
         s = word_series(letters, c)
-        assert series_mul(s, series_inverse(s, c), c) == series_one()
+        assert series_mul(s, series_pow(series_powers(s, c), -1), c) \
+            == series_one()
 
     @given(_series_pairs())
     @example(({(): 1, (0,): 1}, {(): 1, (0,): -1}, 1))  # 1 - X^2: X cancels
@@ -125,7 +127,7 @@ class TestSeriesArithmetic:
         s, _, c = pair
         s = {m: v for m, v in s.items() if 0 < len(m) <= c}
         s[()] = 1
-        inv = series_inverse(s, c)
+        inv = series_pow(series_powers(s, c), -1)
         assert series_mul(s, inv, c) == series_one()
         assert series_mul(inv, s, c) == series_one()
 
@@ -207,8 +209,34 @@ class TestHallBasis:
         assert lcs_weight(Word(), 2, 3, [A, B]) is None
 
 
-def _layer(rep, k):
-    lay = rep.layers[k - 1]
+_GENS = [A, B, Sym("c")]
+
+
+def _random_words(rank, max_size):
+    letter = st.tuples(st.sampled_from(_GENS[:rank]), st.sampled_from([1, -1]))
+    return st.lists(letter, max_size=max_size).map(Word)
+
+
+def _relators(rank):
+    """Words, powers of words and powers of commutators, so that sifting
+    meets leading coefficients that only a gcd step combines."""
+    word = _random_words(rank, 5)
+    power = st.integers(2, 6)
+    return st.one_of(
+        word,
+        st.builds(lambda w, e: w ** e, word, power),
+        st.builds(lambda u, v, e: commutator(u, v) ** e, word, word, power))
+
+
+@st.composite
+def _presentations(draw):
+    rank = draw(st.integers(2, 3))
+    relators = draw(st.lists(_relators(rank), max_size=3))
+    return Presentation("random", _GENS[:rank], relators)
+
+
+def _layer(layers, k):
+    lay = layers[k - 1]
     return (lay.free_rank, lay.torsion)
 
 
@@ -259,13 +287,20 @@ class TestNilpotentQuotients:
         rep = nilpotent_quotient(catalog(family, n), c)
         assert [_layer(rep, k) for k in range(1, c + 1)] == layers
 
-    def test_layer1_matches_abelianization(self):
-        from surfbraid.presentations import abelianization
-        for fam, n, g in [("BnK", 3, None), ("BnT", 4, None), ("BnNg", 2, 3)]:
-            p = catalog(fam, n, g)
-            rep = nilpotent_quotient(p, 2)
-            inv = abelianization(p)
-            assert _layer(rep, 1) == (inv.free_rank, inv.torsion)
+    @given(_presentations())
+    @example(catalog("BnK", 3))
+    @example(catalog("BnT", 4))
+    @example(catalog("BnNg", 2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_layers_do_not_depend_on_the_class_bound(self, p):
+        """Layer k of the class-c quotient is layer k of the class-k one,
+        because (N gamma_{c+1} cap gamma_k) gamma_{k+1} = (N cap gamma_k)
+        gamma_{k+1} for k <= c; and layer 1 is the abelianization."""
+        layers = {c: nilpotent_quotient(p, c) for c in (1, 2, 3)}
+        for c in (1, 2, 3):
+            for k in range(1, c + 1):
+                assert layers[c][:k] == layers[k]
+        assert layers[1] == [abelianization(p)]
 
     def test_class_bound_validation(self):
         with pytest.raises(ClassUnsupported):
@@ -347,29 +382,14 @@ class _ProductClosure(NilpotentImage):
                             queue.append(series_mul(ser, pivot, c))
 
 
-_GENS = [A, B, Sym("c")]
-
-
-def _random_words(rank, max_size):
-    letter = st.tuples(st.sampled_from(_GENS[:rank]), st.sampled_from([1, -1]))
-    return st.lists(letter, max_size=max_size).map(Word)
-
-
 @st.composite
 def _closure_cases(draw):
-    """Generators, class bound, relators and membership probes. Relators
-    are words, powers of words and powers of commutators, so that sifting
-    meets leading coefficients that only a gcd step combines; half the
-    probes are products of relator conjugates."""
+    """Generators, class bound, relators (see `_relators`) and membership
+    probes; half the probes are products of relator conjugates."""
     rank = draw(st.integers(2, 3))
     c = draw(st.integers(1, 4))
     word = _random_words(rank, 5)
-    power = st.integers(2, 6)
-    relator = st.one_of(
-        word,
-        st.builds(lambda w, e: w ** e, word, power),
-        st.builds(lambda u, v, e: commutator(u, v) ** e, word, word, power))
-    relators = draw(st.lists(relator, min_size=1, max_size=3))
+    relators = draw(st.lists(_relators(rank), min_size=1, max_size=3))
     probes = draw(st.lists(_random_words(rank, 8), min_size=3, max_size=3))
     for _ in range(3):
         product = Word()
@@ -406,3 +426,15 @@ class TestConjugateClosure:
             assert mine.contains_word(w) == ref.contains_word(w)
         for w in probes[3:]:
             assert mine.contains_word(w)
+
+    @given(_closure_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_membership_is_a_sift_that_changes_nothing(self, case):
+        """Membership and insertion share one reduction: w is a member
+        exactly when sifting it into the closure changes no pivot."""
+        gens, c, relators, probes = case
+        img = NilpotentImage.of(gens, c, relators)
+        for w in probes:
+            grown = deepcopy(img)
+            grown._sift(grown._word_series(w))
+            assert img.contains_word(w) == (grown._pivots == img._pivots)
