@@ -211,7 +211,7 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
     b = Word.from_syms(Sym("b"))
 
     def sigma_ab():
-        img = NilpotentImage.of(p3.generators, 1, p3.relators)
+        img = NilpotentImage.of(p3, 1)
         w = ~s2 * s1
         return img.contains_word(w), "s2^-1*s1 is nonzero in the abelianization"
     result.run("klein-collapse-sigma-abelianized", sigma_ab)
@@ -220,8 +220,8 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
                      list(p3.relators) + [s1 * ~s2])
     battery = [("s1-s2", commutator(s1, s2)), ("a-s1", commutator(a, s1)),
                ("b-s1", commutator(b, s1)), ("b-a", commutator(b, a))]
-    img1 = NilpotentImage.of(q.generators, 1, q.relators)
-    img3 = NilpotentImage.of(q.generators, 3, q.relators)
+    img1 = NilpotentImage.of(q, 1)
+    img3 = NilpotentImage.of(q, 3)
     models = []
     for deg in range(1, args.hom_degree + 1):
         models.extend(hom_search(q, deg))
@@ -337,7 +337,7 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
         tm_images[Sym("s", (i,))] = TorusMetabelianElement(n, k=1)
 
     def abelianized():
-        img = NilpotentImage.of(p.generators, 1, p.relators)
+        img = NilpotentImage.of(p, 1)
         bad = [print_word(w)[:60] for w in instances if not img.contains_word(w)]
         return not bad, f"{len(bad)} instances with nonzero image" if bad else f"{len(instances)} instances"
     result.run("bnT1-instances-abelianized", abelianized)
@@ -350,7 +350,7 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
     result.run("bnT1-instances-metabelian", metabelian)
 
     def class2():
-        img = NilpotentImage.of(p.generators, 2, p.relators)
+        img = NilpotentImage.of(p, 2)
         bad = [print_word(w)[:60] for w in instances if not img.contains_word(w)]
         return not bad, f"{len(bad)} escaping instances" if bad else f"{len(instances)} instances"
     result.run("bnT1-instances-class2", class2)

@@ -6,17 +6,12 @@ finite 2-group models."""
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .presentations import Presentation, SubgroupDescription
 from .words import Overflow, Sym, Word
-
-
-def _word_columns(w: Word, index: Mapping[Sym, int]) -> List[int]:
-    """The word as column codes: 2g for generator g, 2g+1 for its inverse."""
-    return [2 * index[sym] + (exp < 0) for sym, exp in w.letters]
 
 
 def _trace(columns: Sequence[np.ndarray], path: Sequence[int], start):
@@ -34,21 +29,20 @@ class CosetTable:
     generator g sends c to, columns[2g+1] the action of its inverse. Coset 0
     is the subgroup itself."""
 
-    __slots__ = ("presentation", "subgroup", "columns", "index")
+    __slots__ = ("presentation", "columns", "index")
 
-    def __init__(self, presentation: Presentation, subgroup: Sequence[Word],
-                 columns: Sequence[np.ndarray], index: int):
+    def __init__(self, presentation: Presentation, columns: Sequence[np.ndarray],
+                 index: int):
         self.presentation = presentation
-        self.subgroup = tuple(subgroup)
         self.columns = list(columns)
         self.index = index
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
-        idx = {g: i for i, g in enumerate(self.presentation.generators)}
+        p = self.presentation
         start = np.arange(self.index)
-        return all(np.array_equal(_trace(self.columns, _word_columns(r, idx), start), start)
-                   for r in self.presentation.relators)
+        return all(np.array_equal(_trace(self.columns, p.codes(r), start), start)
+                   for r in p.relators)
 
 
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
@@ -69,11 +63,9 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     Only the tests and the benchmark call it: with `adjoin_kernel_relators`
     it is the independent coset route to the mod-2 tower that the tests
     check `two_quotient_tower` against."""
-    gens = list(p.generators)
-    width = 2 * len(gens)
-    idx = {g: i for i, g in enumerate(gens)}
-    rel_paths = [_word_columns(r, idx) for r in p.relators if r.letters]
-    sub_paths = [_word_columns(w, idx) for w in subgroup]
+    width = 2 * len(p.generators)
+    rel_paths = [p.codes(r) for r in p.relators if r.letters]
+    sub_paths = [p.codes(w) for w in subgroup]
 
     table: List[List[Optional[int]]] = [[None] * width]
     parent = [0]  # union-find over coincidences; live cosets are roots
@@ -177,7 +169,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     standard = np.empty_like(order)
     standard[order] = np.arange(len(live))
     columns = [standard[col[order]] for col in rows.T]
-    out = CosetTable(p, subgroup, columns, len(live))
+    out = CosetTable(p, columns, len(live))
     if not out.scan_closes():
         raise AssertionError("coset table closed but a relator scan fails")
     return out
@@ -263,10 +255,9 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
           for c, g in itertools.product(range(t.index), range(ngens))
           if bits[2 * g][c]}
 
-    idx = {g: i for i, g in enumerate(p.generators)}
     relators = []
     for r in p.relators:
-        path = _word_columns(r, idx)
+        path = p.codes(r)
         for c in range(t.index):
             met, cur = [], c
             for col in path:
@@ -320,18 +311,15 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
 # -- finite permutation models --------------------------------------------
 
 class FiniteModel:
-    """Generator images as permutations of {0..npoints-1}, stored as
-    coset-table columns: columns[2g] is generator g, columns[2g+1] its
-    inverse."""
+    """Images of the presentation's generators as permutations of
+    {0..npoints-1}, stored as coset-table columns: columns[2g] is generator
+    g, columns[2g+1] its inverse, so a letter code is a column."""
 
-    __slots__ = ("label", "generators", "columns", "npoints", "regular",
-                 "_index", "_tree")
+    __slots__ = ("presentation", "columns", "npoints", "regular", "_tree")
 
-    def __init__(self, label: str, generators: Sequence[Sym],
-                 perms: Sequence[Sequence[int]], npoints: int,
-                 regular: bool = False):
-        self.label = label
-        self.generators = tuple(generators)
+    def __init__(self, p: Presentation, perms: Sequence[Sequence[int]],
+                 npoints: int, regular: bool = False):
+        self.presentation = p
         self.npoints = npoints
         self.regular = regular
         self.columns: List[np.ndarray] = []
@@ -340,11 +328,14 @@ class FiniteModel:
             inv = np.empty_like(perm)
             inv[perm] = np.arange(npoints)
             self.columns += [perm, inv]
-        self._index = {g: i for i, g in enumerate(self.generators)}
         self._tree = None
 
+    @property
+    def generators(self) -> Tuple[Sym, ...]:
+        return self.presentation.generators
+
     def apply_word(self, w: Word, point: int) -> int:
-        return int(_trace(self.columns, _word_columns(w, self._index), point))
+        return int(_trace(self.columns, self.presentation.codes(w), point))
 
     def _spanning_tree(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The `_schreier_tree` of the points, built once; building it
@@ -377,9 +368,7 @@ def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
     """The permutation action of the group on the cosets of the table.
     Only the tests call it: it turns coset tables into the models on which
     they check relators, Schreier generators and point arithmetic."""
-    p = t.presentation
-    return FiniteModel(f"{p.label}@cosets{t.index}", p.generators,
-                       t.columns[::2], t.index, regular=regular)
+    return FiniteModel(t.presentation, t.columns[::2], t.index, regular=regular)
 
 
 def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
@@ -389,7 +378,7 @@ def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
     the column layout that coset tables and models share."""
     if tuple(p.generators) != tuple(model.generators):
         raise ValueError("model generators do not match the presentation")
-    out = CosetTable(p, (), model.columns, model.npoints)
+    out = CosetTable(p, model.columns, model.npoints)
     if not out.scan_closes():
         raise ValueError("model does not satisfy the presentation relators")
     return out
@@ -402,12 +391,11 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
     exhaustive backtracking with partial relator pruning."""
     if degree < 1 or degree > 6:
         raise ValueError(f"degree must be 1..6, got {degree}")
-    gens = list(p.generators)
-    idx = {g: i for i, g in enumerate(gens)}
+    ngens = len(p.generators)
     # relator becomes checkable once all its symbols are assigned
-    checkpoint: Dict[int, List[List[int]]] = {i: [] for i in range(len(gens))}
+    checkpoint: Dict[int, List[List[int]]] = {i: [] for i in range(ngens)}
     for r in p.relators:
-        path = _word_columns(r, idx)
+        path = p.codes(r)
         if path:
             checkpoint[max(path) >> 1].append(path)
 
@@ -432,10 +420,8 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
         return cur == 0
 
     def backtrack(i: int) -> None:
-        if i == len(gens):
-            found.append(FiniteModel(
-                f"{p.label}@S{degree}#{len(found)}", gens,
-                [perms[a] for a, _ in assignment], degree))
+        if i == ngens:
+            found.append(FiniteModel(p, [perms[a] for a, _ in assignment], degree))
             return
         for pair in pairs:
             assignment.append(pair)
@@ -518,13 +504,10 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     (P[c], g)) + T[d] + s."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    gens = list(p.generators)
-    ngens = len(gens)
-    idx = {g: i for i, g in enumerate(gens)}
-    rel_paths = [_word_columns(r, idx) for r in p.relators]
+    ngens = len(p.generators)
+    rel_paths = [p.codes(r) for r in p.relators]
 
-    stages = [FiniteModel(f"{p.label}/stage1", gens, [[0]] * ngens, 1,
-                          regular=True)]
+    stages = [FiniteModel(p, [[0]] * ngens, 1, regular=True)]
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
@@ -580,8 +563,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         layer = np.arange(1 << d)
         perms = [((model.columns[2 * g] << d)[:, None]
                   | (layer ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
-        new_model = FiniteModel(f"{p.label}/stage{stage_no}", gens, perms,
-                                n << d, regular=True)
+        new_model = FiniteModel(p, perms, n << d, regular=True)
         # sanity: relators act trivially (regular action: base point suffices)
         for r in p.relators:
             if new_model.apply_word(r, 0) != 0:

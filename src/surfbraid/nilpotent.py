@@ -59,18 +59,21 @@ def series_mul(s1: Series, s2: Series, c: int) -> Series:
     return {m: v for m, v in out.items() if v}
 
 
-def generator_series(i: int, exp: int, c: int) -> Series:
-    """Series of x_i (exp=1) or x_i^-1 (exp=-1), truncated at degree c."""
-    if exp == 1:
+def generator_series(code: int, c: int) -> Series:
+    """Series of the letter with this `Presentation.codes` code: x_i for
+    2i, x_i^-1 for 2i+1, truncated at degree c."""
+    i = code >> 1
+    if not code & 1:
         return {(): 1, (i,): 1}
     # (1 + X)^-1 = 1 - X + X^2 - ...
     return {(i,) * k: (-1) ** k for k in range(c + 1)}
 
 
-def word_series(letters: Sequence[Tuple[int, int]], c: int) -> Series:
+def word_series(codes: Sequence[int], c: int) -> Series:
+    """Series of the word with these letter codes."""
     out = series_one()
-    for i, exp in letters:
-        out = series_mul(out, generator_series(i, exp, c), c)
+    for code in codes:
+        out = series_mul(out, generator_series(code, c), c)
     return out
 
 
@@ -197,20 +200,11 @@ def hall_word(rank: int, c: int, position: int, gens: Sequence[Sym]) -> Word:
     return first * second * ~first * ~second
 
 
-def _letters_to_indices(w: Word, gens: Sequence[Sym]) -> List[Tuple[int, int]]:
-    index = {g: i for i, g in enumerate(gens)}
-    out = []
-    for sym, exp in w.letters:
-        if sym not in index:
-            raise BadParameters(f"symbol {sym} is not among the declared generators")
-        out.append((index[sym], exp))
-    return out
-
-
-def lcs_weight(w: Word, rank: int, cmax: int,
+def lcs_weight(w: Word, cmax: int,
                gens: Optional[Sequence[Sym]] = None) -> Optional[int]:
     """Largest k <= cmax with w in the k-th lower central term of the free
-    group, or None when all coordinates vanish up to cmax.
+    group on `gens` (by default the word's own symbols), or None when all
+    coordinates vanish up to cmax.
 
     No other routine of the package calls it. It stays as the independent
     weight check of the Hall basis: the tests use it to confirm that each
@@ -219,10 +213,8 @@ def lcs_weight(w: Word, rank: int, cmax: int,
         raise BadParameters(f"cmax must be >= 1, got {cmax}")
     if gens is None:
         gens = sorted(w.syms())
-    if len(gens) > rank:
-        raise BadParameters(f"{len(gens)} symbols exceed rank {rank}")
-    series = word_series(_letters_to_indices(w, list(gens)), cmax)
-    return series_leading_weight(series)
+    codes = Presentation("free", gens, []).codes(w)
+    return series_leading_weight(word_series(codes, cmax))
 
 
 # -- nilpotent quotients --------------------------------------------------
@@ -245,14 +237,14 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 def nilpotent_quotient(p: Presentation, c: int) -> List[AbelianInvariants]:
     """Invariants of the graded layers 1..c of G modulo its (c+1)-st lower
     central term, for G given by the presentation."""
-    img = NilpotentImage.of(p.generators, c, p.relators)
+    img = NilpotentImage.of(p, c)
     return [img.layer(k) for k in range(1, c + 1)]
 
 
 class NilpotentImage:
     """Normal closure of a set of words, seen inside the free nilpotent
-    group of class c on the given generators, with a membership test at
-    that resolution.
+    group of class c on the presentation's generators, with a membership
+    test at that resolution.
 
     The closure is kept as echelonized lattices, one per weight k, spanned
     by the weight-k components of the Magnus series of its elements in
@@ -297,26 +289,31 @@ class NilpotentImage:
     order could sift a conjugate after its pivot was replaced, and breaks
     the argument."""
 
-    def __init__(self, gens: Sequence[Sym], c: int):
+    def __init__(self, p: Presentation, c: int):
         if not 1 <= c <= 4:
             raise ClassUnsupported(f"class bound {c} unsupported (use 1..4)")
-        self.gens = list(gens)
+        self.presentation = p
         self.c = c
-        self._rank = len(self.gens)
-        self._gen_series = [generator_series(i, 1, c) for i in range(self._rank)]
-        self._gen_inv = [generator_series(i, -1, c) for i in range(self._rank)]
+        # the series of each letter, indexed by its code
+        self._letters = [generator_series(code, c)
+                         for code in range(2 * len(p.generators))]
         self._pivots: Dict[int, Dict[Monomial, List[Series]]] = {
             k: {} for k in range(1, c + 1)}
 
     @classmethod
-    def of(cls, gens: Sequence[Sym], c: int, words: Sequence[Word]) -> "NilpotentImage":
-        """The image of the normal closure of `words`."""
-        img = cls(gens, c)
-        img.add_words(words)
+    def of(cls, p: Presentation, c: int,
+           words: Sequence[Word] = ()) -> "NilpotentImage":
+        """The image of the normal closure of the relators and `words`."""
+        img = cls(p, c)
+        img.add_words(list(p.relators) + list(words))
         return img
 
     def _word_series(self, w: Word) -> Series:
-        return word_series(_letters_to_indices(w, self.gens), self.c)
+        c, letters = self.c, self._letters
+        out = series_one()
+        for code in self.presentation.codes(w):
+            out = series_mul(out, letters[code], c)
+        return out
 
     def _reduce(self, s: Series) -> Optional[Tuple[Series, Monomial,
                                                    Optional[List[Series]]]]:
@@ -364,12 +361,12 @@ class NilpotentImage:
             s = series_mul(series_pow(p, -b // g), series_pow(t, a // g), c)
 
     def add_words(self, words: Sequence[Word]) -> None:
-        c = self.c
+        c, letters = self.c, self._letters
         queue = [self._word_series(w) for w in words]
         while queue:
             s = queue.pop()  # a stack: the class docstring says why
             for ser in self._sift(s):
-                for g, gi in zip(self._gen_series, self._gen_inv):
+                for g, gi in zip(letters[::2], letters[1::2]):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
 
     def contains_word(self, w: Word) -> bool:
@@ -383,5 +380,6 @@ class NilpotentImage:
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
         diag = smith_normal_form(rows, len(monomials))
-        return AbelianInvariants(witt_rank(self._rank, k) - len(comps),
+        return AbelianInvariants(witt_rank(len(self.presentation.generators), k)
+                                 - len(comps),
                                  sorted(d for d in diag if d > 1))

@@ -5,7 +5,8 @@ braid groups."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from .words import (
     IDENTITY,
@@ -23,19 +24,31 @@ class BadParameters(ValueError):
 class Presentation:
     """Generators plus relators (relations lhs=rhs stored as lhs*rhs^-1)."""
 
-    __slots__ = ("label", "generators", "relators")
+    __slots__ = ("label", "generators", "relators", "index")
 
     def __init__(self, label: str, generators: Sequence[Sym], relators: Sequence[Word]):
         self.label = label
         self.generators = tuple(generators)
-        if len(set(self.generators)) != len(self.generators):
+        self.index = {g: i for i, g in enumerate(self.generators)}
+        if len(self.index) != len(self.generators):
             raise ValueError(f"duplicate generators in {label!r}")
         self.relators = tuple(relators)
-        gen_set = set(self.generators)
         for r in self.relators:
-            stray = r.syms() - gen_set
+            stray = r.syms() - self.index.keys()
             if stray:
                 raise ValueError(f"relator uses undeclared symbols {stray} in {label!r}")
+
+    def codes(self, w: Word) -> List[int]:
+        """The word as letter codes: 2i for generator i, 2i+1 for its
+        inverse. Finite models read these as coset-table columns and
+        nilpotent images as indices into their letter series."""
+        index = self.index
+        try:
+            return [2 * index[sym] + (exp < 0) for sym, exp in w.letters]
+        except KeyError as e:
+            raise BadParameters(
+                f"symbol {e.args[0]} is not among the generators of {self.label!r}"
+            ) from None
 
     def __repr__(self) -> str:
         return (f"Presentation({self.label!r}, {len(self.generators)} generators, "
@@ -384,12 +397,11 @@ def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
 
 def exponent_matrix(p: Presentation) -> List[List[int]]:
     """One row of exponent sums per relator, one column per generator."""
-    index = {g: k for k, g in enumerate(p.generators)}
     rows = []
     for r in p.relators:
         row = [0] * len(p.generators)
         for sym, exp in r.letters:
-            row[index[sym]] += exp
+            row[p.index[sym]] += exp
         rows.append(row)
     return rows
 
@@ -528,20 +540,16 @@ def derived_relation_instances(n: int, k_range: Sequence[int],
     if n < 3:
         raise BadParameters(f"need n >= 3, got {n}")
 
-    def th(i, k, m):
-        return expand_derived_generator(Sym("th", (i, k, m)), n)
+    # the identities meet each generator many times: expand it once
+    expanded: Dict[Sym, Word] = {}
 
-    def rh(i, k, m):
-        return expand_derived_generator(Sym("rh", (i, k, m)), n)
+    def gen(name: str, *indices: int) -> Word:
+        sym = Sym(name, indices)
+        if sym not in expanded:
+            expanded[sym] = expand_derived_generator(sym, n)
+        return expanded[sym]
 
-    def bb(k, m):
-        return expand_derived_generator(Sym("b", (k, m)), n)
-
-    def dd(k, m):
-        return expand_derived_generator(Sym("d", (k, m)), n)
-
-    def aa(k, m):
-        return expand_derived_generator(Sym("a", (k, m)), n)
+    th, rh, bb, dd, aa = (partial(gen, name) for name in ("th", "rh", "b", "d", "a"))
 
     out: List[Word] = []
     for k in k_range:

@@ -252,8 +252,7 @@ def _same_ambient(a: SubgroupDescription, b: SubgroupDescription) -> None:
 
 
 def _nilpotent_image(desc: SubgroupDescription, c: int) -> NilpotentImage:
-    return NilpotentImage.of(desc.ambient.generators, c,
-                             list(desc.ambient.relators) + list(desc.normal_generators))
+    return NilpotentImage.of(desc.ambient, c, desc.normal_generators)
 
 
 def _oracle_image(desc: SubgroupDescription, oracle: Oracle):

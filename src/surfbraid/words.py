@@ -103,6 +103,10 @@ class Word:
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slot through __setattr__
+        return Word._trusted, (self.letters,)
+
     @classmethod
     def _trusted(cls, letters: Tuple[Letter, ...]) -> "Word":
         """Wrap letters that are already freely reduced, skipping the

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from surfbraid import finite
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
-                              _f2_eliminate, _f2_project, _word_columns,
+                              _f2_eliminate, _f2_project,
                               adjoin_kernel_relators, coset_action,
                               hom_search, model_table,
                               reidemeister_schreier, schreier_generator_words,
@@ -237,7 +237,7 @@ class TestCosetAction:
             assert m.point_mul(0, x) == x
 
     def test_point_mul_needs_transitive_model(self):
-        m = FiniteModel("fixed", [A], [[1, 0, 2]], 3)
+        m = FiniteModel(Presentation("F1", [A], []), [[1, 0, 2]], 3)
         with pytest.raises(ValueError):
             m.point_mul(0, 1)
 
@@ -300,7 +300,7 @@ class TestReidemeisterSchreier:
         relators = []
         for r in p.relators:
             for c in range(t.index):
-                met, end = ref.rewrite(_word_columns(r, {A: 0, B: 1}), c)
+                met, end = ref.rewrite(p.codes(r), c)
                 assert end == c
                 w = Word([(ys[i], e) for i, e in met])
                 if not w.is_identity():
@@ -358,10 +358,8 @@ def _brute_force_homs(p, degree):
 
 def _assert_matches_brute_force(p, degree):
     models = hom_search(p, degree)
-    assert [m.label for m in models] == [f"{p.label}@S{degree}#{i}"
-                                         for i in range(len(models))]
-    assert all(m.generators == tuple(p.generators) and m.npoints == degree
-               for m in models)
+    assert all(m.presentation is p and m.generators == tuple(p.generators)
+               and m.npoints == degree for m in models)
     assert ([tuple(tuple(col.tolist()) for col in m.columns[::2]) for m in models]
             == _brute_force_homs(p, degree))
 
@@ -381,10 +379,9 @@ def _per_coset_tower(p, depth):
     difference rewritten as a word, in `_ReferenceSchreier`'s numbering.
     `two_quotient_tower` proves in its docstring that the two give one row
     space per layer, so this is a reference for its stages."""
-    gens = list(p.generators)
-    idx = {g: i for i, g in enumerate(gens)}
-    rel_paths = [_word_columns(r, idx) for r in p.relators]
-    model = FiniteModel("ref", gens, [[0]] * len(gens), 1, regular=True)
+    ngens = len(p.generators)
+    rel_paths = [p.codes(r) for r in p.relators]
+    model = FiniteModel(p, [[0]] * ngens, 1, regular=True)
     out = [[col.tolist() for col in model.columns]]
     for _ in range(depth - 1):
         n = model.npoints
@@ -393,18 +390,18 @@ def _per_coset_tower(p, depth):
         for (c, g), sbit in sch.index.items():
             s_path = sch.generator_path(c, g)
             rows += [sch.parity([2 * h] + s_path + [2 * h + 1], 0) ^ (1 << sbit)
-                     for h in range(len(gens))]
+                     for h in range(ngens)]
         pivots = _f2_eliminate(rows)
         free = [i for i in range(len(sch.index)) if i not in pivots]
         d = len(free)
         free_pos = {c: i for i, c in enumerate(free)}
         perms = []
-        for g in range(len(gens)):
+        for g in range(ngens):
             cocycle = [_f2_project(sch.parity([2 * g], c), pivots, free_pos)
                        for c in range(n)]
             perms.append([(int(model.columns[2 * g][c]) << d) | (v ^ cocycle[c])
                           for c in range(n) for v in range(1 << d)])
-        model = FiniteModel("ref", gens, perms, n << d, regular=True)
+        model = FiniteModel(p, perms, n << d, regular=True)
         out.append([col.tolist() for col in model.columns])
     return out
 

@@ -17,6 +17,7 @@ from surfbraid.words import Sym, Word, commutator
 
 A, B = Sym("a"), Sym("b")
 WA, WB = Word.from_syms(A), Word.from_syms(B)
+F2 = Presentation("F2", [A, B], [])
 
 
 # -- an independent truncated-series oracle --------------------------------
@@ -57,10 +58,11 @@ def _oracle_mul(s, t, c):
     return out
 
 
-def _oracle_word(letters, c):
+def _oracle_word(codes, c):
+    """The word with these letter codes: 2i is x_i, 2i+1 its inverse."""
     out = _oracle_one(c)
-    for i, exp in letters:
-        out = _oracle_mul(out, _oracle_gen(i, exp, c), c)
+    for x in codes:
+        out = _oracle_mul(out, _oracle_gen(x >> 1, -1 if x & 1 else 1, c), c)
     return out
 
 
@@ -94,21 +96,19 @@ def _series_to_layers(s, c):
 
 
 class TestSeriesArithmetic:
-    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
-                    max_size=8))
+    @given(st.lists(st.integers(0, 5), max_size=8))
     @settings(max_examples=120)
-    def test_matches_independent_oracle(self, letters):
+    def test_matches_independent_oracle(self, codes):
         c = 3
-        mine = _series_to_layers(word_series(letters, c), c)
-        theirs = _oracle_word(letters, c)
+        mine = _series_to_layers(word_series(codes, c), c)
+        theirs = _oracle_word(codes, c)
         assert mine == theirs
 
-    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])),
-                    max_size=6))
+    @given(st.lists(st.integers(0, 3), max_size=6))
     @settings(max_examples=80)
-    def test_inverse(self, letters):
+    def test_inverse(self, codes):
         c = 3
-        s = word_series(letters, c)
+        s = word_series(codes, c)
         assert series_mul(s, series_pow(series_powers(s, c), -1), c) \
             == series_one()
 
@@ -131,31 +131,33 @@ class TestSeriesArithmetic:
         assert series_mul(s, inv, c) == series_one()
         assert series_mul(inv, s, c) == series_one()
 
-    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
-                    max_size=6),
+    @given(st.lists(st.integers(0, 5), max_size=6),
            st.integers(1, 4), st.integers(-7, 7), st.integers(-7, 7))
-    @example([(0, 1), (1, 1), (0, -1), (1, -1)], 4, -3, 2)  # weight 2
+    @example([0, 2, 1, 3], 4, -3, 2)  # weight 2
     @settings(max_examples=150, deadline=None)
-    def test_powers_by_the_binomial_series(self, letters, c, a, b):
-        s = word_series(letters, c)
+    def test_powers_by_the_binomial_series(self, codes, c, a, b):
+        s = word_series(codes, c)
         powers = series_powers(s, c)
         weight = series_leading_weight(s)
         assert len(powers) <= (c // weight if weight else 0)
         assert series_mul(series_pow(powers, a), series_pow(powers, b), c) \
             == series_pow(powers, a + b)
-        inverse = [(i, -e) for i, e in reversed(letters)]
+        inverse = [x ^ 1 for x in reversed(codes)]
         assert series_pow(powers, a) == word_series(
-            (letters if a >= 0 else inverse) * abs(a), c)
+            (codes if a >= 0 else inverse) * abs(a), c)
 
     def test_leading_weight(self):
         c = 3
-        s = word_series([(0, 1), (1, 1), (0, -1), (1, -1)], c)
+        s = word_series([0, 2, 1, 3], c)
         assert series_leading_weight(s) == 2
         assert series_leading_weight(series_one()) is None
 
     def test_generator_series(self):
         c = 2
-        assert generator_series(0, 1, c) == word_series([(0, 1)], c)
+        assert generator_series(0, c) == word_series([0], c)
+        assert generator_series(3, c) == word_series([3], c)
+        assert _series_to_layers(generator_series(3, c), c) \
+            == _oracle_gen(1, -1, c)
 
 
 class TestHallBasis:
@@ -197,16 +199,16 @@ class TestHallBasis:
                 if e.weight != k:
                     continue
                 w = hall_word(rank, c, pos, gens)
-                assert lcs_weight(w, rank, c, gens) == k
-                comps.append(series_component(
-                    word_series([(gens.index(s), x) for s, x in w.letters], c), k))
+                assert lcs_weight(w, c, gens) == k
+                comps.append(series_component(word_series(
+                    [2 * gens.index(s) + (x < 0) for s, x in w.letters], c), k))
             monomials = sorted({m for comp in comps for m in comp})
             rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
             diag = smith_normal_form(rows, len(monomials))
             assert diag == [1] * witt_rank(rank, k)
 
     def test_identity_weight_above_bound(self):
-        assert lcs_weight(Word(), 2, 3, [A, B]) is None
+        assert lcs_weight(Word(), 3, [A, B]) is None
 
 
 _GENS = [A, B, Sym("c")]
@@ -309,26 +311,26 @@ class TestNilpotentQuotients:
 
 class TestNilpotentImage:
     def test_power_membership(self):
-        img = NilpotentImage([A, B], 3)
+        img = NilpotentImage(F2, 3)
         img.add_words([WA ** 2])
         assert img.contains_word(WA ** 4)
         assert img.contains_word(WA ** -2)
         assert not img.contains_word(WA)
 
     def test_normal_closure_contains_conjugates(self):
-        img = NilpotentImage([A, B], 3)
+        img = NilpotentImage(F2, 3)
         img.add_words([WA ** 2])
         assert img.contains_word(WB * WA ** 2 * ~WB)
         assert img.contains_word(commutator(WA ** 2, WB))
 
     def test_odd_commutator_excluded(self):
-        img = NilpotentImage([A, B], 3)
+        img = NilpotentImage(F2, 3)
         img.add_words([WA ** 2])
         assert not img.contains_word(commutator(WA, WB))
 
     def test_xgcd_basis_change_on_powers(self):
         # leading coefficients 6 and 4 only reach 2 through a gcd step
-        img = NilpotentImage.of([A, B], 3, [WA ** 4, WA ** 6])
+        img = NilpotentImage.of(F2, 3, [WA ** 4, WA ** 6])
         assert img.contains_word(WA ** 2)
         assert img.contains_word(commutator(WA ** 2, WB))
         assert not img.contains_word(WA)
@@ -336,17 +338,17 @@ class TestNilpotentImage:
 
     def test_xgcd_basis_change_on_commutators(self):
         ab = commutator(WA, WB)
-        img = NilpotentImage.of([A, B], 3, [ab ** 4, ab ** 6])
+        img = NilpotentImage.of(F2, 3, [ab ** 4, ab ** 6])
         assert img.contains_word(ab ** 2)
         assert not img.contains_word(ab)
 
     def test_identity_always_contained(self):
-        img = NilpotentImage([A, B], 2)
+        img = NilpotentImage(F2, 2)
         assert img.contains_word(Word([]))
 
     def test_relator_closure_gives_quotient_membership(self):
         p = catalog("Pi1K", 1)
-        img = NilpotentImage(list(p.generators), 3)
+        img = NilpotentImage(p, 3)
         img.add_words(list(p.relators))
         a1 = Word.from_syms(Sym("a", (1,)))
         b1 = Word.from_syms(Sym("b", (1,)))
@@ -356,7 +358,7 @@ class TestNilpotentImage:
 
     def test_class_bound_validation(self):
         with pytest.raises(ClassUnsupported):
-            NilpotentImage([A], 0)
+            NilpotentImage(Presentation("F1", [A], []), 0)
 
 
 # -- the closure against products of pivots ---------------------------------
@@ -368,12 +370,12 @@ class _ProductClosure(NilpotentImage):
     a reference for the conjugate-only closure."""
 
     def add_words(self, words):
-        c = self.c
+        c, letters = self.c, self._letters
         queue = [self._word_series(w) for w in words]
         while queue:
             s = queue.pop()
             for ser in self._sift(s):
-                for g, gi in zip(self._gen_series, self._gen_inv):
+                for g, gi in zip(letters[::2], letters[1::2]):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
                 for row in self._pivots.values():
                     for lead in sorted(row):
@@ -384,8 +386,9 @@ class _ProductClosure(NilpotentImage):
 
 @st.composite
 def _closure_cases(draw):
-    """Generators, class bound, relators (see `_relators`) and membership
-    probes; half the probes are products of relator conjugates."""
+    """A presentation with relators from `_relators`, a class bound and
+    membership probes; half the probes are products of relator
+    conjugates."""
     rank = draw(st.integers(2, 3))
     c = draw(st.integers(1, 4))
     word = _random_words(rank, 5)
@@ -398,7 +401,7 @@ def _closure_cases(draw):
                 min_size=1, max_size=3)):
             product = product * h * r ** e * ~h
         probes.append(product)
-    return _GENS[:rank], c, relators, probes
+    return Presentation("random", _GENS[:rank], relators), c, probes
 
 
 def _diagonal(comps):
@@ -412,9 +415,9 @@ class TestConjugateClosure:
     @given(_closure_cases())
     @settings(max_examples=30, deadline=None)
     def test_matches_product_closure(self, case):
-        gens, c, relators, probes = case
-        mine = NilpotentImage.of(gens, c, relators)
-        ref = _ProductClosure.of(gens, c, relators)
+        pres, c, probes = case
+        mine = NilpotentImage.of(pres, c)
+        ref = _ProductClosure.of(pres, c)
         for k in range(1, c + 1):
             ours, theirs = ([series_component(p[0], k)
                              for p in img._pivots[k].values()]
@@ -432,8 +435,8 @@ class TestConjugateClosure:
     def test_membership_is_a_sift_that_changes_nothing(self, case):
         """Membership and insertion share one reduction: w is a member
         exactly when sifting it into the closure changes no pivot."""
-        gens, c, relators, probes = case
-        img = NilpotentImage.of(gens, c, relators)
+        pres, c, probes = case
+        img = NilpotentImage.of(pres, c)
         for w in probes:
             grown = deepcopy(img)
             grown._sift(grown._word_series(w))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from surfbraid.finite import FiniteModel, todd_coxeter
+from surfbraid.nilpotent import NilpotentImage
 from surfbraid.presentations import (BadParameters, Presentation,
                                      TorusMetabelianElement, abelianization,
                                      catalog, check_homomorphism,
@@ -119,6 +121,42 @@ class TestCatalog:
         rows = exponent_matrix(p)
         assert len(rows) == len(p.relators)
         assert all(len(row) == len(p.generators) for row in rows)
+
+
+_CATALOG = [catalog("PnT", 2), catalog("PnK", 3), catalog("BnT", 3),
+            catalog("BnK", 3), catalog("BnNg", 2, 3), catalog("P2K_reduced", 2),
+            catalog("Pi1K", 1)]
+
+
+@st.composite
+def _catalog_words(draw):
+    p = draw(st.sampled_from(_CATALOG))
+    letter = st.tuples(st.sampled_from(p.generators), st.sampled_from([1, -1]))
+    return p, Word(draw(st.lists(letter, max_size=12)))
+
+
+class TestLetterCodes:
+    @given(_catalog_words())
+    @settings(max_examples=100)
+    def test_round_trip(self, case):
+        p, w = case
+        codes = p.codes(w)
+        assert Word([(p.generators[x >> 1], -1 if x & 1 else 1)
+                     for x in codes]) == w
+        assert all(0 <= x < 2 * len(p.generators) for x in codes)
+
+    def test_undeclared_symbol(self):
+        a = Word.from_syms(Sym("a"))
+        p = Presentation("Z2", [Sym("a")], [a * a])
+        stray = a * Word.from_syms(Sym("z"))
+        with pytest.raises(BadParameters):
+            p.codes(stray)
+        with pytest.raises(BadParameters):
+            FiniteModel(p, [[1, 0]], 2).apply_word(stray, 0)
+        with pytest.raises(BadParameters):
+            NilpotentImage.of(p, 2).contains_word(stray)
+        with pytest.raises(BadParameters):
+            todd_coxeter(p, [stray])
 
 
 class TestTorusMetabelian:

@@ -116,6 +116,13 @@ class TestReduction:
     def test_mul_reduces(self):
         assert WX * ~WX == IDENTITY
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copies(self, protocol):
+        w = WX * ~Word.from_syms(A1) * WY
+        for out in (pickle.loads(pickle.dumps(w, protocol)), copy.copy(w),
+                    copy.deepcopy(w)):
+            assert out == w and out.letters[1][0] is A1
+
     def test_pow(self):
         assert WX ** 3 == Word([(X, 1)] * 3)
         assert WX ** -2 == Word([(X, -1)] * 2)
