@@ -64,7 +64,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     it is the independent coset route to the mod-2 tower that the tests
     check `two_quotient_tower` against."""
     width = 2 * len(p.generators)
-    rel_paths = [p.codes(r) for r in p.relators if r.letters]
+    rel_paths = [p.codes(r) for r in p.relators if r.codes]
     sub_paths = [p.codes(w) for w in subgroup]
 
     table: List[List[Optional[int]]] = [[None] * width]

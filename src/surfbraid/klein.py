@@ -8,7 +8,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .words import IDENTITY, Overflow, Sym, Word, commutator, substitute
+from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, commutator,
+                    substitute)
 from .presentations import catalog
 
 
@@ -79,10 +80,10 @@ def _top_d_expansion(level: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _elimination_images(level: int) -> Dict[Sym, Word]:
+def _elimination_images(level: int) -> ImageTable:
     images: Dict[Sym, Word] = {s: Word.from_syms(s) for s in fiber_basis(level)}
     images[_d(level - 1, level)] = _top_d_expansion(level)
-    return images
+    return ImageTable(images)
 
 
 def _eliminate(w: Word, level: int) -> Word:
@@ -127,25 +128,36 @@ class ActionTable:
     (phi) and its inverse h -> s(z) h s(z)^-1 (psi), both over the free
     fiber basis."""
 
-    __slots__ = ("level", "phi", "psi")
+    __slots__ = ("level", "phi", "psi", "_tables")
 
     def __init__(self, level: int, phi: Dict[Sym, Dict[Sym, Word]],
                  psi: Dict[Sym, Dict[Sym, Word]]):
         self.level = level
         self.phi = phi
         self.psi = psi
+        # the automorphism of each base letter by its code: z acts by
+        # phi[z], and z^-1 by psi[z]
+        self._tables: Dict[int, ImageTable] = {}
+        for z in phi:
+            self._tables[z.code] = ImageTable(phi[z])
+            self._tables[z.code ^ 1] = ImageTable(psi[z])
+
+    def __reduce__(self):
+        # the tables hold codes, which another process numbers differently
+        return ActionTable, (self.level, self.phi, self.psi)
 
     def apply_phi(self, z: Sym, w: Word) -> Word:
-        return substitute(w, self.phi[z])
+        return substitute(w, self._tables[z.code])
 
     def apply_psi(self, z: Sym, w: Word) -> Word:
-        return substitute(w, self.psi[z])
+        return substitute(w, self._tables[z.code ^ 1])
 
     def apply_base_word(self, base_word: Word, w: Word) -> Word:
         """s(u)^-1 w s(u) for a base word u, letter by letter."""
         out = w
-        for sym, exp in base_word.letters:
-            out = self.apply_phi(sym, out) if exp == 1 else self.apply_psi(sym, out)
+        tables = self._tables
+        for code in base_word.codes:
+            out = substitute(out, tables[code])
         return out
 
 
@@ -244,7 +256,7 @@ def invert_automorphism(basis: Sequence[Sym],
     r = len(pairs)
 
     def total(ps) -> int:
-        return sum(len(u.letters) for u, _ in ps)
+        return sum(len(u) for u, _ in ps)
 
     def candidates(ps):
         for i in range(r):
@@ -266,8 +278,8 @@ def invert_automorphism(basis: Sequence[Sym],
             cur = total(ps)
             best = None
             for i, u, v in candidates(ps):
-                if len(u.letters) < len(ps[i][0].letters):
-                    gain = len(ps[i][0].letters) - len(u.letters)
+                if len(u) < len(ps[i][0]):
+                    gain = len(ps[i][0]) - len(u)
                     if best is None or gain > best[0]:
                         best = (gain, i, u, v)
             if best is not None:
@@ -283,7 +295,7 @@ def invert_automorphism(basis: Sequence[Sym],
     steps = 0
     while total(pairs) > r and frontier and steps < 400:
         state = frontier.pop(0)
-        key = tuple(u.letters for u, _ in state)
+        key = tuple(u.codes for u, _ in state)
         if key in seen:
             continue
         seen.add(key)
@@ -291,14 +303,14 @@ def invert_automorphism(basis: Sequence[Sym],
         ps = list(state)
         moved = False
         for i, u, v in candidates(ps):
-            if len(u.letters) < len(ps[i][0].letters):
+            if len(u) < len(ps[i][0]):
                 ps[i] = (u, v)
                 pairs = reduce_greedy(ps)
                 frontier = [tuple(pairs)]
                 seen = set()
                 moved = True
                 break
-            if len(u.letters) == len(ps[i][0].letters) and u.letters != ps[i][0].letters:
+            if len(u) == len(ps[i][0]) and u != ps[i][0]:
                 alt = list(ps)
                 alt[i] = (u, v)
                 frontier.append(tuple(alt))
@@ -308,8 +320,8 @@ def invert_automorphism(basis: Sequence[Sym],
         raise NotInvertible("Nielsen reduction did not reach a basis")
     out: Dict[Sym, Word] = {}
     for u, v in pairs:
-        (sym, exp), = u.letters
-        out[sym] = v if exp == 1 else ~v
+        code, = u.codes
+        out[Sym.from_code(code)] = ~v if code & 1 else v
     if set(out) != set(basis):
         raise NotInvertible("reduced tuple is not the free basis")
     return out
@@ -355,7 +367,7 @@ class SemidirectElement:
         self.fiber = fiber
         self.base = base
         if level == 1:
-            if fiber.letters or not isinstance(base, tuple):
+            if fiber.codes or not isinstance(base, tuple):
                 raise BadLevel("level-1 elements carry only the pair (k, l)")
         elif not isinstance(base, SemidirectElement) or base.level != level - 1:
             raise BadLevel(f"level-{level} element needs a level-{level - 1} base")
@@ -370,7 +382,7 @@ class SemidirectElement:
     def is_identity(self) -> bool:
         if self.level == 1:
             return self.base == (0, 0)
-        return not self.fiber.letters and self.base.is_identity()
+        return not self.fiber.codes and self.base.is_identity()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SemidirectElement)
@@ -414,13 +426,13 @@ class SemidirectElement:
 
 
 @lru_cache(maxsize=None)
-def _generator_images(level: int) -> Dict[Sym, Word]:
+def _generator_images(level: int) -> ImageTable:
     """Fiber basis letters as words over the pure braid generators."""
     images: Dict[Sym, Word] = {_a(level): _wa(level), _b(level): _wb(level)}
     for j in range(1, level - 1):
         images[_d(j, level)] = ~Word.from_syms(_c(j, level)) * (
             Word.from_syms(_c(j + 1, level)) if j + 1 < level else IDENTITY)
-    return images
+    return ImageTable(images)
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +489,7 @@ def _prepend(e: SemidirectElement, sym: Sym, exp: int) -> SemidirectElement:
 
 
 def _bounded(fiber: Word, level: int) -> Word:
-    if len(fiber.letters) > MAX_FIBER_LETTERS:
+    if len(fiber.codes) > MAX_FIBER_LETTERS:
         raise Overflow(f"level-{level} fiber passed {MAX_FIBER_LETTERS} letters")
     return fiber
 
@@ -501,16 +513,17 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     The bound is on the work, not on the answer: a short word whose normal
     form is small can still be refused, as (a4*C[1,4])^8 conjugating a5
     peaks at about 1.7 million letters and ends with a one-letter fiber."""
+    letters = w.letters  # the query's own letters, decoded once
     if n is None:
-        n = max([1] + [i for sym, _ in w.letters for i in sym.indices])
+        n = max([1] + [i for sym, _ in letters for i in sym.indices])
     if n < 1:
         raise BadLevel(f"need n >= 1, got {n}")
     if n > DEFAULT_MAX_LEVEL:
         raise BadLevel(f"level {n} exceeds the supported bound {DEFAULT_MAX_LEVEL}")
-    for sym, _ in w.letters:
+    for sym, _ in letters:
         _validate_symbol(sym, n)
     e = SemidirectElement.identity(n)
-    for sym, exp in reversed(w.letters):
+    for sym, exp in reversed(letters):
         e = _prepend(e, sym, exp)
     return e
 

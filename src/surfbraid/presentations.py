@@ -10,6 +10,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from .words import (
     IDENTITY,
+    ImageTable,
     Sym,
     UnmappedSymbol,
     Word,
@@ -24,17 +25,22 @@ class BadParameters(ValueError):
 class Presentation:
     """Generators plus relators (relations lhs=rhs stored as lhs*rhs^-1)."""
 
-    __slots__ = ("label", "generators", "relators", "index")
+    __slots__ = ("label", "generators", "relators", "_local")
 
     def __init__(self, label: str, generators: Sequence[Sym], relators: Sequence[Word]):
         self.label = label
         self.generators = tuple(generators)
-        self.index = {g: i for i, g in enumerate(self.generators)}
-        if len(self.index) != len(self.generators):
+        # registry letter code -> this presentation's letter code
+        self._local: Dict[int, int] = {}
+        for i, g in enumerate(self.generators):
+            self._local[g.code] = 2 * i
+            self._local[g.code ^ 1] = 2 * i + 1
+        if len(self._local) != 2 * len(self.generators):
             raise ValueError(f"duplicate generators in {label!r}")
         self.relators = tuple(relators)
+        declared = set(self.generators)
         for r in self.relators:
-            stray = r.syms() - self.index.keys()
+            stray = r.syms() - declared
             if stray:
                 raise ValueError(f"relator uses undeclared symbols {stray} in {label!r}")
 
@@ -42,13 +48,17 @@ class Presentation:
         """The word as letter codes: 2i for generator i, 2i+1 for its
         inverse. Finite models read these as coset-table columns and
         nilpotent images as indices into their letter series."""
-        index = self.index
         try:
-            return [2 * index[sym] + (exp < 0) for sym, exp in w.letters]
+            return list(map(self._local.__getitem__, w.codes))
         except KeyError as e:
             raise BadParameters(
-                f"symbol {e.args[0]} is not among the generators of {self.label!r}"
-            ) from None
+                f"symbol {Sym.from_code(e.args[0])} is not among the generators "
+                f"of {self.label!r}") from None
+
+    def __reduce__(self):
+        # the local table holds codes, which another process numbers
+        # differently
+        return Presentation, (self.label, self.generators, self.relators)
 
     def __repr__(self) -> str:
         return (f"Presentation({self.label!r}, {len(self.generators)} generators, "
@@ -400,8 +410,8 @@ def exponent_matrix(p: Presentation) -> List[List[int]]:
     rows = []
     for r in p.relators:
         row = [0] * len(p.generators)
-        for sym, exp in r.letters:
-            row[p.index[sym]] += exp
+        for code in p.codes(r):
+            row[code >> 1] += -1 if code & 1 else 1
         rows.append(row)
     return rows
 
@@ -425,7 +435,8 @@ def check_homomorphism(
     trivial. With `torus_metabelian_oracle` it is the route by which the
     torus-derived suite checks that the relators of B_n(T) die in the
     metabelian quotient."""
-    return [r for r in src.relators if not is_trivial(substitute(r, images))]
+    table = ImageTable(images)
+    return [r for r in src.relators if not is_trivial(substitute(r, table))]
 
 
 class TorusMetabelianElement:
@@ -475,12 +486,16 @@ def torus_metabelian_evaluate(w: Word, n: int,
             Sym("b"): TorusMetabelianElement(n, j=1),
             Sym("s"): TorusMetabelianElement(n, k=1),
         }
+    table = {}  # letter code -> its element
+    for sym, g in images.items():
+        table[sym.code] = g
+        table[sym.code ^ 1] = g.inverse()
     out = TorusMetabelianElement(n)
-    for sym, exp in w.letters:
-        if sym not in images:
-            raise UnmappedSymbol(f"no image for symbol {sym}")
-        g = images[sym]
-        out = out * (g if exp == 1 else g.inverse())
+    for code in w.codes:
+        g = table.get(code)
+        if g is None:
+            raise UnmappedSymbol(f"no image for symbol {Sym.from_code(code)}")
+        out = out * g
     return out
 
 

@@ -45,7 +45,7 @@ def _dedupe(words: Sequence[Word]) -> List[Word]:
     out: List[Word] = []
     seen = set()
     for w in words:
-        if not w.letters or w in seen:
+        if w.is_identity() or w in seen:
             continue
         seen.add(w)
         out.append(w)
@@ -74,7 +74,8 @@ def serie_generators(action: ActionTable,
         raise BadParameters(f"need n >= 1, got {n}")
     fiber = _fiber_words(action)
     if ambient is None:
-        ambient = Presentation("fiber", [w.letters[0][0] for w in fiber], [])
+        ambient = Presentation("fiber", [Sym.from_code(w.codes[0]) for w in fiber],
+                               [])
     base_gens = list(base_lcs(1))
 
     L: List[List[Word]] = [fiber]
@@ -127,14 +128,15 @@ def wn_tilde(n: int) -> SubgroupDescription:
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     a2, b2 = _p2k_fiber()
+    fiber_syms = [Sym.from_code(w.codes[0]) for w in (a2, b2)]
     gens = [a2 ** (2 ** (n - 1))]
     if n >= 2:
         basis = hall_basis(2, n)
         for pos, elem in enumerate(basis):
             if 2 <= elem.weight <= n:
-                w = hall_word(2, n, pos, [a2.letters[0][0], b2.letters[0][0]])
+                w = hall_word(2, n, pos, fiber_syms)
                 gens.append(w ** (2 ** (n - elem.weight)))
-    ambient = Presentation("fiberP2K", [a2.letters[0][0], b2.letters[0][0]], [])
+    ambient = Presentation("fiberP2K", fiber_syms, [])
     return SubgroupDescription(ambient, _dedupe(gens), label=f"Wtilde_{n}")
 
 
@@ -189,12 +191,10 @@ def elm_generators(l: int, m: int,
             w = entries[0] if i == 1 else left_normed(entries)
             out.append(w ** (2 ** (m - i - k)))
     if ambient is None:
-        syms: List[Sym] = []
-        for w in list(gens) + list(a_words or []):
-            for s, _ in w.letters:
-                if s not in syms:
-                    syms.append(s)
-        ambient = Presentation("fiber", syms, [])
+        # each symbol once, in order of first appearance
+        codes = dict.fromkeys(c & ~1 for w in [*gens, *(a_words or [])]
+                              for c in w.codes)
+        ambient = Presentation("fiber", [Sym.from_code(c) for c in codes], [])
     tag = f"E[{l},{m}]" if a_words else f"Etilde[{l},{m}]"
     return SubgroupDescription(ambient, _dedupe(out), label=tag)
 
@@ -332,7 +332,7 @@ def residual_separation(p: Presentation, elements: Sequence[Word],
 
 
 def _separation_report(w: Word, stage: Optional[int], depth: int) -> Dict:
-    if not w.letters:
+    if w.is_identity():
         return {"element": str(w), "verdict": "Trivial", "stage": None}
     if stage is None:
         return {"element": str(w), "verdict": "NotSeparatedWithinDepth",

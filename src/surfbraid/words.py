@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+import threading
+from itertools import repeat
+from operator import itemgetter, xor
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 
@@ -17,6 +19,10 @@ class Overflow(RuntimeError):
 
 _SYM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SYMS: Dict[Tuple[str, Tuple[int, ...]], "Sym"] = {}
+# the registry's numbering: symbol i has the letter codes 2i and 2i + 1
+_SYM_LIST: List["Sym"] = []
+_SYM_IDS: Dict["Sym", int] = {}
+_REGISTER = threading.Lock()
 
 
 class Sym(tuple):
@@ -27,7 +33,8 @@ class Sym(tuple):
     while hash and order are those of the tuple ``(name, indices)``. A Sym
     never equals a plain tuple. The registry holds strong references (a
     tuple subclass cannot carry ``__weakref__``), so a symbol lives as long
-    as the process once built."""
+    as the process once built. It also numbers the symbols in the order the
+    process built them; ``code`` is twice that number (see ``Word``)."""
 
     __slots__ = ()
 
@@ -39,12 +46,28 @@ class Sym(tuple):
                 raise ValueError(f"bad symbol name {name!r}")
             if len(key[1]) > 3:
                 raise ValueError(f"too many indices on {name!r}: {key[1]}")
-            # setdefault: two threads building one key get one object
-            sym = _SYMS.setdefault(key, tuple.__new__(cls, key))
+            # two threads building one key get one object and one number
+            with _REGISTER:
+                sym = _SYMS.get(key)
+                if sym is None:
+                    sym = tuple.__new__(cls, key)
+                    _SYM_IDS[sym] = len(_SYM_LIST)
+                    _SYM_LIST.append(sym)
+                    _SYMS[key] = sym
         return sym
 
     name = property(itemgetter(0))
     indices = property(itemgetter(1))
+
+    @property
+    def code(self) -> int:
+        """The letter code of the symbol; ``code ^ 1`` is its inverse's."""
+        return 2 * _SYM_IDS[self]
+
+    @classmethod
+    def from_code(cls, code: int) -> "Sym":
+        """The symbol of a letter code of this process."""
+        return _SYM_LIST[code >> 1]
 
     __hash__ = tuple.__hash__
 
@@ -71,48 +94,56 @@ class Sym(tuple):
 Letter = Tuple[Sym, int]  # (symbol, +1 or -1)
 
 
-def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
-    """Freely reduce letters already checked by ``Word``."""
-    out: List[Letter] = []
-    append, pop = out.append, out.pop
-    last = None
-    for letter in letters:
-        # symbols are interned, so identity is equality
-        if last is not None and last[0] is letter[0] and last[1] != letter[1]:
-            pop()
-            last = out[-1] if out else None
+def _join(pieces: Iterable[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The freely reduced product of freely reduced code tuples: letters
+    cancel only across the seam between the output so far and the next
+    piece, so no unreduced letter is ever kept."""
+    out = [-1]  # a sentinel: -1 ^ c is negative, so it cancels no code c
+    for piece in pieces:
+        if piece and out[-1] ^ piece[0] == 1:
+            k, m = 1, len(piece)
+            while k < m and out[-1 - k] ^ piece[k] == 1:
+                k += 1
+            del out[-k:]
+            out.extend(piece[k:])
         else:
-            append(letter)
-            last = letter
+            out.extend(piece)
+    del out[0]
     return tuple(out)
 
 
 class Word:
-    """An immutable, freely reduced sequence of letters: the constructor
-    reduces, so equality and hashing are equality in the free group."""
+    """An immutable, freely reduced word, stored as a tuple of letter codes:
+    a symbol's letter is its ``Sym.code`` 2i and the inverse letter 2i + 1,
+    so inverting a letter is ``c ^ 1`` and two letters cancel when
+    ``a ^ b == 1``. The constructor reduces, so equality and hashing are
+    equality in the free group. Codes hold within one process; ``letters``
+    decodes them to ``(Sym, ±1)`` pairs, and pickles carry those."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("codes",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        letters = tuple(letters)
+        codes = []
+        ids = _SYM_IDS
         for sym, exp in letters:
             if not isinstance(sym, Sym) or exp not in (1, -1):
                 raise ValueError(f"bad letter ({sym!r}, {exp!r})")
-        object.__setattr__(self, "letters", _reduce_letters(letters))
+            codes.append(2 * ids[sym] + (exp < 0))
+        object.__setattr__(self, "codes", _join(zip(codes)))
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
     def __reduce__(self):
-        # the default would restore the slot through __setattr__
-        return Word._trusted, (self.letters,)
+        # through the symbols: another process numbers them differently
+        return Word, (self.letters,)
 
     @classmethod
-    def _trusted(cls, letters: Tuple[Letter, ...]) -> "Word":
-        """Wrap letters that are already freely reduced, skipping the
-        checks and the reduction."""
+    def _trusted(cls, codes: Tuple[int, ...]) -> "Word":
+        """Wrap codes that are already freely reduced, skipping the checks
+        and the reduction."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "codes", codes)
         return w
 
     # -- constructors -------------------------------------------------
@@ -121,42 +152,38 @@ class Word:
         return Word((s, 1) for s in syms)
 
     # -- basics --------------------------------------------------------
+    @property
+    def letters(self) -> Tuple[Letter, ...]:
+        """The letters as ``(Sym, ±1)`` pairs, decoded on each read."""
+        syms = _SYM_LIST
+        return tuple((syms[c >> 1], -1 if c & 1 else 1) for c in self.codes)
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.codes)
 
     def __repr__(self) -> str:
         return f"Word({print_word(self)!r})"
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
     # -- group operations ---------------------------------------------
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        # both operands are reduced, so letters cancel only across the seam
-        a, b = self.letters, other.letters
-        k, m = 0, min(len(a), len(b))
-        while k < m:
-            sym, exp = a[-1 - k]
-            other_sym, other_exp = b[k]
-            if exp == other_exp or sym is not other_sym:
-                break
-            k += 1
-        return Word._trusted(a[:len(a) - k] + b[k:])
+        return Word._trusted(_join((self.codes, other.codes)))
 
     def __invert__(self) -> "Word":
-        return Word._trusted(
-            tuple((sym, -exp) for sym, exp in reversed(self.letters)))
+        return Word._trusted(tuple(map(xor, reversed(self.codes), repeat(1))))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -172,7 +199,8 @@ class Word:
         return out
 
     def syms(self) -> set:
-        return {sym for sym, _ in self.letters}
+        syms = _SYM_LIST
+        return {syms[c >> 1] for c in set(self.codes)}
 
 
 IDENTITY = Word()
@@ -193,20 +221,36 @@ def left_normed(args: Sequence[Word]) -> Word:
     return out
 
 
+class ImageTable(dict):
+    """The images of a substitution by letter code: a symbol's code maps to
+    the codes of its image word, and the inverse code to those of the
+    image's inverse. Build one once to pass to ``substitute`` many times."""
+
+    __slots__ = ()
+
+    def __init__(self, images: Mapping[Sym, Word]):
+        super().__init__()
+        for sym, img in images.items():
+            code = sym.code
+            self[code] = img.codes
+            self[code ^ 1] = (~img).codes
+
+    def __reduce__(self):
+        # through the symbols: another process numbers them differently
+        return ImageTable, ({Sym.from_code(c): Word._trusted(img)
+                             for c, img in self.items() if not c & 1},)
+
+
 def substitute(w: Word, images: Mapping[Sym, Word]) -> Word:
-    """Apply the homomorphism determined by symbol images; reduces."""
-    out: List[Letter] = []
-    letter_images = {}  # letter -> letters of its image
-    for letter in w.letters:
-        img = letter_images.get(letter)
-        if img is None:
-            sym, exp = letter
-            if sym not in images:
-                raise UnmappedSymbol(f"no image for symbol {sym}")
-            img = images[sym] if exp == 1 else ~images[sym]
-            letter_images[letter] = img = img.letters
-        out.extend(img)
-    return Word._trusted(_reduce_letters(out))
+    """Apply the homomorphism determined by symbol images (a mapping or an
+    ``ImageTable``). Every image is reduced, so the product reduces at the
+    seams between images only."""
+    table = images if isinstance(images, ImageTable) else ImageTable(images)
+    try:
+        return Word._trusted(_join(map(table.__getitem__, w.codes)))
+    except KeyError as e:
+        raise UnmappedSymbol(
+            f"no image for symbol {Sym.from_code(e.args[0])}") from None
 
 
 def colchete_rhs(x: Word, y: Word, n: int) -> Word:

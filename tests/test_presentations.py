@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -149,7 +150,7 @@ class TestLetterCodes:
         a = Word.from_syms(Sym("a"))
         p = Presentation("Z2", [Sym("a")], [a * a])
         stray = a * Word.from_syms(Sym("z"))
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParameters, match="symbol z is not among"):
             p.codes(stray)
         with pytest.raises(BadParameters):
             FiniteModel(p, [[1, 0]], 2).apply_word(stray, 0)
@@ -157,6 +158,12 @@ class TestLetterCodes:
             NilpotentImage.of(p, 2).contains_word(stray)
         with pytest.raises(BadParameters):
             todd_coxeter(p, [stray])
+
+    def test_pickle_rebuilds_the_code_table(self):
+        p = catalog("BnNg", 3, 3)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.generators == p.generators and q.relators == p.relators
+        assert [q.codes(r) for r in q.relators] == [p.codes(r) for r in p.relators]
 
 
 class TestTorusMetabelian:

@@ -1,11 +1,17 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfbraid.words import (IDENTITY, Sym, UnmappedSymbol, Word,
+import surfbraid
+from surfbraid.klein import action_table
+from surfbraid.words import (IDENTITY, ImageTable, Sym, UnmappedSymbol, Word,
                              WordSyntaxError, colchete_rhs, commutator,
                              left_normed, parse_word, print_word, substitute)
 
@@ -151,6 +157,45 @@ class TestReduction:
         assert a * b == Word(a.letters + b.letters)
         assert a * b == Word(a.letters[:len(a) - k] + c.letters)
 
+    def test_letters_decode_the_codes(self):
+        w = Word([(X, 1), (A1, -1), (Y, 1)])
+        assert w.codes == (X.code, A1.code ^ 1, Y.code)
+        assert w.letters == ((X, 1), (A1, -1), (Y, 1))
+        assert Sym.from_code(A1.code ^ 1) is A1
+
+    def test_pickle_across_processes(self):
+        # the child numbers the symbols in another order, so its codes differ
+        # from this process's: pickles must carry symbols, not codes
+        child = (
+            "import pickle, sys\n"
+            "from surfbraid.klein import action_table\n"
+            "from surfbraid.presentations import Presentation\n"
+            "from surfbraid.words import ImageTable, Sym, Word\n"
+            "for k in range(5):\n"
+            "    Sym('fresh', (k,))\n"
+            "z, y, x = Sym('z', (1,)), Sym('y'), Sym('x')\n"
+            "w = Word([(x, 1), (y, -1), (z, 1), (x, -1)])\n"
+            "out = (w, w.codes, ImageTable({x: w, y: Word()}),\n"
+            "       Presentation('P', [z, y, x], [w]), action_table(2))\n"
+            "sys.stdout.buffer.write(pickle.dumps(out))\n")
+        src = os.path.dirname(os.path.dirname(surfbraid.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, check=True).stdout
+        w, child_codes, table, p, action = pickle.loads(out)
+        z = Sym("z", (1,))
+        local = Word([(X, 1), (Y, -1), (z, 1), (X, -1)])
+        assert w == local and hash(w) == hash(local)
+        assert w.codes != child_codes
+        assert substitute(WX * WY, table) == local
+        assert p.codes(local) == [4, 3, 0, 5]
+        here = action_table(2)
+        for g in here.phi:
+            for y in here.phi[g]:
+                fiber = Word.from_syms(y)
+                assert action.apply_phi(g, fiber) == here.apply_phi(g, fiber)
+                assert action.apply_psi(g, fiber) == here.apply_psi(g, fiber)
+
 
 class TestCommutators:
     def test_definition(self):
@@ -197,7 +242,76 @@ class TestColchete:
         assert commutator(x ** 4, y) == colchete_rhs(x, y, 2)
 
 
+def _reference_substitute(letters, images):
+    """Expand every letter into the (Sym, ±1) pairs of its image, then free
+    reduce the whole list letter by letter."""
+    out = []
+    for sym, exp in letters:
+        if sym not in images:
+            raise UnmappedSymbol(f"no image for symbol {sym}")
+        img = images[sym].letters
+        out.extend(img if exp == 1 else
+                   [(s, -e) for s, e in reversed(img)])
+    return _stack_reduce(out)
+
+
+_IMAGE_SYMS = [X, Y, Sym("z", (1,))]
+
+
+@st.composite
+def _images_strategy(draw):
+    """Images of x, y and z[1], identities among them, with at most one
+    symbol left unmapped."""
+    image = st.one_of(st.just(IDENTITY), _random_word_strategy(6))
+    images = {sym: draw(image) for sym in _IMAGE_SYMS}
+    unmapped = draw(st.sampled_from([None] + _IMAGE_SYMS))
+    if unmapped is not None:
+        del images[unmapped]
+    return images
+
+
+class TestAgainstReference:
+    @given(_random_word_strategy(16), _images_strategy())
+    @settings(max_examples=300)
+    def test_substitute(self, w, images):
+        try:
+            want = _reference_substitute(w.letters, images)
+        except UnmappedSymbol as e:
+            for table in (images, ImageTable(images)):
+                with pytest.raises(UnmappedSymbol) as got:
+                    substitute(w, table)
+                assert str(got.value) == str(e)
+            return
+        assert substitute(w, images).letters == want
+        assert substitute(w, ImageTable(images)).letters == want
+
+    @given(_random_word_strategy(16), _random_word_strategy(16))
+    @settings(max_examples=200)
+    def test_product_and_inverse(self, a, b):
+        assert (a * b).letters == _stack_reduce(a.letters + b.letters)
+        assert (~a).letters == tuple((s, -e) for s, e in reversed(a.letters))
+
+
 class TestSubstitution:
+    def test_seams_keep_memory_small(self):
+        # x -> u x u^-1, y -> u y u^-1 with |u| = 50: the images of a long
+        # word cancel almost entirely at their seams, so an unreduced
+        # expansion would hold about 100 times the reduced output
+        letters = [(X if i % 3 else Y, 1 if i % 7 else -1) for i in range(3000)]
+        w = Word(letters)
+        u = Word([(Sym("z", (1,)), 1), (A1, -1)] * 25)
+        images = ImageTable({X: u * WX * ~u, Y: u * WY * ~u})
+        want = u * w * ~u
+        tracemalloc.start()
+        try:
+            out = substitute(w, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == want
+        # the output tuple, the list it is built in and its slack
+        assert peak < 8 * 8 * len(want), peak
+
     def test_homomorphism(self):
         images = {X: WY * WY, Y: ~WX}
         w = commutator(WX, WY)
@@ -206,6 +320,10 @@ class TestSubstitution:
     def test_unmapped_symbol(self):
         with pytest.raises(UnmappedSymbol):
             substitute(WX, {Y: WY})
+        # an identity image before the unmapped letter leaves it named
+        w = Word([(X, 1), (Sym("z", (1,)), -1), (Y, 1)])
+        with pytest.raises(UnmappedSymbol, match=r"no image for symbol z\[1\]"):
+            substitute(w, {X: IDENTITY, Y: WX})
 
     @given(_random_word_strategy(8), _random_word_strategy(4),
            _random_word_strategy(4))
