@@ -6,6 +6,7 @@ verification."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, commutator,
@@ -249,77 +250,35 @@ class NotInvertible(RuntimeError):
 
 def invert_automorphism(basis: Sequence[Sym],
                         images: Mapping[Sym, Word]) -> Dict[Sym, Word]:
-    """Invert a free-group automorphism given on a basis, by Nielsen
-    reduction of the image tuple with tracked preimage words."""
-    pairs: List[Tuple[Word, Word]] = [
-        (images[x], Word.from_syms(x)) for x in basis]
-    r = len(pairs)
+    """Invert a free-group automorphism phi given on a basis, by Nielsen
+    descent (Lyndon-Schupp, Combinatorial Group Theory, ch. I.2).
 
-    def total(ps) -> int:
-        return sum(len(u) for u, _ in ps)
-
-    def candidates(ps):
-        for i in range(r):
-            ui, vi = ps[i]
-            for j in range(r):
-                if i == j:
-                    continue
-                uj, vj = ps[j]
-                for s in (1, -1):
-                    ujs = uj if s == 1 else ~uj
-                    vjs = vj if s == 1 else ~vj
-                    yield i, ui * ujs, vi * vjs
-                    yield i, ujs * ui, vjs * vi
-
-    def reduce_greedy(ps):
-        changed = True
-        while changed:
-            changed = False
-            cur = total(ps)
-            best = None
-            for i, u, v in candidates(ps):
-                if len(u) < len(ps[i][0]):
-                    gain = len(ps[i][0]) - len(u)
-                    if best is None or gain > best[0]:
-                        best = (gain, i, u, v)
-            if best is not None:
-                _, i, u, v = best
-                ps[i] = (u, v)
-                changed = True
-        return ps
-
-    pairs = reduce_greedy(pairs)
-    # plateau search: apply length-preserving moves looking for a new descent
-    seen = set()
-    frontier = [tuple(pairs)]
-    steps = 0
-    while total(pairs) > r and frontier and steps < 400:
-        state = frontier.pop(0)
-        key = tuple(u.codes for u, _ in state)
-        if key in seen:
-            continue
-        seen.add(key)
-        steps += 1
-        ps = list(state)
+    Pairs (u, v) with u = phi(v) start as (phi(x), x). A move replaces u_i
+    by u_i u_j^e or u_j^e u_i (e = +-1), and v_i by the matching product,
+    when that lowers u_i's key (length, codes). Each length holds finitely
+    many words, so the loop ends. Once every u is a letter x^e, its v is
+    psi(x)^e; the inverse is unique, so what it returns does not depend on how
+    the process numbers the symbols. Where no move descends and the u are
+    not all letters, the descent is stuck and raises NotInvertible."""
+    us = [images[x] for x in basis]
+    vs = [Word.from_syms(x) for x in basis]
+    moved = True
+    while moved:
         moved = False
-        for i, u, v in candidates(ps):
-            if len(u) < len(ps[i][0]):
-                ps[i] = (u, v)
-                pairs = reduce_greedy(ps)
-                frontier = [tuple(pairs)]
-                seen = set()
-                moved = True
-                break
-            if len(u) == len(ps[i][0]) and u != ps[i][0]:
-                alt = list(ps)
-                alt[i] = (u, v)
-                frontier.append(tuple(alt))
-        if moved:
-            continue
-    if total(pairs) != r:
-        raise NotInvertible("Nielsen reduction did not reach a basis")
+        for i, j in permutations(range(len(us)), 2):
+            for e in (1, -1):
+                uj = us[j] if e == 1 else ~us[j]
+                for left in (False, True):
+                    u = uj * us[i] if left else us[i] * uj
+                    if (len(u), u.codes) < (len(us[i]), us[i].codes):
+                        vj = vs[j] if e == 1 else ~vs[j]
+                        vs[i] = vj * vs[i] if left else vs[i] * vj
+                        us[i] = u
+                        moved = True
     out: Dict[Sym, Word] = {}
-    for u, v in pairs:
+    for u, v in zip(us, vs):
+        if len(u) != 1:
+            raise NotInvertible("Nielsen descent did not reach a basis")
         code, = u.codes
         out[Sym.from_code(code)] = ~v if code & 1 else v
     if set(out) != set(basis):

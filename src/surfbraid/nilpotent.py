@@ -20,7 +20,7 @@ from .presentations import (
     Presentation,
     smith_normal_form,
 )
-from .words import Sym, Word
+from .words import Overflow, Sym, Word
 
 Monomial = Tuple[int, ...]
 Series = Dict[Monomial, int]  # truncated: keys of length <= class bound
@@ -28,6 +28,15 @@ Series = Dict[Monomial, int]  # truncated: keys of length <= class bound
 
 class ClassUnsupported(ValueError):
     pass
+
+
+# NilpotentImage.add_words raises Overflow once it has sifted this many
+# elements. Over the catalog's PnT, PnK, BnT and BnK (n <= 5), BnNg (n <= 3,
+# g <= 4), TorusMetabelian and Pi1K at classes 3 and 4, the largest closure
+# of an `nq` call that finishes is BnK n=5 at class 4: 4,636 sifts, 24 s on a
+# 2-core VM. PnK n=3 and PnT n=3 at class 4 pass 10,000 sifts within about a
+# second, where their closure or layer 4 would run for minutes.
+MAX_SIFTS = 10_000
 
 
 # -- truncated series ----------------------------------------------------
@@ -299,11 +308,13 @@ class NilpotentImage:
                          for code in range(2 * len(p.generators))]
         self._pivots: Dict[int, Dict[Monomial, List[Series]]] = {
             k: {} for k in range(1, c + 1)}
+        self.sifts = 0  # elements sifted by add_words, bounded by MAX_SIFTS
 
     @classmethod
     def of(cls, p: Presentation, c: int,
            words: Sequence[Word] = ()) -> "NilpotentImage":
-        """The image of the normal closure of the relators and `words`."""
+        """The image of the normal closure of the relators and `words`.
+        Raises Overflow once the closure sifts more than MAX_SIFTS elements."""
         img = cls(p, c)
         img.add_words(list(p.relators) + list(words))
         return img
@@ -365,6 +376,10 @@ class NilpotentImage:
         queue = [self._word_series(w) for w in words]
         while queue:
             s = queue.pop()  # a stack: the class docstring says why
+            self.sifts += 1
+            if self.sifts > MAX_SIFTS:
+                raise Overflow(f"normal closure passed {MAX_SIFTS} sifts "
+                               f"at class {c}")
             for ser in self._sift(s):
                 for g, gi in zip(letters[::2], letters[1::2]):
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))

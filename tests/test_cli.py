@@ -117,6 +117,15 @@ class TestSingleShot:
         assert len(proc.stderr.splitlines()) == 1
         assert "MemoryError" not in proc.stderr
 
+    @pytest.mark.parametrize("family", ["PnK", "PnT"])
+    def test_nq_sift_bound_exits_one(self, capsys, family):
+        # both closures pass MAX_SIFTS within about a second; unbounded,
+        # PnK's closure and PnT's layer 4 run for minutes
+        code, out, err = run(capsys, "nq", family, "3", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "error: normal closure passed 10000 sifts at class 4\n"
+
     def test_solve_fiber_bound_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("surfbraid.klein.MAX_FIBER_LETTERS", 10_000)
         # (a4*b3*C[2,4])^4 conjugating a5 peaks at 138,617 fiber letters

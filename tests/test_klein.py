@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,8 @@ class TestAction:
     def test_action_respects_relations(self, n):
         assert all(ok for _, ok in verify_action(n))
 
-    @pytest.mark.parametrize("n", [1, 2])
+    # a descent by length alone stalls on the b[n] table at n = 2, 3 and 4
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_phi_psi_inverse(self, n):
         at = action_table(n)
         basis = fiber_basis(n + 1)
@@ -63,6 +65,16 @@ class TestAction:
                 w = Word.from_syms(y)
                 assert at.apply_psi(z, at.apply_phi(z, w)) == w
                 assert at.apply_phi(z, at.apply_psi(z, w)) == w
+
+    def test_non_surjective_endomorphism_is_refused(self):
+        # a -> a^2, b -> b is injective but not onto: every move makes a
+        # word of length 3, so the descent stops after one sweep
+        a, b = Sym("a", (1,)), Sym("b", (1,))
+        images = {a: Word.from_syms(a, a), b: Word.from_syms(b)}
+        t0 = time.perf_counter()
+        with pytest.raises(klein.NotInvertible):
+            klein.invert_automorphism([a, b], images)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestNormalForm:

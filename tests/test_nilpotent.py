@@ -1,11 +1,12 @@
 import itertools
+import time
 from copy import deepcopy
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfbraid.nilpotent import (ClassUnsupported, NilpotentImage,
+from surfbraid.nilpotent import (MAX_SIFTS, ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
                                  lcs_weight, nilpotent_quotient,
                                  series_component, series_leading_weight,
@@ -13,7 +14,7 @@ from surfbraid.nilpotent import (ClassUnsupported, NilpotentImage,
                                  series_powers, witt_rank, word_series)
 from surfbraid.presentations import (Presentation, abelianization, catalog,
                                      smith_normal_form)
-from surfbraid.words import Sym, Word, commutator
+from surfbraid.words import Overflow, Sym, Word, commutator
 
 A, B = Sym("a"), Sym("b")
 WA, WB = Word.from_syms(A), Word.from_syms(B)
@@ -307,6 +308,25 @@ class TestNilpotentQuotients:
     def test_class_bound_validation(self):
         with pytest.raises(ClassUnsupported):
             nilpotent_quotient(catalog("BnK", 2), 5)
+
+
+class TestSiftBound:
+    def test_pnk3_class4_overflows(self):
+        # about a second on a 2-core VM; unbounded, it runs for minutes
+        t0 = time.perf_counter()
+        with pytest.raises(Overflow, match="passed 10000 sifts"):
+            NilpotentImage.of(catalog("PnK", 3), 4)
+        assert time.perf_counter() - t0 < 15.0
+
+    @pytest.mark.parametrize("n, c, layers", [
+        (3, 3, [(3, (2,) * 3), (0, (2,) * 6), (0, (2,) * 12)]),
+        (2, 4, [(2, (2, 2)), (0, (2,) * 3), (0, (2,) * 5), (0, (2,) * 8)]),
+    ])
+    def test_closures_under_half_the_bound_answer(self, n, c, layers):
+        img = NilpotentImage.of(catalog("PnK", n), c)
+        assert 2 * img.sifts <= MAX_SIFTS
+        got = [img.layer(k) for k in range(1, c + 1)]
+        assert [(lay.free_rank, lay.torsion) for lay in got] == layers
 
 
 class TestNilpotentImage:
