@@ -330,6 +330,15 @@ class FiniteModel:
             self.columns += [perm, inv]
         self._tree = None
 
+    @classmethod
+    def _of_columns(cls, p: Presentation, columns: List[np.ndarray],
+                    npoints: int) -> "FiniteModel":
+        """A model on columns already laid out as above, which it may share
+        with other models."""
+        model = cls(p, [], npoints)
+        model.columns = columns
+        return model
+
     @property
     def generators(self) -> Tuple[Sym, ...]:
         return self.presentation.generators
@@ -386,51 +395,95 @@ def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
 
 # -- homomorphism search --------------------------------------------------
 
+# Bound on the candidate rows one `hom_search` call examines; a candidate is
+# an assignment of generators 0..i that extends a survivor of 0..i-1 by one
+# permutation. The largest call the package makes, P2K_reduced at degree 5,
+# examines 12.2 M rows (0.4 s on a 2-core x86 VM); the bound is 2.75 times
+# that.
+MAX_HOM_CANDIDATES = 1 << 25
+# Candidate rows traced at once (at least one parent row's worth): each
+# block holds a few integer arrays of this length, whatever the degree.
+_HOM_CHUNK_ROWS = 1 << 14
+
+
 def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
-    """All homomorphisms into the symmetric group on `degree` points, by
-    exhaustive backtracking with partial relator pruning."""
+    """All homomorphisms into the symmetric group on `degree` points, in the
+    lexicographic order of the generators' permutation codes (the sorted
+    order of the permutations).
+
+    The search runs level by level: the assignments of generators 0..i-1
+    that satisfy every relator in them are kept as rows of codes, each row
+    is extended by every permutation of generator i at once, and the
+    relators whose last generator is i are traced over the whole block, one
+    product-table gather per letter, dropping the rows a relator rejects.
+    Raises `Overflow` before the candidates examined would pass
+    `MAX_HOM_CANDIDATES`."""
     if degree < 1 or degree > 6:
         raise ValueError(f"degree must be 1..6, got {degree}")
     ngens = len(p.generators)
-    # relator becomes checkable once all its symbols are assigned
-    checkpoint: Dict[int, List[List[int]]] = {i: [] for i in range(ngens)}
+    # a relator is traced once all its generators are assigned
+    checks: List[List[List[int]]] = [[] for _ in range(ngens)]
     for r in p.relators:
         path = p.codes(r)
         if path:
-            checkpoint[max(path) >> 1].append(path)
+            checks[max(path) >> 1].append(path)
 
     # permutations are numbered by their place in sorted order, so code 0 is
-    # the identity; mul[a][b] is the code of "apply b, then a", found by
-    # reading each product's images as a base-`degree` number
-    perms = sorted(itertools.permutations(range(degree)))
-    arr = np.array(perms, dtype=np.int64)
+    # the identity; mul[k*a + b] is the code of "apply b, then a", found by
+    # reading each product's images as a base-`degree` number (its image j
+    # is perms[:, perms[:, j]][a, b])
+    perms = np.array(sorted(itertools.permutations(range(degree))), dtype=np.int64)
+    k = len(perms)
     weights = degree ** np.arange(degree - 1, -1, -1)
-    keys = arr @ weights
-    mul = np.searchsorted(keys, arr[:, arr] @ weights).tolist()
-    inv = np.searchsorted(keys, np.argsort(arr, axis=1) @ weights).tolist()
-    pairs = list(enumerate(inv))
-    found: List[FiniteModel] = []
-    # (code, inverse code) per assigned generator, indexed by column code
-    assignment: List[Tuple[int, int]] = []
+    keys = perms @ weights
+    mul = np.searchsorted(keys, sum(perms[:, perms[:, j]] * w
+                                    for j, w in enumerate(weights))).ravel()
+    inv = np.searchsorted(keys, np.argsort(perms, axis=1) @ weights)
+    # left factors k*a of a letter of the new generator, by its code
+    lefts = (k * np.arange(k), k * inv)
 
-    def ok(path: Sequence[int]) -> bool:
-        cur = 0
-        for col in path:
-            cur = mul[assignment[col >> 1][col & 1]][cur]
-        return cur == 0
+    rows = np.zeros((1, 0), dtype=np.int16)
+    examined = 0
+    per_block = max(1, _HOM_CHUNK_ROWS // k)
+    for i in range(ngens):
+        examined += len(rows) * k
+        blocks, kept = [], 0
+        for s in range(0, len(rows), per_block):
+            parents = rows[s:s + per_block]
+            # left factors of the parents' letters, by column code
+            table = k * np.stack([parents, inv[parents]], axis=2).reshape(len(parents), -1)
+            # row-major expansion: parent order first, then code order
+            par = np.repeat(np.arange(len(parents)), k)
+            new = np.tile(np.arange(k), len(parents))
+            for path in checks[i]:
+                cur = np.zeros(len(par), dtype=np.intp)
+                for col in path:
+                    if col >> 1 == i:
+                        cur = mul[lefts[col & 1][new] + cur]
+                    else:
+                        cur = mul[table[par, col] + cur]
+                keep = cur == 0
+                par, new = par[keep], new[keep]
+            block = np.empty((len(par), i + 1), dtype=np.int16)
+            block[:, :i] = parents[par]
+            block[:, i] = new
+            blocks.append(block)
+            # the next level examines k candidates per row kept: stop as soon
+            # as they would pass the bound, before this level is all stored
+            kept += len(par)
+            if i + 1 < ngens and examined + kept * k > MAX_HOM_CANDIDATES:
+                raise Overflow(f"hom_search into S{degree} would examine more "
+                               f"than {MAX_HOM_CANDIDATES} candidates")
+        rows = np.concatenate(blocks) if blocks else np.zeros((0, i + 1), np.int16)
 
-    def backtrack(i: int) -> None:
-        if i == ngens:
-            found.append(FiniteModel(p, [perms[a] for a, _ in assignment], degree))
-            return
-        for pair in pairs:
-            assignment.append(pair)
-            if all(ok(path) for path in checkpoint[i]):
-                backtrack(i + 1)
-            assignment.pop()
-
-    backtrack(0)
-    return found
+    # every model reads one shared (permutation, inverse) column pair per
+    # code; the arrays are read-only, so no model can change another's
+    perms.setflags(write=False)
+    inverses = perms[inv]
+    inverses.setflags(write=False)
+    pairs = list(zip(perms, inverses))
+    return [FiniteModel._of_columns(p, [col for c in row for col in pairs[c]], degree)
+            for row in rows.tolist()]
 
 
 # -- the mod-2 lower central tower ----------------------------------------

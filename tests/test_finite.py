@@ -446,12 +446,50 @@ class TestHomSearch:
         # the example fails if letters compose in the wrong order
         _assert_matches_brute_force(p, degree)
 
+    @given(_small_presentations(), st.integers(1, 3))
+    @example(Presentation("abc", [A, B, C], [WA * WB * Word.from_syms(C)]), 3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_random_one_row_blocks(self, p, degree):
+        # one parent row per block: every block seam must keep the order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finite, "_HOM_CHUNK_ROWS", 1)
+            _assert_matches_brute_force(p, degree)
+
     @pytest.mark.parametrize("make, count", [
         (lambda: catalog("P2K_reduced", 2), 1704),
         (lambda: catalog("BnK", 3), 360),
         (_b3k_sigmas_equal, 264)], ids=["P2K_reduced", "B3K", "B3K+(s1=s2)"])
     def test_degree_four_counts(self, make, count):
         assert len(hom_search(make(), 4)) == count
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: catalog("P2K_reduced", 2), 15000),
+        (lambda: catalog("BnK", 3), 2160),
+        (_b3k_sigmas_equal, 1320)], ids=["P2K_reduced", "B3K", "B3K+(s1=s2)"])
+    def test_degree_five_counts(self, make, count):
+        assert len(hom_search(make(), 5)) == count
+
+    def test_work_bound_counts_candidates(self, monkeypatch):
+        # P2K_reduced at degree 4 examines 72,600 candidate rows, 24 per
+        # survivor of each level; the bound admits exactly that many
+        p = catalog("P2K_reduced", 2)
+        monkeypatch.setattr(finite, "MAX_HOM_CANDIDATES", 72600)
+        assert len(hom_search(p, 4)) == 1704
+        monkeypatch.setattr(finite, "MAX_HOM_CANDIDATES", 72599)
+        with pytest.raises(Overflow):
+            hom_search(p, 4)
+
+    def test_degree_six_overflows(self):
+        with pytest.raises(Overflow, match="candidates"):
+            hom_search(_b3k_sigmas_equal(), 6)
+
+    def test_shared_columns_are_read_only(self):
+        models = hom_search(catalog("Pi1K", 1), 3)
+        before = [col.tolist() for m in models for col in m.columns]
+        for col in models[-1].columns:
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert [col.tolist() for m in models for col in m.columns] == before
 
 
 class TestTwoQuotientTower:
