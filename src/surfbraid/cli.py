@@ -13,13 +13,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import klein, series
 from .klein import ActionTable, action_table, fiber_basis, normal_form
-from .nilpotent import ClassUnsupported, NilpotentImage, nilpotent_quotient
+from .nilpotent import (MAX_CLASS, ClassUnsupported, NilpotentImage,
+                        nilpotent_quotient)
 from .presentations import (BadParameters, Presentation, SubgroupDescription,
                             TorusMetabelianElement, abelianization, catalog,
                             check_homomorphism, derived_relation_instances,
                             torus_metabelian_evaluate, torus_metabelian_oracle)
-from .words import (Overflow, Sym, Word, WordSyntaxError, colchete_rhs,
-                    commutator, parse_word, print_word)
+from .words import (Overflow, Sym, Word, colchete_rhs, commutator, parse_word,
+                    print_word)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -463,6 +464,9 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0 <= args.hom_degree <= 5:
         raise BadParameters(f"--hom-degree must be 0..5, got {args.hom_degree}")
+    if not 1 <= args.class_bound <= MAX_CLASS:
+        raise BadParameters(
+            f"--class must be 1..{MAX_CLASS}, got {args.class_bound}")
     # open the report file before the suite runs, so that a path that
     # cannot be written is a usage error and costs no computation
     try:
@@ -533,8 +537,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (BadParameters, WordSyntaxError, klein.BadLevel,
-            series.DepthUnsupported, ValueError) as e:
+    except ValueError as e:
+        # BadParameters, WordSyntaxError, BadLevel, DepthUnsupported and
+        # ClassUnsupported are all ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (Overflow, MemoryError) as e:

@@ -627,12 +627,10 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
 
 
 def tower_kernel_image(stages: Sequence[FiniteModel], n: int,
-                       d: Optional[int] = None) -> "SubgroupImage":
+                       d: int) -> "SubgroupImage":
     """The image in tower stage d of the kernel of the quotient map onto
     stage n. Stage points are built as (previous stage point << bits) | layer,
     so the kernel is exactly the initial block of points."""
-    if d is None:
-        d = len(stages)
     if not 1 <= n <= d <= len(stages):
         raise ValueError(f"need 1 <= n <= d <= {len(stages)}, got n={n}, d={d}")
     big, small = stages[d - 1].npoints, stages[n - 1].npoints

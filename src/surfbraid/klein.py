@@ -395,73 +395,56 @@ def _generator_images(level: int) -> ImageTable:
 
 
 @lru_cache(maxsize=None)
-def _pair_fibers(level: int) -> Dict[Sym, Word]:
-    """For each base-indexed generator z of the level, the fiber correction
-    f with z = f * s(z-one-level-down), over the free fiber basis."""
-    table = action_table(level - 1)
+def _moves(level: int) -> Dict[int, Tuple[Word, Optional[ImageTable]]]:
+    """How each generator letter of a level >= 2 is prepended to an
+    element F s(E), by letter code; the keys are the level's generators
+    and their inverses. A fiber letter (a, b or C_{i,level}) maps to
+    (f, None), its fiber word: x F s(E) = (f F) s(E). A base letter
+    z = f_z s(z) maps to (f_z, psi_z), and z^-1 to (phi_z(f_z^-1), phi_z):
+    x F s(E) = (f A(F)) s(x E) for the pair (f, A)."""
     n = level - 1
-    out: Dict[Sym, Word] = {}
-    for i in range(1, n):
-        out[_a(i)] = IDENTITY
-        out[_b(i)] = IDENTITY
-        for j in range(i + 1, n):
-            out[_c(i, j)] = IDENTITY
-    out[_a(n)] = table.apply_psi(_a(n), ~_wa(level))
-    out[_b(n)] = ~_wb(level)
+    table = action_table(n)
+    fibers = {_a(level): _wa(level), _b(level): _wb(level)}
+    for i in range(1, level):
+        fibers[_c(i, level)] = _eliminate(_c_fiber(i, level), level)
+    # f_z for the base letters that move the new strand; the others are
+    # their own sections
+    pair = {_a(n): table.apply_psi(_a(n), ~_wa(level)), _b(n): ~_wb(level)}
     for i in range(1, n):
         raw = _c_fiber(n, level) * ~_c_fiber(i, level)
-        out[_c(i, n)] = table.apply_psi(_c(i, n), _eliminate(raw, level))
-    return out
+        pair[_c(i, n)] = table.apply_psi(_c(i, n), _eliminate(raw, level))
+    moves: Dict[int, Tuple[Word, Optional[ImageTable]]] = {}
+    for x, f in fibers.items():
+        moves[x.code] = (f, None)
+        moves[x.code ^ 1] = (~f, None)
+    for z in base_generators(n):
+        f = pair.get(z, IDENTITY)
+        phi, psi = table._tables[z.code], table._tables[z.code ^ 1]
+        moves[z.code] = (f, psi)
+        moves[z.code ^ 1] = (substitute(~f, phi), phi)
+    return moves
 
 
-def _prepend(e: SemidirectElement, sym: Sym, exp: int) -> SemidirectElement:
+def _prepend(e: SemidirectElement, code: int) -> SemidirectElement:
     level = e.level
     if level == 1:
         k, l = e.base
-        if sym is _a(1):
+        exp = -1 if code & 1 else 1
+        if code >> 1 == _a(1).code >> 1:
             sign = 1 if k % 2 == 0 else -1
             return SemidirectElement(1, IDENTITY, (k, l + exp * sign))
-        if sym is _b(1):
-            return SemidirectElement(1, IDENTITY, (k + exp, l))
-        raise BadLevel(f"{sym} is not a level-1 generator")
-    top = max(sym.indices)
-    if top == level:
-        if sym.name == "a":
-            piece = _wa(level)
-        elif sym.name == "b":
-            piece = _wb(level)
-        elif sym.name == "C":
-            piece = _eliminate(_c_fiber(sym.indices[0], level), level)
-        else:
-            raise BadLevel(f"unexpected fiber symbol {sym}")
-        if exp == -1:
-            piece = ~piece
-        return SemidirectElement(level, _bounded(piece * e.fiber, level), e.base)
-    table = action_table(level - 1)
-    f = _pair_fibers(level)[sym]
-    if exp == 1:
-        fiber = f * table.apply_psi(sym, e.fiber)
-    else:
-        fiber = table.apply_phi(sym, ~f * e.fiber)
-    return SemidirectElement(level, _bounded(fiber, level),
-                             _prepend(e.base, sym, exp))
+        return SemidirectElement(1, IDENTITY, (k + exp, l))
+    f, act = _moves(level)[code]
+    if act is None:
+        return SemidirectElement(level, _bounded(f * e.fiber, level), e.base)
+    return SemidirectElement(level, _bounded(f * substitute(e.fiber, act), level),
+                             _prepend(e.base, code))
 
 
 def _bounded(fiber: Word, level: int) -> Word:
     if len(fiber.codes) > MAX_FIBER_LETTERS:
         raise Overflow(f"level-{level} fiber passed {MAX_FIBER_LETTERS} letters")
     return fiber
-
-
-def _validate_symbol(sym: Sym, n: int) -> None:
-    if sym.name in ("a", "b") and len(sym.indices) == 1:
-        if 1 <= sym.indices[0] <= n:
-            return
-    if sym.name == "C" and len(sym.indices) == 2:
-        i, j = sym.indices
-        if 1 <= i < j <= n:
-            return
-    raise BadLevel(f"{sym} is not a pure braid generator for n={n}")
 
 
 def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
@@ -472,18 +455,21 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     The bound is on the work, not on the answer: a short word whose normal
     form is small can still be refused, as (a4*C[1,4])^8 conjugating a5
     peaks at about 1.7 million letters and ends with a one-letter fiber."""
-    letters = w.letters  # the query's own letters, decoded once
     if n is None:
-        n = max([1] + [i for sym, _ in letters for i in sym.indices])
+        n = max([1] + [i for sym in w.syms() for i in sym.indices])
     if n < 1:
         raise BadLevel(f"need n >= 1, got {n}")
     if n > DEFAULT_MAX_LEVEL:
         raise BadLevel(f"level {n} exceeds the supported bound {DEFAULT_MAX_LEVEL}")
-    for sym, _ in letters:
-        _validate_symbol(sym, n)
+    generators = (_moves(n) if n > 1 else
+                  {c for z in base_generators(1) for c in (z.code, z.code ^ 1)})
+    for code in w.codes:
+        if code not in generators:
+            raise BadLevel(f"{Sym.from_code(code)} is not a pure braid "
+                           f"generator for n={n}")
     e = SemidirectElement.identity(n)
-    for sym, exp in reversed(letters):
-        e = _prepend(e, sym, exp)
+    for code in reversed(w.codes):
+        e = _prepend(e, code)
     return e
 
 

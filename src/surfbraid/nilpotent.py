@@ -38,6 +38,9 @@ class ClassUnsupported(ValueError):
 # second, where their closure or layer 4 would run for minutes.
 MAX_SIFTS = 10_000
 
+# the largest class bound NilpotentImage accepts
+MAX_CLASS = 4
+
 
 # -- truncated series ----------------------------------------------------
 
@@ -299,8 +302,9 @@ class NilpotentImage:
     the argument."""
 
     def __init__(self, p: Presentation, c: int):
-        if not 1 <= c <= 4:
-            raise ClassUnsupported(f"class bound {c} unsupported (use 1..4)")
+        if not 1 <= c <= MAX_CLASS:
+            raise ClassUnsupported(
+                f"class bound {c} unsupported (use 1..{MAX_CLASS})")
         self.presentation = p
         self.c = c
         # the series of each letter, indexed by its code

@@ -499,13 +499,11 @@ def torus_metabelian_evaluate(w: Word, n: int,
     return out
 
 
-def torus_metabelian_oracle(n: int,
-                            images: Optional[Mapping[Sym, TorusMetabelianElement]] = None
-                            ) -> Callable[[Word], bool]:
+def torus_metabelian_oracle(n: int) -> Callable[[Word], bool]:
     """Triviality in the metabelian quotient of B_n(T), as a predicate for
     `check_homomorphism`; the torus-derived suite uses the pair."""
     def is_trivial(w: Word) -> bool:
-        return torus_metabelian_evaluate(w, n, images).is_identity()
+        return torus_metabelian_evaluate(w, n).is_identity()
     return is_trivial
 
 

@@ -344,10 +344,11 @@ def parse_word(text: str) -> Word:
 
 
 def print_word(w: Word) -> str:
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         return "1"
     runs: List[Tuple[Sym, int]] = []
-    for sym, exp in w.letters:
+    for sym, exp in letters:
         if runs and runs[-1][0] == sym and (runs[-1][1] > 0) == (exp > 0):
             runs[-1] = (sym, runs[-1][1] + exp)
         else:

@@ -250,6 +250,19 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --hom-degree must be 0..5, got {degree}\n"
 
+    @pytest.mark.parametrize("bound", ["0", "5", "9", "-1"])
+    def test_class_out_of_range_is_usage_error(self, capsys, monkeypatch,
+                                               bound):
+        def no_work(*args, **kwargs):
+            raise AssertionError("suite ran before the class was checked")
+
+        monkeypatch.setattr("surfbraid.cli.action_table", no_work)
+        code, out, err = run(capsys, "verify", "klein-derived",
+                             "--class", bound)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --class must be 1..4, got {bound}\n"
+
     def test_exhausted_separation_is_indeterminate(self, capsys):
         code, rep = self._report(capsys, "separation", "--depth", "2")
         assert code == 1

@@ -1,4 +1,7 @@
+import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -138,6 +141,40 @@ class TestNormalForm:
         lhs = normal_form(u * v, n=2)
         rhs = normal_form(u, n=2) * normal_form(v, n=2)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_solver_is_homomorphic_more_strands(self, n, data):
+        u = data.draw(_gen_word_strategy(n, max_len=4))
+        v = data.draw(_gen_word_strategy(n, max_len=4))
+        lhs = normal_form(u * v, n=n)
+        rhs = normal_form(u, n=n) * normal_form(v, n=n)
+        assert lhs == rhs
+
+    def test_seeded_normal_forms_are_frozen(self):
+        # 50 random words of length <= 10 per n = 2..5: a change in any of
+        # their normal forms changes the digest of the reprs
+        rng = random.Random("klein-normal-forms")
+        lines = []
+        for n in (2, 3, 4, 5):
+            gens = base_generators(n)
+            for _ in range(50):
+                w = Word([(rng.choice(gens), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 10))])
+                lines.append(repr(normal_form(w, n)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("ac81117c6d321d57ea0ee01fb9f34a60"
+                          "b0c1cab733083b327de1a5ea85600e9e")
+
+    @pytest.mark.parametrize("sym", [Sym("a", (0,)), Sym("C", (2, 2)),
+                                     Sym("C", (3, 2)), Sym("D", (1, 3)),
+                                     Sym("b")])
+    @pytest.mark.parametrize("n", [None, 5])
+    def test_foreign_symbol_is_bad_level(self, sym, n):
+        with pytest.raises(BadLevel, match=f"{re.escape(str(sym))} is not a "
+                                           "pure braid generator"):
+            normal_form(Word.from_syms(A1, sym), n)
 
     @given(_gen_word_strategy(2))
     @settings(max_examples=60, deadline=None)
