@@ -27,15 +27,21 @@ def _trace(columns: Sequence[np.ndarray], path: Sequence[int], start):
 class CosetTable:
     """Complete table of cosets of a subgroup; columns[2g][c] is the coset
     generator g sends c to, columns[2g+1] the action of its inverse. Coset 0
-    is the subgroup itself."""
+    is the subgroup itself. A table `todd_coxeter` returns also reports its
+    work: `defined`, the cosets it defined, dead ones included (what
+    `max_cosets` bounds), and `scanned`, the relator letters of the cosets
+    it scanned (what `MAX_SCAN_LETTERS` bounds); both are 0 for a table
+    read off a model."""
 
-    __slots__ = ("presentation", "columns", "index")
+    __slots__ = ("presentation", "columns", "index", "defined", "scanned")
 
     def __init__(self, presentation: Presentation, columns: Sequence[np.ndarray],
-                 index: int):
+                 index: int, defined: int = 0, scanned: int = 0):
         self.presentation = presentation
         self.columns = list(columns)
         self.index = index
+        self.defined = defined
+        self.scanned = scanned
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
@@ -43,6 +49,16 @@ class CosetTable:
         start = np.arange(self.index)
         return all(np.array_equal(_trace(self.columns, p.codes(r), start), start)
                    for r in p.relators)
+
+
+# Bound on the relator letters one `todd_coxeter` call scans, counted as the
+# relators' total length once per live coset scanned. The largest count the
+# tests or the benchmark make is the 512-coset step of the P2K_reduced coset
+# route, 567,216 letters (202 cosets of 2,808); the bound is 7.4 times that.
+# The PnK 3 route's step to 32,768 cosets scans 79,456 letters per coset,
+# so it ends in `Overflow` at its 53rd coset, after about 1 s on a 2-core
+# x86 VM; with no bound it ran for 289 s.
+MAX_SCAN_LETTERS = 1 << 22
 
 
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
@@ -53,7 +69,18 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     still empty. Coincidences are processed as in the Handbook's
     COINCIDENCE routine, which removes a dead coset's back-references, so
     live rows only ever point at live cosets. `max_cosets` bounds the
-    cosets defined, dead ones included.
+    cosets defined, dead ones included, and `MAX_SCAN_LETTERS` the relator
+    letters scanned; past either it raises `Overflow`.
+
+    The enumeration stops at the first complete table that closes: once no
+    live row has an empty entry, and again after each coincidence that
+    leaves none, it checks the compacted table with numpy, and returns it
+    if every relator closes at every coset and every subgroup word fixes
+    coset 0. Each entry of the table is a fact about the cosets, so such a
+    table maps onto the cosets of the subgroup, and the action it defines
+    gives the inverse map: it is the coset table. A check that fails leaves
+    a relator open at a coset not yet scanned, so the scan there ends in a
+    coincidence before the table can change again.
 
     The table returned is standard: cosets are numbered in the order a
     breadth-first search from coset 0 over (coset, column) meets them. A
@@ -65,10 +92,16 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     check `two_quotient_tower` against."""
     width = 2 * len(p.generators)
     rel_paths = [p.codes(r) for r in p.relators if r.codes]
+    rel_letters = sum(map(len, rel_paths))
     sub_paths = [p.codes(w) for w in subgroup]
 
     table: List[List[Optional[int]]] = [[None] * width]
     parent = [0]  # union-find over coincidences; live cosets are roots
+    # empty entries of live rows, and whether the complete table has failed
+    # the closing check with no coincidence since
+    empty = width
+    failed = False
+    scanned = 0
 
     def rep(c: int) -> int:
         root = c
@@ -79,6 +112,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         return root
 
     def define(c: int, col: int) -> None:
+        nonlocal empty
         if len(table) >= max_cosets:
             raise Overflow(f"exceeded {max_cosets} cosets")
         d = len(table)
@@ -86,16 +120,21 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         parent.append(d)
         table[c][col] = d
         table[d][col ^ 1] = c
+        empty += width - 2
 
     def coincidence(a: int, b: int) -> None:
+        nonlocal empty, failed
+        failed = False
         dead: List[int] = []
 
         def merge(x: int, y: int) -> None:
+            nonlocal empty
             x, y = rep(x), rep(y)
             if x != y:
                 x, y = min(x, y), max(x, y)
                 parent[y] = x
                 dead.append(y)
+                empty -= table[y].count(None)
 
         merge(a, b)
         for e in dead:  # grows as merges kill more cosets
@@ -105,6 +144,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 if f is None:
                     continue
                 table[f][col ^ 1] = None
+                if parent[f] == f:
+                    empty += 1
                 x, y = rep(e), rep(f)
                 if table[x][col] is not None:
                     merge(y, table[x][col])
@@ -113,8 +154,10 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 else:
                     table[x][col] = y
                     table[y][col ^ 1] = x
+                    empty -= 2
 
     def scan_and_fill(c: int, path: Sequence[int]) -> None:
+        nonlocal empty
         f, b = c, c
         i, j = 0, len(path) - 1
         while True:
@@ -143,36 +186,54 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 # single gap: deduction
                 table[f][path[i]] = b
                 table[b][path[i] ^ 1] = f
+                empty -= 2
                 return
             # fill the forward gap with a new coset and continue
             define(f, path[i])
 
+    def closed_table() -> Optional[CosetTable]:
+        """The complete table compacted over live cosets and renumbered in
+        breadth-first order, if it closes; None if it does not."""
+        live = [c for c in range(len(table)) if parent[c] == c]
+        renum = np.zeros(len(table), dtype=np.int64)
+        renum[live] = np.arange(len(live))
+        rows = renum[np.array([table[c] for c in live], dtype=np.int64)
+                     .reshape(len(live), width)]
+        order = _schreier_tree(list(rows.T), len(live))[2]
+        standard = np.empty_like(order)
+        standard[order] = np.arange(len(live))
+        columns = [standard[col[order]] for col in rows.T]
+        out = CosetTable(p, columns, len(live), len(table), scanned)
+        if out.scan_closes() and all(_trace(columns, path, 0) == 0
+                                     for path in sub_paths):
+            return out
+        return None
+
     for path in sub_paths:
         scan_and_fill(0, path)
     c = 0
-    while c < len(table):
-        for path in rel_paths:
-            if parent[c] != c:
-                break
-            scan_and_fill(c, path)
+    while True:
+        if empty == 0 and not failed:
+            out = closed_table()
+            if out is not None:
+                return out
+            failed = True
+        if c == len(table):
+            raise AssertionError("coset table closed but a relator scan fails")
         if parent[c] == c:
-            for col in range(width):
-                if table[c][col] is None:
-                    define(c, col)
+            scanned += rel_letters
+            if scanned > MAX_SCAN_LETTERS:
+                raise Overflow(f"exceeded {MAX_SCAN_LETTERS} relator letters "
+                               "scanned")
+            for path in rel_paths:
+                scan_and_fill(c, path)
+                if parent[c] != c:
+                    break
+            else:  # c is still live: define its columns still empty
+                for col in range(width):
+                    if table[c][col] is None:
+                        define(c, col)
         c += 1
-
-    # compact over live cosets, then renumber in breadth-first order
-    live = [c for c in range(len(table)) if parent[c] == c]
-    renum = {c: i for i, c in enumerate(live)}
-    rows = np.array([[renum[t] for t in table[c]] for c in live], dtype=np.int64)
-    order = _schreier_tree(list(rows.T), len(live))[2]
-    standard = np.empty_like(order)
-    standard[order] = np.arange(len(live))
-    columns = [standard[col[order]] for col in rows.T]
-    out = CosetTable(p, columns, len(live))
-    if not out.scan_closes():
-        raise AssertionError("coset table closed but a relator scan fails")
-    return out
 
 
 # -- Reidemeister-Schreier ------------------------------------------------
@@ -189,6 +250,10 @@ def _schreier_tree(columns: Sequence[np.ndarray], n: int
     letter = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
+    # first[t]: the least (frontier, column) position of a level that reaches
+    # the new point t. Every point written is marked seen below and never
+    # written again, so the array needs no reset between levels.
+    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     levels = []
     while frontier.size:
@@ -198,8 +263,10 @@ def _schreier_tree(columns: Sequence[np.ndarray], n: int
             targets[:, j] = col[frontier]
         targets = targets.ravel()
         fresh = np.flatnonzero(~seen[targets])
-        _, first = np.unique(targets[fresh], return_index=True)
-        found = np.sort(fresh[first])
+        hit = targets[fresh]
+        np.minimum.at(first, hit, fresh)
+        # positions in increasing order, one per new point
+        found = fresh[first[hit] == fresh]
         reached = targets[found]
         parent[reached] = frontier[found // width]
         letter[reached] = found % width

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, commutator,
                     substitute)
@@ -425,6 +425,14 @@ def _moves(level: int) -> Dict[int, Tuple[Word, Optional[ImageTable]]]:
     return moves
 
 
+@lru_cache(maxsize=None)
+def _letter_codes(level: int) -> FrozenSet[int]:
+    """The letter codes of a level's generators and their inverses, the
+    keys of `_moves(level)`, read without building any table, so that a
+    foreign letter is refused first."""
+    return frozenset(c for z in base_generators(level) for c in (z.code, z.code ^ 1))
+
+
 def _prepend(e: SemidirectElement, code: int) -> SemidirectElement:
     level = e.level
     if level == 1:
@@ -461,8 +469,7 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
         raise BadLevel(f"need n >= 1, got {n}")
     if n > DEFAULT_MAX_LEVEL:
         raise BadLevel(f"level {n} exceeds the supported bound {DEFAULT_MAX_LEVEL}")
-    generators = (_moves(n) if n > 1 else
-                  {c for z in base_generators(1) for c in (z.code, z.code ^ 1)})
+    generators = _letter_codes(n)
     for code in w.codes:
         if code not in generators:
             raise BadLevel(f"{Sym.from_code(code)} is not a pure braid "

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,103 @@ def _two_generator_enumerations(draw):
     return Presentation("random", [A, B], relators), subgroup
 
 
+def _reference_todd_coxeter(p, subgroup, max_cosets):
+    """HLT coset enumeration run to the end, without the package's early
+    stop, scan bound or Schreier tree: every live coset is scanned under
+    every relator and filled, then the table is compacted and numbered by
+    `_standardize`. Returns the standard table as lists of columns; raises
+    `Overflow` where the package's enumeration would pass `max_cosets`."""
+    width = 2 * len(p.generators)
+    table = [[None] * width]
+    parent = [0]
+
+    def rep(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    def define(c, col):
+        if len(table) >= max_cosets:
+            raise Overflow(f"exceeded {max_cosets} cosets")
+        table.append([None] * width)
+        parent.append(len(table) - 1)
+        table[c][col] = len(table) - 1
+        table[-1][col ^ 1] = c
+
+    def coincidence(a, b):
+        dead = []
+
+        def merge(x, y):
+            x, y = rep(x), rep(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                dead.append(max(x, y))
+
+        merge(a, b)
+        for e in dead:
+            for col, f in enumerate(table[e]):
+                if f is None:
+                    continue
+                table[f][col ^ 1] = None
+                x, y = rep(e), rep(f)
+                if table[x][col] is not None:
+                    merge(y, table[x][col])
+                elif table[y][col ^ 1] is not None:
+                    merge(x, table[y][col ^ 1])
+                else:
+                    table[x][col], table[y][col ^ 1] = y, x
+
+    def scan_and_fill(c, path):
+        f, b, i, j = c, c, 0, len(path) - 1
+        while True:
+            while i <= j and table[f][path[i]] is not None:
+                f, i = table[f][path[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][path[j] ^ 1] is not None:
+                b, j = table[b][path[j] ^ 1], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][path[i]], table[b][path[i] ^ 1] = b, f
+                return
+            define(f, path[i])
+
+    for w in subgroup:
+        scan_and_fill(0, p.codes(w))
+    c = 0
+    while c < len(table):
+        for r in p.relators:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, p.codes(r))
+        if parent[c] == c:
+            for col in range(width):
+                if table[c][col] is None:
+                    define(c, col)
+        c += 1
+    live = [c for c in range(len(table)) if parent[c] == c]
+    renum = {c: i for i, c in enumerate(live)}
+    columns = [[renum[table[c][col]] for c in live] for col in range(width)]
+    return _standardize(columns, len(live))
+
+
+def _route_case(family, n, steps):
+    """(presentation, subgroup) of a step of the coset route to the mod-2
+    tower: the group over its generators, then `steps` rounds of adjoining
+    the squares and generator-commutators of the last table's kernel."""
+    p = catalog(family, n)
+    q = Presentation(p.label, list(p.generators),
+                     list(p.relators) + [Word.from_syms(g) for g in p.generators])
+    for _ in range(steps):
+        t = todd_coxeter(q, [], max_cosets=3000)
+        q = adjoin_kernel_relators(p, t)
+    return q, []
+
+
 class _ReferenceSchreier:
     """The Schreier generators of a transitive action, numbered without the
     package's Schreier code: the tree of a queue-driven breadth-first
@@ -95,13 +193,17 @@ class _ReferenceSchreier:
     def __init__(self, columns, n):
         self.columns = [col.tolist() for col in columns]
         self.paths = {0: []}
+        # parent coset and entering column of each coset, and the order the
+        # queue meets them in
+        self.parent, self.letter = [-1] * n, [-1] * n
         tree_edges = set()
-        order = [0]
+        self.order = order = [0]
         for c in order:  # grows as cosets are met
             for j, col in enumerate(self.columns):
                 d = col[c]
                 if d not in self.paths:
                     self.paths[d] = self.paths[c] + [j]
+                    self.parent[d], self.letter[d] = c, j
                     order.append(d)
                     # an inverse column enters d along the edge (d, g)
                     tree_edges.add((d if j & 1 else c, j >> 1))
@@ -137,6 +239,42 @@ class _ReferenceSchreier:
         """u_c . x_g . u_d^-1 for the edge (c, g), entering coset d."""
         d = self.columns[2 * g][c]
         return self.paths[c] + [2 * g] + [x ^ 1 for x in reversed(self.paths[d])]
+
+
+@st.composite
+def _transitive_models(draw):
+    """Permutation models on 1..40 points of one to three generators, the
+    first an n-cycle in a drawn order, so the action is transitive."""
+    n = draw(st.integers(1, 40))
+    ring = draw(st.permutations(range(n)))
+    cycle = [0] * n
+    for i, x in enumerate(ring):
+        cycle[x] = ring[(i + 1) % n]
+    perms = [cycle] + draw(st.lists(st.permutations(range(n)), max_size=2))
+    perms = draw(st.permutations(perms))
+    return FiniteModel(Presentation("F", [A, B, C][:len(perms)], []), perms, n)
+
+
+def _assert_tree_matches_reference(model):
+    ref = _ReferenceSchreier(model.columns, model.npoints)
+    parent, letter, order = finite._schreier_tree(model.columns, model.npoints)
+    assert (parent.tolist(), letter.tolist(), order.tolist()) \
+        == (ref.parent, ref.letter, ref.order)
+
+
+class TestSchreierTree:
+    @given(_transitive_models())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_queue_bfs(self, model):
+        _assert_tree_matches_reference(model)
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda: catalog("P2K_reduced", 2), 4), (lambda: catalog("PnK", 3), 3),
+        (lambda: Presentation("F3", [A, B, C], []), 3)],
+        ids=["P2K_reduced", "P3K", "F3"])
+    def test_tower_stages_match_queue_bfs(self, make, depth):
+        for model in two_quotient_tower(make(), depth):
+            _assert_tree_matches_reference(model)
 
 
 class TestToddCoxeter:
@@ -192,6 +330,43 @@ class TestToddCoxeter:
         except Overflow:
             return
         assert _table_lists(t2) == _table_lists(t)
+
+    @given(_two_generator_enumerations())
+    @example(_route_case("P2K_reduced", 2, 2))
+    @example(_route_case("PnK", 3, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, case):
+        # the early stop returns the table, or the Overflow, of the
+        # enumeration run to the end; the examples are the 512-coset step of
+        # the P2K_reduced route and the 64-coset step of the PnK 3 route
+        p, subgroup = case
+        try:
+            want = _reference_todd_coxeter(p, subgroup, 3000)
+        except Overflow:
+            with pytest.raises(Overflow):
+                todd_coxeter(p, subgroup, max_cosets=3000)
+            return
+        assert _table_lists(todd_coxeter(p, subgroup, max_cosets=3000)) == want
+
+    def test_work_counts(self):
+        # the 512-coset step of the P2K_reduced route: the table is complete
+        # and closes after 202 of its 512 cosets are scanned
+        p, _ = _route_case("P2K_reduced", 2, 2)
+        t = todd_coxeter(p, [])
+        letters = sum(len(p.codes(r)) for r in p.relators)
+        assert t.index == 512 and t.defined >= t.index
+        assert t.scanned % letters == 0
+        assert t.scanned < t.index * letters / 2
+
+    def test_scan_bound(self):
+        # the PnK 3 route's step to 32,768 cosets scans 79,456 relator letters
+        # per coset; it passes MAX_SCAN_LETTERS at its 53rd coset, about 1 s
+        # into the step on a 2-core x86 VM (it ran for 289 s with no bound)
+        p, _ = _route_case("PnK", 3, 2)
+        start = time.perf_counter()
+        with pytest.raises(Overflow, match="relator letters"):
+            todd_coxeter(p, [], max_cosets=200000)
+        assert time.perf_counter() - start < 30
 
     def test_overflow(self):
         with pytest.raises(Overflow):

@@ -171,7 +171,11 @@ class TestNormalForm:
                                      Sym("C", (3, 2)), Sym("D", (1, 3)),
                                      Sym("b")])
     @pytest.mark.parametrize("n", [None, 5])
-    def test_foreign_symbol_is_bad_level(self, sym, n):
+    def test_foreign_symbol_is_bad_level(self, sym, n, monkeypatch):
+        # the letters are checked before any move table is built
+        def no_tables(level):
+            raise AssertionError(f"built the level-{level} moves")
+        monkeypatch.setattr(klein, "_moves", no_tables)
         with pytest.raises(BadLevel, match=f"{re.escape(str(sym))} is not a "
                                            "pure braid generator"):
             normal_form(Word.from_syms(A1, sym), n)
