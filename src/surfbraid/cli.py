@@ -444,9 +444,12 @@ def _cmd_nq(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    # usage errors come before numpy and the finite layer are loaded
+    if args.depth < 1:
+        raise BadParameters(f"depth must be >= 1, got {args.depth}")
+    p = catalog(args.family, args.n, args.g)
     from .finite import two_quotient_tower
-    stages = two_quotient_tower(catalog(args.family, args.n, args.g),
-                                args.depth)
+    stages = two_quotient_tower(p, args.depth)
     print("orders=" + str([m.npoints for m in stages]))
     return 0
 

@@ -54,9 +54,9 @@ class CosetTable:
 # Bound on the relator letters one `todd_coxeter` call scans, counted as the
 # relators' total length once per live coset scanned. The largest count the
 # tests or the benchmark make is the 512-coset step of the P2K_reduced coset
-# route, 567,216 letters (202 cosets of 2,808); the bound is 7.4 times that.
-# The PnK 3 route's step to 32,768 cosets scans 79,456 letters per coset,
-# so it ends in `Overflow` at its 53rd coset, after about 1 s on a 2-core
+# route, 383,600 letters (175 cosets of 2,192); the bound is 10.9 times that.
+# The PnK 3 route's step to 32,768 cosets scans 68,896 letters per coset,
+# so it ends in `Overflow` at its 61st coset, after about 1 s on a 2-core
 # x86 VM; with no bound it ran for 289 s.
 MAX_SCAN_LETTERS = 1 << 22
 
@@ -364,15 +364,35 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
     the subgroup the table enumerates (its next mod-2 central layer). Only
     the tests and the benchmark call it: it is a step of the independent
     coset route to the mod-2 tower, which the tests check
-    `two_quotient_tower` against."""
-    extra: List[Word] = []
+    `two_quotient_tower` against.
+
+    Identity words are dropped, and of the relators with one cyclic
+    reduction only the first is kept: a cyclic conjugate of a relator is in
+    its normal closure, so the quotient, and the standard table of any
+    enumeration over it, stay the same. Each kept word is the one built, not
+    its cyclic reduction: on the 512-coset step of the P2K_reduced route the
+    reduced words lead HLT to scan 405,790 letters, the built ones 383,600."""
+    relators: List[Word] = []
+    seen: Set[Tuple[int, ...]] = set()
+
+    def adjoin(w: Word) -> None:
+        codes = w.codes
+        i, j = 0, len(codes)
+        while j - i > 1 and codes[i] ^ codes[j - 1] == 1:
+            i, j = i + 1, j - 1
+        key = codes[i:j]
+        if key and key not in seen:
+            seen.add(key)
+            relators.append(w)
+
+    for r in p.relators:
+        adjoin(r)
     for s in schreier_generator_words(t):
-        extra.append(s * s)
+        adjoin(s * s)
         for g in p.generators:
             gw = Word(((g, 1),))
-            extra.append(s * gw * ~s * ~gw)
-    return Presentation(f"{p.label}+kernel2", p.generators,
-                        list(p.relators) + extra)
+            adjoin(s * gw * ~s * ~gw)
+    return Presentation(f"{p.label}+kernel2", p.generators, relators)
 
 
 # -- finite permutation models --------------------------------------------
@@ -565,9 +585,17 @@ MAX_POINTS = 1 << 20
 
 def _f2_eliminate(rows: List[int]) -> Dict[int, int]:
     """Gaussian elimination over F2 on bitmask rows; returns the pivot-column
-    -> row map."""
+    -> row map.
+
+    The rows are reduced in increasing popcount (a stable sort). The pivot
+    columns are the leading bits of the row space, and each `_f2_project`
+    value is the unique vector of a coset supported on the free columns, so
+    neither depends on the order the rows come in; only the work does.
+    Sparse rows make sparse pivots, and a sparse pivot sets few bits to
+    clear later: stage 4 of the P2K_reduced tower makes 95,649 XORs this way
+    against 217,691 in the order the rows are built."""
     pivots: Dict[int, int] = {}
-    for row in rows:
+    for row in sorted(rows, key=int.bit_count):
         r = row
         while r:
             lead = r.bit_length() - 1

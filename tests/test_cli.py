@@ -319,6 +319,19 @@ class TestWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([0] * len(argvs))
 
+    def test_tower_usage_error_leaves_finite_out(self):
+        # a depth below 1 is refused before the catalog presentation is
+        # built and before the finite layer (and numpy) is imported
+        proc = _child(
+            "-c",
+            "import sys\n"
+            "from surfbraid import cli\n"
+            "code = cli.main(['tower', 'P2K_reduced', '2', '0'])\n"
+            "print(code, 'surfbraid.finite' in sys.modules, 'numpy' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2 False False"
+        assert proc.stderr == "error: depth must be >= 1, got 0\n"
+
 
 def test_deterministic_reports(capsys):
     code1, out1, _ = run(capsys, "verify", "center")

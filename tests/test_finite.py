@@ -349,18 +349,20 @@ class TestToddCoxeter:
         assert _table_lists(todd_coxeter(p, subgroup, max_cosets=3000)) == want
 
     def test_work_counts(self):
-        # the 512-coset step of the P2K_reduced route: the table is complete
-        # and closes after 202 of its 512 cosets are scanned
+        # the 512-coset step of the P2K_reduced route: over its 189 relators
+        # (2,192 letters) the table is complete and closes after 175 of its
+        # 512 cosets are scanned, 383,600 letters, with 1,683 cosets defined
         p, _ = _route_case("P2K_reduced", 2, 2)
         t = todd_coxeter(p, [])
         letters = sum(len(p.codes(r)) for r in p.relators)
         assert t.index == 512 and t.defined >= t.index
         assert t.scanned % letters == 0
         assert t.scanned < t.index * letters / 2
+        assert t.scanned <= 383_600 and t.defined <= 1_683
 
     def test_scan_bound(self):
-        # the PnK 3 route's step to 32,768 cosets scans 79,456 relator letters
-        # per coset; it passes MAX_SCAN_LETTERS at its 53rd coset, about 1 s
+        # the PnK 3 route's step to 32,768 cosets scans 68,896 relator letters
+        # per coset; it passes MAX_SCAN_LETTERS at its 61st coset, about 1 s
         # into the step on a 2-core x86 VM (it ran for 289 s with no bound)
         p, _ = _route_case("PnK", 3, 2)
         start = time.perf_counter()
@@ -501,6 +503,20 @@ class TestReidemeisterSchreier:
         # ambient stays Z4 with extra relators; enumeration still closes
         t2 = todd_coxeter(q, [])
         assert t2.index in (1, 2, 4)
+
+    def test_adjoin_kernel_relators_once(self):
+        # no identity relator, and no two relators with one cyclic
+        # reduction: the 512-coset step of the P2K_reduced route had 250
+        # relators before they were kept once, and has 189
+        def cyclic_reduction(codes):
+            while len(codes) > 1 and codes[0] ^ codes[-1] == 1:
+                codes = codes[1:-1]
+            return codes
+
+        p, _ = _route_case("P2K_reduced", 2, 2)
+        keys = [cyclic_reduction(r.codes) for r in p.relators]
+        assert all(keys)
+        assert len(set(keys)) == len(keys) == 189
 
 
 def _brute_force_homs(p, degree):
@@ -710,6 +726,49 @@ class TestTwoQuotientTower:
         stages = two_quotient_tower(p, depth)
         assert [[col.tolist() for col in m.columns] for m in stages] \
             == _per_coset_tower(p, depth)
+
+    @given(st.lists(st.lists(st.integers(0, 39), max_size=4), max_size=30),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_row_order_keeps_the_answer(self, supports, rng):
+        # the pivot columns and every projection depend only on the row
+        # space: rows given as drawn, in popcount order and shuffled agree
+        rows = [sum(1 << i for i in set(bits)) for bits in supports]
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        answers = []
+        for order in (rows, sorted(rows, key=int.bit_count), shuffled):
+            pivots = _f2_eliminate(order)
+            free_pos = {c: i for i, c in enumerate(
+                c for c in range(40) if c not in pivots)}
+            answers.append((set(pivots), [_f2_project(1 << i, pivots, free_pos)
+                                          for i in range(40)]))
+        assert answers[0] == answers[1] == answers[2]
+
+    def test_elimination_work(self, monkeypatch):
+        # the XORs `_f2_eliminate` makes at stage 4 of the P2K_reduced tower,
+        # counted on its own loop: 95,649 with the sparsest rows first,
+        # 217,691 in the order the rows are built
+        xors = 0
+
+        class Counted(int):
+            def __xor__(self, other):
+                nonlocal xors
+                xors += 1
+                return Counted(int(self) ^ int(other))
+
+        eliminate = finite._f2_eliminate
+
+        def counting(rows):
+            nonlocal xors
+            xors = 0
+            pivots = eliminate([Counted(r) for r in rows])
+            return {c: int(r) for c, r in pivots.items()}
+
+        monkeypatch.setattr(finite, "_f2_eliminate", counting)
+        two_quotient_tower(catalog("P2K_reduced", 2), 4)
+        # the last call was stage 4's
+        assert 0 < xors <= 120_000
 
     def test_relators_vanish_in_every_stage(self):
         p = catalog("P2K_reduced", 2)
