@@ -6,7 +6,8 @@ finite 2-group models."""
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -287,21 +288,33 @@ def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
     return path
 
 
+def _generator_path(columns: Sequence[np.ndarray], parent: Sequence[int],
+                    letter: Sequence[int], c: int, g: int) -> List[int]:
+    """Columns of the Schreier generator u_c . x_g . u_d^-1 of the edge
+    (c, g) off the tree, where u_c is the tree path to c and d is the coset
+    the edge enters."""
+    d = int(columns[2 * g][c])
+    return (_tree_path(parent, letter, c) + [2 * g]
+            + [x ^ 1 for x in reversed(_tree_path(parent, letter, d))])
+
+
 def _edge_bits(columns: Sequence[np.ndarray],
                tree: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[List[int]]:
     """The Schreier generators as edge bits over the BFS tree of the
-    action: the edge (c, g) has the bit 1 << (c * ngens + g), or 0 if it is
-    a tree edge, so the nonzero bits are the Schreier generators in (coset,
-    generator) order. Returns the bit each column move crosses: bits[2g][c]
-    is that of (c, g), and bits[2g+1][c] that of (d, g), which the inverse
-    move from c to d walks backwards."""
+    action: the k-th edge (c, g) off the tree in (coset, generator) order
+    has the bit 1 << k, and a tree edge has 0. Returns the bit each column
+    move crosses: bits[2g][c] is that of (c, g), and bits[2g+1][c] that of
+    (d, g), which the inverse move from c to d walks backwards."""
     parent, letter, _ = tree
     ngens = len(columns) // 2
-    edge = [1 << i for i in range(len(parent) * ngens)]
+    off = [True] * (len(parent) * ngens)
     for c, a, col in zip(range(1, len(parent)), parent[1:].tolist(),
                          letter[1:].tolist()):
         # an inverse column enters c along the edge (c, g) backwards
-        edge[(c if col & 1 else a) * ngens + (col >> 1)] = 0
+        off[(c if col & 1 else a) * ngens + (col >> 1)] = False
+    # the running count of edges off the tree numbers them from 1
+    edge = [1 << (k - 1) if o else 0
+            for o, k in zip(off, itertools.accumulate(off))]
     bits: List[List[int]] = []
     for g in range(ngens):
         bits.append(edge[g::ngens])
@@ -351,10 +364,7 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     words = []
     for c, g in itertools.product(range(t.index), range(len(gens))):
         if bits[2 * g][c]:
-            # u_c . x_g . u_d^-1, with d the coset the edge enters
-            d = int(t.columns[2 * g][c])
-            path = (_tree_path(parent, letter, c) + [2 * g]
-                    + [x ^ 1 for x in reversed(_tree_path(parent, letter, d))])
+            path = _generator_path(t.columns, parent, letter, c, g)
             words.append(Word([(gens[x >> 1], -1 if x & 1 else 1) for x in path]))
     return words
 
@@ -583,41 +593,123 @@ MAX_LAYER_BITS = 1 << 32
 MAX_POINTS = 1 << 20
 
 
-def _f2_eliminate(rows: List[int]) -> Dict[int, int]:
-    """Gaussian elimination over F2 on bitmask rows; returns the pivot-column
-    -> row map.
-
-    The rows are reduced in increasing popcount (a stable sort). The pivot
-    columns are the leading bits of the row space, and each `_f2_project`
-    value is the unique vector of a coset supported on the free columns, so
-    neither depends on the order the rows come in; only the work does.
-    Sparse rows make sparse pivots, and a sparse pivot sets few bits to
-    clear later: stage 4 of the P2K_reduced tower makes 95,649 XORs this way
-    against 217,691 in the order the rows are built."""
-    pivots: Dict[int, int] = {}
-    for row in sorted(rows, key=int.bit_count):
-        r = row
-        while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                break
-    return pivots
+class _F2Layer(NamedTuple):
+    """What `_f2_layer` returns: the free columns in increasing order, the
+    projection of every column (bit i stands for free[i]), and the work:
+    the rows reduced in full, the rows certified zero by their projection,
+    and the XORs of a row with a pivot."""
+    free: List[int]
+    projection: List[int]
+    reduced: int
+    certified: int
+    xors: int
 
 
-def _f2_project(vec: int, pivots: Dict[int, int], free_pos: Dict[int, int]) -> int:
-    r = vec
+def _f2_insert(row: int, pivots: Dict[int, int]) -> int:
+    """Reduce a bitmask row over F2 by the pivots of its leading bits and
+    keep what is left, if anything, as the pivot of its leading bit;
+    returns the XORs made."""
+    xors = 0
+    while row:
+        lead = row.bit_length() - 1
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            break
+        row ^= pivot
+        xors += 1
+    return xors
+
+
+def _f2_image(vec: int, images: Sequence[int]) -> int:
+    """The sum over F2 of images[i] over the bits i of vec."""
     out = 0
-    while r:
-        lead = r.bit_length() - 1
-        if lead in pivots:
-            r ^= pivots[lead]
-        else:
-            r ^= 1 << lead
-            out |= 1 << free_pos[lead]
+    while vec:
+        low = vec & -vec
+        out ^= images[low.bit_length() - 1]
+        vec ^= low
     return out
+
+
+def _f2_coordinates(pivots: Dict[int, int], ncols: int
+                    ) -> Tuple[List[int], List[int]]:
+    """The columns below `ncols` that lead no pivot, in increasing order,
+    and the coordinate of every column over them: the unique vector
+    supported on those columns that differs from the unit column by an
+    element of the pivots' span, bit i standing for the i-th open column.
+    Columns are taken from low to high: an open column is its own
+    coordinate, and a pivot's column is the sum of the coordinates of the
+    pivot's other bits, which all lie below it."""
+    open_cols: List[int] = []
+    coords: List[int] = []
+    for j in range(ncols):
+        pivot = pivots.get(j)
+        if pivot is None:
+            coords.append(1 << len(open_cols))
+            open_cols.append(j)
+        else:
+            coords.append(_f2_image(pivot ^ (1 << j), coords))
+    return open_cols, coords
+
+
+def _f2_layer(rows: List[int], ncols: int,
+              project: Callable[[List[int]], List[int]]) -> _F2Layer:
+    """The free columns of the row space R of `rows` over F2 (bitmasks of
+    `ncols` columns), those that lead no vector of R, and the projection
+    of every column: the unique vector supported on the free columns that
+    differs from the unit column by a vector of R.
+
+    `project(coords)` returns the image of every row under the linear map
+    that sends column j to coords[j]. A caller that builds its rows by a
+    linear recurrence gets those images from the same recurrence, and no
+    row's bits are walked.
+
+    - Sparse prefix. The rows are reduced in full one popcount class at a
+      time, sparsest first, up to and including the first class of
+      popcount >= 1 in which at least half the rows reduce to zero. Let S
+      be the span of the prefix's pivots.
+    - Reduced coordinates. `_f2_coordinates` gives every column a
+      coordinate over the m columns the prefix leaves open.
+    - The rest in the small space. Every row is projected to its
+      coordinate. A row that projects to zero lies in S and is never
+      reduced. The nonzero projections are reduced in F2^m, where bit i is
+      the i-th open column, so leading bits keep the column order.
+
+    Both answers depend only on R. Taking coordinates is a linear map onto
+    the vectors supported on the open columns, with kernel S, and it maps R
+    onto the span R' of the projections. A vector of R whose leading
+    column leads no pivot of S keeps that lead when it is reduced by S,
+    which only clears lower bits; the reduced vector is its coordinate,
+    which lies in R'. So the leads of R are those of S together with those
+    of R', and the free columns are the open columns that lead nothing in
+    R'. A column's projection is the projection of its coordinate modulo
+    R', which `_f2_coordinates` gives again in the small space."""
+    pivots: Dict[int, int] = {}
+    reduced = xors = 0
+    for weight, group in itertools.groupby(sorted(rows, key=int.bit_count),
+                                           key=int.bit_count):
+        group = list(group)
+        reduced += len(group)
+        if not weight:
+            continue
+        rank = len(pivots)
+        for row in group:
+            xors += _f2_insert(row, pivots)
+        if 2 * (len(group) - (len(pivots) - rank)) >= len(group):
+            break
+    open_cols, coords = _f2_coordinates(pivots, ncols)
+    small: Dict[int, int] = {}
+    zeros = 0
+    for v in project(coords):
+        if v:
+            xors += _f2_insert(v, small)
+        else:
+            zeros += 1
+    kept, free_coords = _f2_coordinates(small, len(open_cols))
+    # every row of the prefix projects to zero
+    return _F2Layer([open_cols[i] for i in kept],
+                    [_f2_image(v, free_coords) for v in coords],
+                    reduced, zeros - reduced, xors)
 
 
 def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
@@ -634,22 +726,40 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     (hg - 1)v = (h - 1)(gv) + (g - 1)v and (h^-1 - 1)v = (h - 1)(h^-1 v).
     The row of r traced from coset c is the class of u_c r u_c^-1, which is
     r + (u_c - 1)r and so lies in r + I.V. The row space is therefore the
-    same; its leading bits, so the pivot and free columns, depend only on
-    the row space, and each `_f2_project` value is the unique vector of the
-    coset supported on the free columns. Every stage permutation is the
-    one the per-coset rows give.
+    same; the free columns, and the projection of each column onto them,
+    depend only on the row space (`_f2_layer`). Every stage permutation is
+    the one the per-coset rows give.
 
     Each Schreier generator is its edge bit (`_edge_bits`). The bits keep
-    the (coset, generator) order, and tree edges have none, so the leading
-    bits, the free columns and every `_f2_project` value are those of the
-    generators numbered 0, 1, ... in that order. The row of s = u_c x_g
-    u_d^-1 and h is the parity of h s h^-1 plus s. Walked from the base
-    point, the letters h and h^-1 cross the same edge and cancel. In
-    between, u_c walked from P[0] = h.0 ends at P[c] with parity T[c]; for
-    the tree parent a of c, both follow from P[a] and T[a] by the tree
-    letter into c. The stage acts regularly, so u_c x_g and u_d walked
-    from P[0] both end at P[d], and the row is T[c] + (the bit of
-    (P[c], g)) + T[d] + s."""
+    the (coset, generator) order, and tree edges have none, so the free
+    columns and every projection are those of the generators numbered 0,
+    1, ... in that order. The row of s = u_c x_g u_d^-1 and h is the parity
+    of h s h^-1 plus s. Walked from the base point, the letters h and h^-1
+    cross the same edge and cancel. In between, u_c walked from P[0] = h.0
+    ends at P[c] with parity T[c]; for the tree parent a of c, both follow
+    from P[a] and T[a] by the tree letter into c. The stage acts regularly,
+    so u_c x_g and u_d walked from P[0] both end at P[d], and the row is
+    T[c] + (the bit of (P[c], g)) + T[d] + s.
+
+    Projection by the recurrence. `_f2_layer` asks for the image of every
+    row under the linear map that sends each column to a coordinate. The
+    recurrence and the relator walks only add edge bits, so run with each
+    bit's coordinate in place of the bit (tau in place of T) they give
+    exactly those images, and no row's bits are walked.
+
+    Transitivity. Stage i is transitive: its BFS tree, which numbers the
+    edge bits, exists. With d free columns, generator g sends the point
+    (c << d) | v to (c' << d) | (v ^ cocycle[c, g]), where c' is the image
+    of c in stage i. So a word that leads c to c' in stage i sends (c, v)
+    to (c', v ^ a), with a the sum of the cocycle along its path from c,
+    the same for every v. The Schreier generator of the k-th free column
+    leads coset 0 back to 0 and crosses no edge off the tree but its own,
+    so its sum is the projection of that column, 1 << k, and it translates
+    block 0 by 1 << k. The stage checks that this word, walked from point
+    0, ends at point 1 << k. These translations reach all of block 0 from
+    point 0, and the tree path u_c of stage i sends block 0 onto block c,
+    so every point is reached. The new stage needs no BFS tree of its own:
+    it builds one only when `_path` or the next stage asks for it."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ngens = len(p.generators)
@@ -669,54 +779,70 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         bits = _edge_bits(model.columns, tree)
         parent, letter, order = (a.tolist() for a in tree)
         cols = [col.tolist() for col in model.columns]
-
-        rows: List[int] = []
-        # relators at the base point; the conjugation differences below
-        # supply their conjugates (see the docstring)
-        for path in rel_paths:
-            vec = x = 0
-            for col in path:
-                vec ^= bits[col][x]
-                x = cols[col][x]
-            if x != 0:
-                raise AssertionError("relator does not fix the base point")
-            rows.append(vec)
-        # conjugation differences: for each Schreier generator s and ambient
-        # generator h, the class of (h s h^-1) s^-1, by the tree recurrence
-        walks = []
+        # the edges off the tree, in bit order
+        edges = [(c, g) for c, g in itertools.product(range(n), range(ngens))
+                 if bits[2 * g][c]]
+        # for each generator h, the point P[c] that u_c leads to from h.0
+        starts = []
         for h in range(ngens):
-            P, T = [cols[2 * h][0]] * n, [0] * n
+            P = [cols[2 * h][0]] * n
             for c in order[1:]:
-                a, col = parent[c], letter[c]
-                T[c] = T[a] ^ bits[col][P[a]]
-                P[c] = cols[col][P[a]]
-            walks.append((P, T))
-        for c, g in itertools.product(range(n), range(ngens)):
-            s = bits[2 * g][c]
-            if s:
+                P[c] = cols[letter[c]][P[parent[c]]]
+            starts.append(P)
+
+        def layer_rows(edge: List[List[int]]) -> List[int]:
+            """The layer's rows with edge[col][x] in place of the edge bit
+            the move by column col from x crosses."""
+            rows: List[int] = []
+            # relators at the base point; the conjugation differences below
+            # supply their conjugates (see the docstring)
+            for path in rel_paths:
+                vec = x = 0
+                for col in path:
+                    vec ^= edge[col][x]
+                    x = cols[col][x]
+                if x != 0:
+                    raise AssertionError("relator does not fix the base point")
+                rows.append(vec)
+            # conjugation differences: for each Schreier generator s and
+            # ambient generator h, the class of (h s h^-1) s^-1, by the tree
+            # recurrence
+            walks = []
+            for P in starts:
+                T = [0] * n
+                for c in order[1:]:
+                    a = parent[c]
+                    T[c] = T[a] ^ edge[letter[c]][P[a]]
+                walks.append((P, T))
+            for c, g in edges:
                 d = cols[2 * g][c]
-                rows += [T[c] ^ bits[2 * g][P[c]] ^ T[d] ^ s for P, T in walks]
-        pivots = _f2_eliminate(rows)
-        # the edge bits off the tree that are not pivots
-        free = [i for i in range(n * ngens)
-                if bits[2 * (i % ngens)][i // ngens] and i not in pivots]
-        d = len(free)
-        free_pos = {c: i for i, c in enumerate(free)}
+                s = edge[2 * g][c]
+                rows += [T[c] ^ edge[2 * g][P[c]] ^ T[d] ^ s for P, T in walks]
+            return rows
+
+        layer = _f2_layer(layer_rows(bits), width, lambda coords: layer_rows(
+            [[coords[b.bit_length() - 1] if b else 0 for b in row] for row in bits]))
+        d = len(layer.free)
         if n << d > MAX_POINTS:
             raise Overflow(f"stage {stage_no} would need {n << d} points")
         # cocycle of a single generator move from each coset
-        cocycle = np.array([[_f2_project(bits[2 * g][c], pivots, free_pos)
-                             for g in range(ngens)] for c in range(n)], dtype=np.int64)
+        cocycle = np.zeros(n * ngens, dtype=np.int64)
+        cocycle[[c * ngens + g for c, g in edges]] = layer.projection
+        cocycle = cocycle.reshape(n, ngens)
         # point (c << d) | v moves to (target of c << d) | (v ^ cocycle)
-        layer = np.arange(1 << d)
+        block = np.arange(1 << d)
         perms = [((model.columns[2 * g] << d)[:, None]
-                  | (layer ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
+                  | (block ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
         new_model = FiniteModel(p, perms, n << d, regular=True)
         # sanity: relators act trivially (regular action: base point suffices)
         for r in p.relators:
             if new_model.apply_word(r, 0) != 0:
                 raise AssertionError("relator acts nontrivially on the tower stage")
-        new_model._spanning_tree()  # certifies transitivity; the next stage reads it
+        # certifies transitivity (see the docstring)
+        for k, i in enumerate(layer.free):
+            path = _generator_path(model.columns, parent, letter, *edges[i])
+            if _trace(new_model.columns, path, 0) != 1 << k:
+                raise AssertionError("the tower stage is not transitive")
         stages.append(new_model)
     return stages
 

@@ -212,23 +212,6 @@ def hall_word(rank: int, c: int, position: int, gens: Sequence[Sym]) -> Word:
     return first * second * ~first * ~second
 
 
-def lcs_weight(w: Word, cmax: int,
-               gens: Optional[Sequence[Sym]] = None) -> Optional[int]:
-    """Largest k <= cmax with w in the k-th lower central term of the free
-    group on `gens` (by default the word's own symbols), or None when all
-    coordinates vanish up to cmax.
-
-    No other routine of the package calls it. It stays as the independent
-    weight check of the Hall basis: the tests use it to confirm that each
-    Hall word lies in the layer of its weight."""
-    if cmax < 1:
-        raise BadParameters(f"cmax must be >= 1, got {cmax}")
-    if gens is None:
-        gens = sorted(w.syms())
-    codes = Presentation("free", gens, []).codes(w)
-    return series_leading_weight(word_series(codes, cmax))
-
-
 # -- nilpotent quotients --------------------------------------------------
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -318,8 +318,10 @@ def _full_surface(n: int, klein: bool) -> Presentation:
     return Presentation(label, gens, rels)
 
 
-def _nonorientable(n: int, g: int) -> Presentation:
-    if g is None or g < 3:
+def _nonorientable(n: int, g: Optional[int]) -> Presentation:
+    if g is None:
+        raise BadParameters("BnNg needs a genus argument g >= 3")
+    if g < 3:
         raise BadParameters(f"genus must be >= 3, got {g}")
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")

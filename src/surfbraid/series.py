@@ -287,26 +287,6 @@ def compare_descriptions(a: SubgroupDescription, b: SubgroupDescription,
     return INCOMPARABLE
 
 
-def lemaprinc_check(x: Word, y: Word, i: int, m: int,
-                    gens: Sequence[Word],
-                    oracle: Oracle,
-                    a_words: Optional[Sequence[Word]] = None,
-                    k: int = 0,
-                    ambient: Optional[Presentation] = None) -> bool:
-    """Check one instance of the power-shifting congruence
-    [x^(2^e), y] = [x, y]^(2^e) modulo E_{i+1, m+1}, with e = m - i - k.
-    Only the tests call it: it checks instances of the paper's main lemma
-    on the E_{l,m} families, which `elm_generators` builds."""
-    e = m - i - k
-    if e < 0:
-        raise BadParameters(f"need k <= m - i, got i={i}, m={m}, k={k}")
-    lhs = commutator(x ** (2 ** e), y)
-    rhs = commutator(x, y) ** (2 ** e)
-    diff = lhs * ~rhs
-    target = elm_generators(i + 1, m + 1, gens, a_words=a_words, ambient=ambient)
-    return _oracle_image(target, oracle).contains_word(diff)
-
-
 # -- residual separation ---------------------------------------------------
 
 def residual_separation(p: Presentation, elements: Sequence[Word],

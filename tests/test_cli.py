@@ -101,6 +101,14 @@ class TestSingleShot:
         assert out == ""
         assert err == "error: stage 3 would need 67108864 points\n"
 
+    @pytest.mark.parametrize("argv", [("tower", "BnNg", "2", "3"),
+                                      ("abelianize", "BnNg", "2")])
+    def test_missing_genus_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: BnNg needs a genus argument g >= 3\n"
+
     def test_tower_row_bound_exits_one(self):
         # stage 5 of the P2K_reduced tower has 196,609 Schreier generators:
         # its dense F2 rows would take about 19 GB, so the row bound stops it

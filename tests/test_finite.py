@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from surfbraid import finite
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
-                              _f2_eliminate, _f2_project,
                               adjoin_kernel_relators, coset_action,
                               hom_search, model_table,
                               reidemeister_schreier, schreier_generator_words,
@@ -564,6 +564,40 @@ def _small_presentations(draw):
     return Presentation("random", gens, relators)
 
 
+def _f2_eliminate(rows):
+    """Gaussian elimination over F2 on bitmask rows, every row reduced in
+    full, sparsest first: the pivot-column -> row map. Its pivot columns
+    are the leading bits of the row space, the reference for
+    `finite._f2_layer`'s free columns."""
+    pivots = {}
+    for row in sorted(rows, key=int.bit_count):
+        r = row
+        while r:
+            lead = r.bit_length() - 1
+            if lead in pivots:
+                r ^= pivots[lead]
+            else:
+                pivots[lead] = r
+                break
+    return pivots
+
+
+def _f2_project(vec, pivots, free_pos):
+    """The unique vector of vec's coset of the row space supported on the
+    free columns, with bit free_pos[c] for free column c: the reference for
+    `finite._f2_layer`'s projections."""
+    r = vec
+    out = 0
+    while r:
+        lead = r.bit_length() - 1
+        if lead in pivots:
+            r ^= pivots[lead]
+        else:
+            r ^= 1 << lead
+            out |= 1 << free_pos[lead]
+    return out
+
+
 def _per_coset_tower(p, depth):
     """The stage columns of the tower built with every relator traced from
     every coset, not from the base point only, and every conjugation
@@ -727,48 +761,68 @@ class TestTwoQuotientTower:
         assert [[col.tolist() for col in m.columns] for m in stages] \
             == _per_coset_tower(p, depth)
 
-    @given(st.lists(st.lists(st.integers(0, 39), max_size=4), max_size=30),
+    @given(st.integers(1, 60).flatmap(lambda ncols: st.tuples(
+        st.just(ncols), st.lists(st.sets(st.integers(0, ncols - 1), max_size=8),
+                                 max_size=60))),
            st.randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_row_order_keeps_the_answer(self, supports, rng):
-        # the pivot columns and every projection depend only on the row
-        # space: rows given as drawn, in popcount order and shuffled agree
-        rows = [sum(1 << i for i in set(bits)) for bits in supports]
+    @example((6, [{0}, {1}, {0, 1}, {0, 1}, {2, 3, 4}, {5}]), random.Random(0))
+    @example((4, [{0, 1}, {1, 2}, {0, 2}, {2, 3}]), random.Random(0))
+    @settings(max_examples=150, deadline=None)
+    def test_row_order_keeps_the_answer(self, case, rng):
+        # rows of popcount 0..8, so the sparse prefix stops in different
+        # classes, or takes every row: given and shuffled, they give the
+        # reference's free columns and projection of every unit column
+        ncols, supports = case
+        rows = [sum(1 << i for i in bits) for bits in supports]
+        pivots = _f2_eliminate(rows)
+        free = [c for c in range(ncols) if c not in pivots]
+        free_pos = {c: i for i, c in enumerate(free)}
+        want = (free, [_f2_project(1 << i, pivots, free_pos) for i in range(ncols)])
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        answers = []
-        for order in (rows, sorted(rows, key=int.bit_count), shuffled):
-            pivots = _f2_eliminate(order)
-            free_pos = {c: i for i, c in enumerate(
-                c for c in range(40) if c not in pivots)}
-            answers.append((set(pivots), [_f2_project(1 << i, pivots, free_pos)
-                                          for i in range(40)]))
-        assert answers[0] == answers[1] == answers[2]
+        for order in (rows, shuffled):
+            layer = finite._f2_layer(order, ncols, lambda coords: [
+                finite._f2_image(row, coords) for row in order])
+            assert (layer.free, layer.projection) == want
+            assert layer.reduced + layer.certified <= len(rows)
 
     def test_elimination_work(self, monkeypatch):
-        # the XORs `_f2_eliminate` makes at stage 4 of the P2K_reduced tower,
-        # counted on its own loop: 95,649 with the sparsest rows first,
-        # 217,691 in the order the rows are built
-        xors = 0
+        # stage 4 of the P2K_reduced tower has 6,153 rows over 1,537
+        # columns. Reducing every row took 95,649 XORs, sparsest first.
+        # Its sparse prefix reduces 3,183 rows, projection certifies 2,390
+        # zero, and the other 580 are reduced over the 12 columns the
+        # prefix leaves open: 11,512 XORs in all
+        layers = []
+        layer = finite._f2_layer
 
-        class Counted(int):
-            def __xor__(self, other):
-                nonlocal xors
-                xors += 1
-                return Counted(int(self) ^ int(other))
+        def recording(*args):
+            layers.append(layer(*args))
+            return layers[-1]
 
-        eliminate = finite._f2_eliminate
+        monkeypatch.setattr(finite, "_f2_layer", recording)
+        stages = two_quotient_tower(catalog("P2K_reduced", 2), 4)
+        last = layers[-1]
+        assert len(last.free) == 7
+        assert 0 < last.reduced <= 3_500
+        assert last.certified >= 2_000
+        assert 0 < last.xors <= 15_000
+        # transitivity of the last stage is certified without its BFS tree
+        assert [m._tree is None for m in stages] == [False, False, False, True]
 
-        def counting(rows):
-            nonlocal xors
-            xors = 0
-            pivots = eliminate([Counted(r) for r in rows])
-            return {c: int(r) for c, r in pivots.items()}
+    def test_transitivity_check_catches_a_corrupt_cocycle(self, monkeypatch):
+        # a free column whose projection is 0 leaves its generator's layer
+        # translation out, so the stage splits into orbits; the free group
+        # has no relator that could fail first
+        layer = finite._f2_layer
 
-        monkeypatch.setattr(finite, "_f2_eliminate", counting)
-        two_quotient_tower(catalog("P2K_reduced", 2), 4)
-        # the last call was stage 4's
-        assert 0 < xors <= 120_000
+        def corrupting(*args):
+            out = layer(*args)
+            return out._replace(projection=[0 if i == out.free[-1] else v
+                                            for i, v in enumerate(out.projection)])
+
+        monkeypatch.setattr(finite, "_f2_layer", corrupting)
+        with pytest.raises(AssertionError, match="not transitive"):
+            two_quotient_tower(Presentation("F3", [A, B, C], []), 2)
 
     def test_relators_vanish_in_every_stage(self):
         p = catalog("P2K_reduced", 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from surfbraid.nilpotent import (MAX_SIFTS, ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
-                                 lcs_weight, nilpotent_quotient,
+                                 nilpotent_quotient,
                                  series_component, series_leading_weight,
                                  series_mul, series_one, series_pow,
                                  series_powers, witt_rank, word_series)
@@ -19,6 +19,14 @@ from surfbraid.words import Overflow, Sym, Word, commutator
 A, B = Sym("a"), Sym("b")
 WA, WB = Word.from_syms(A), Word.from_syms(B)
 F2 = Presentation("F2", [A, B], [])
+
+
+def lcs_weight(w, cmax, gens):
+    """Largest k <= cmax with w in the k-th lower central term of the free
+    group on `gens`, or None when all coordinates vanish up to cmax: the
+    independent weight check of the Hall basis."""
+    codes = Presentation("free", gens, []).codes(w)
+    return series_leading_weight(word_series(codes, cmax))
 
 
 # -- an independent truncated-series oracle --------------------------------

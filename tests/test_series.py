@@ -9,10 +9,10 @@ from surfbraid.series import (A_IN_B, B_IN_A, EQUAL, INCOMPARABLE,
                               DepthUnsupported, OracleMismatch,
                               compare_descriptions, elm_generators,
                               gamma2_p2k_claimed, gamma_p2k_claimed,
-                              lemaprinc_check, lower_central_description,
+                              lower_central_description,
                               pi1k_base_lcs, residual_separation,
                               serie_generators, wn_tilde, ztilde)
-from surfbraid.series import _nilpotent_image
+from surfbraid.series import _nilpotent_image, _oracle_image
 from surfbraid.words import Sym, Word, commutator
 
 A2 = Word.from_syms(Sym("a", (2,)))
@@ -177,6 +177,19 @@ class TestElmGenerators:
     def test_validation(self):
         with pytest.raises(BadParameters):
             elm_generators(3, 2, [A2])
+
+
+def lemaprinc_check(x, y, i, m, gens, oracle, a_words=None, k=0):
+    """Check one instance of the power-shifting congruence
+    [x^(2^e), y] = [x, y]^(2^e) modulo E_{i+1, m+1}, with e = m - i - k:
+    an instance of the paper's main lemma on the E_{l,m} families, which
+    `elm_generators` builds."""
+    e = m - i - k
+    if e < 0:
+        raise BadParameters(f"need k <= m - i, got i={i}, m={m}, k={k}")
+    diff = commutator(x ** (2 ** e), y) * ~(commutator(x, y) ** (2 ** e))
+    target = elm_generators(i + 1, m + 1, gens, a_words=a_words)
+    return _oracle_image(target, oracle).contains_word(diff)
 
 
 class TestLemaprinc:
