@@ -410,9 +410,12 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
 class FiniteModel:
     """Images of the presentation's generators as permutations of
     {0..npoints-1}, stored as coset-table columns: columns[2g] is generator
-    g, columns[2g+1] its inverse, so a letter code is a column."""
+    g, columns[2g+1] its inverse, so a letter code is a column. A tower
+    stage above the first also links the stage below it and its layer
+    width, through which it multiplies (`two_quotient_tower`)."""
 
-    __slots__ = ("presentation", "columns", "npoints", "regular", "_tree")
+    __slots__ = ("presentation", "columns", "npoints", "regular", "_tree",
+                 "_below", "_layer_bits")
 
     def __init__(self, p: Presentation, perms: Sequence[Sequence[int]],
                  npoints: int, regular: bool = False):
@@ -426,6 +429,8 @@ class FiniteModel:
             inv[perm] = np.arange(npoints)
             self.columns += [perm, inv]
         self._tree = None
+        self._below: Optional[FiniteModel] = None
+        self._layer_bits = 0
 
     @classmethod
     def _of_columns(cls, p: Presentation, columns: List[np.ndarray],
@@ -455,19 +460,26 @@ class FiniteModel:
         (regular models: a word for every group element)."""
         return _tree_path(*self._spanning_tree()[:2], point)
 
+    def _right_mul(self, x, b: int):
+        """The points x, one point or an array, times the group element with
+        base-point image b (regular models only: the point set is the
+        group). A tower stage with a stage below walks that stage's tree
+        path to b's block b >> d from x with b's layer bits flipped
+        (`two_quotient_tower` proves it); any other model walks b's own BFS
+        tree path."""
+        if self._below is None:
+            return _trace(self.columns, self._path(b), x)
+        d = self._layer_bits
+        return _trace(self.columns, self._below._path(b >> d),
+                      x ^ (b & ((1 << d) - 1)))
+
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
-        (regular models only: the point set is the group). One tree walk per
-        call: it serves the small conjugation closure of `subgroup_image` and
-        the brute-force checks in the tests, not bulk enumeration."""
-        return int(_trace(self.columns, self._path(b), a))
-
-    def point_inv(self, a: int) -> int:
-        """Inverse of the group element with base-point image a (regular
-        models only); a tree walk. Only the tests call it: their brute-force
-        normal closure is the independent route `subgroup_image` is checked
+        (regular models only). Only the tests call it: they check it against
+        the BFS tree path of b and use it in their brute-force normal
+        closures, the independent route `subgroup_image` is checked
         against."""
-        return int(_trace(self.columns, [x ^ 1 for x in reversed(self._path(a))], 0))
+        return int(self._right_mul(a, b))
 
 
 def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
@@ -759,7 +771,20 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     0, ends at point 1 << k. These translations reach all of block 0 from
     point 0, and the tree path u_c of stage i sends block 0 onto block c,
     so every point is reached. The new stage needs no BFS tree of its own:
-    it builds one only when `_path` or the next stage asks for it."""
+    it builds one only when the next stage asks for it.
+
+    Products through the stage below. Each new stage links stage i and its
+    layer width d.
+    The tree edges of stage i carry cocycle 0, so its tree path u_c, walked
+    in stage i+1, takes (0, w) to (c, w): the point (c << d) | v is the
+    element z_v u_c, where z_v, the element of point v in block 0, is
+    central (the layer is central). For any point x = (c_x << d) | v_x,
+    x z_v = z_v x is the point v walked along a word of x. By the above,
+    that word sends (0, w) to (c_x, w ^ a) with one a for every w, and
+    a = v_x because it sends 0 to x; so it ends at x ^ v.
+    Right multiplication by (c << d) | v therefore walks u_c from x ^ v,
+    and `FiniteModel._right_mul` reads u_c off the tree of stage i, which
+    the tower builds anyway, never a tree of stage i+1."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ngens = len(p.generators)
@@ -834,6 +859,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         perms = [((model.columns[2 * g] << d)[:, None]
                   | (block ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
         new_model = FiniteModel(p, perms, n << d, regular=True)
+        new_model._below, new_model._layer_bits = model, d
         # sanity: relators act trivially (regular action: base point suffices)
         for r in p.relators:
             if new_model.apply_word(r, 0) != 0:
@@ -903,23 +929,22 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
     while frontier:
         x = frontier.pop()
         for gip, col in conj:
-            y = int(col[model.point_mul(gip, x)])
+            y = int(col[model._right_mul(gip, x)])
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
     # subgroup generated by the conjugation-closed set: the orbit of point 0
     # under right multiplication by its elements, one frontier at a time.
-    # Right multiplication permutes the points, so each path's images of a
-    # frontier are distinct, and marking them before the next path keeps the
-    # new frontier free of repeats.
-    paths = [model._path(t) for t in closure]
+    # Right multiplication permutes the points, so each element's images of
+    # a frontier are distinct, and marking them before the next element
+    # keeps the new frontier free of repeats.
     seen = np.zeros(model.npoints, dtype=bool)
     seen[0] = True
     level = np.zeros(1, dtype=np.int64)
     while level.size:
         reached = [level[:0]]  # an empty closure reaches nothing
-        for path in paths:
-            nxt = _trace(model.columns, path, level)
+        for t in closure:
+            nxt = model._right_mul(level, t)
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             reached.append(nxt)

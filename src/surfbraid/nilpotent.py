@@ -115,12 +115,6 @@ def series_pow(powers: Sequence[Series], n: int) -> Series:
     return {m: v for m, v in out.items() if v}
 
 
-def series_leading_weight(s: Series) -> Optional[int]:
-    """Smallest positive degree with a nonzero coefficient, or None when
-    there is none below the series' truncation."""
-    return min((len(m) for m, v in s.items() if m and v), default=None)
-
-
 def series_component(s: Series, k: int) -> Dict[Monomial, int]:
     return {m: v for m, v in s.items() if len(m) == k and v}
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -410,13 +411,34 @@ class TestCosetAction:
         t = todd_coxeter(_q8(), [])
         m = coset_action(t, regular=True)
         for x in range(m.npoints):
-            assert m.point_mul(x, m.point_inv(x)) == 0
+            assert m.point_mul(x, _point_inv(m, x)) == 0
             assert m.point_mul(0, x) == x
 
     def test_point_mul_needs_transitive_model(self):
         m = FiniteModel(Presentation("F1", [A], []), [[1, 0, 2]], 3)
         with pytest.raises(ValueError):
             m.point_mul(0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tree(model):
+    """Parent and letter arrays of the BFS tree of a model's points, built
+    apart from the model, so its own `_tree` stays as the package left it."""
+    return finite._schreier_tree(model.columns, model.npoints)[:2]
+
+
+def _tree_product(model, a, b):
+    """a times b in a regular model, by b's BFS tree path walked from a: a
+    route that shares nothing with the products through the stage below."""
+    path = finite._tree_path(*_reference_tree(model), b)
+    return int(finite._trace(model.columns, path, a))
+
+
+def _point_inv(model, a):
+    """Inverse of the group element with base-point image a in a regular
+    model: a's BFS tree path walked backwards from the base point."""
+    path = finite._tree_path(*_reference_tree(model), a)
+    return int(finite._trace(model.columns, [x ^ 1 for x in reversed(path)], 0))
 
 
 def _inverse_round_trip(models, p):
@@ -840,13 +862,13 @@ def _normal_closure_points(model, seeds):
     """Brute-force normal closure by point arithmetic: close the seed points
     under conjugation by the generators and their inverses, then multiply
     out from the identity until nothing new appears."""
-    gens = [int(col[0]) for col in model.columns[::2]]
+    gens = [(int(col[0]), _point_inv(model, int(col[0])))
+            for col in model.columns[::2]]
     conj = set(seeds) - {0}
     frontier = list(conj)
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            gi = model.point_inv(g)
+        for g, gi in gens:
             for y in (model.point_mul(model.point_mul(g, x), gi),
                       model.point_mul(model.point_mul(gi, x), g)):
                 if y not in conj:
@@ -896,7 +918,7 @@ class TestSubgroupImage:
         seeds = set()
         for x in gens_pts:
             for y in gens_pts:
-                xi, yi = stage3.point_inv(x), stage3.point_inv(y)
+                xi, yi = _point_inv(stage3, x), _point_inv(stage3, y)
                 seeds.add(stage3.point_mul(
                     stage3.point_mul(stage3.point_mul(x, y), xi), yi))
         desc = SubgroupDescription(
@@ -923,3 +945,55 @@ class TestSubgroupImage:
         stages = two_quotient_tower(_cyclic(2), 2)
         with pytest.raises(ValueError):
             tower_kernel_image(stages, 3, 2)
+
+
+@pytest.fixture(scope="module")
+def layered():
+    """Towers whose last stage multiplies through the stage below it."""
+    return {"P2K_reduced": two_quotient_tower(catalog("P2K_reduced", 2), 4),
+            "F3": two_quotient_tower(Presentation("F3", [A, B, C], []), 3),
+            "PnT": two_quotient_tower(catalog("PnT", 3), 3)}
+
+
+def _layer_width(tower):
+    """The layer bits d of the last stage: (c << d) | v is its point v of
+    block c, where c is a point of the stage below."""
+    return (tower[-1].npoints // tower[-2].npoints).bit_length() - 1
+
+
+class TestLayeredProduct:
+    @given(st.sampled_from(["P2K_reduced", "F3", "PnT"]),
+           st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tree_path(self, layered, name, a, b):
+        stage = layered[name][-1]
+        a, b = a % stage.npoints, b % stage.npoints
+        assert stage.point_mul(a, b) == _tree_product(stage, a, b)
+
+    def test_layer_element(self, layered):
+        # b = v in block 0 is central: right multiplication flips v's bits
+        tower = layered["P2K_reduced"]
+        stage, d = tower[-1], _layer_width(tower)
+        rng = random.Random(1)
+        for v in range(1, 1 << d):
+            a = rng.randrange(stage.npoints)
+            assert stage.point_mul(a, v) == _tree_product(stage, a, v) == a ^ v
+
+    @pytest.mark.parametrize("name", ["P2K_reduced", "F3", "PnT"])
+    def test_block_representative(self, layered, name):
+        # b = c << d, v = 0: the tree path of c in the stage below
+        tower = layered[name]
+        stage, d = tower[-1], _layer_width(tower)
+        rng = random.Random(2)
+        blocks = range(1, tower[-2].npoints)
+        for c in rng.sample(blocks, min(40, len(blocks))):
+            a = rng.randrange(stage.npoints)
+            assert stage.point_mul(a, c << d) == _tree_product(stage, a, c << d)
+
+    def test_inverse_by_tree_path(self, layered):
+        # the layered product against the test-side inverse
+        stage = layered["P2K_reduced"][-1]
+        rng = random.Random(3)
+        for x in rng.sample(range(stage.npoints), 200):
+            assert stage.point_mul(x, _point_inv(stage, x)) == 0
+            assert stage.point_mul(_point_inv(stage, x), x) == 0

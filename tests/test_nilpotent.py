@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from surfbraid.nilpotent import (MAX_SIFTS, ClassUnsupported, NilpotentImage,
                                  generator_series, hall_basis, hall_word,
-                                 nilpotent_quotient,
-                                 series_component, series_leading_weight,
+                                 nilpotent_quotient, series_component,
                                  series_mul, series_one, series_pow,
                                  series_powers, witt_rank, word_series)
 from surfbraid.presentations import (Presentation, abelianization, catalog,
@@ -19,6 +18,12 @@ from surfbraid.words import Overflow, Sym, Word, commutator
 A, B = Sym("a"), Sym("b")
 WA, WB = Word.from_syms(A), Word.from_syms(B)
 F2 = Presentation("F2", [A, B], [])
+
+
+def series_leading_weight(s):
+    """Smallest positive degree with a nonzero coefficient of a series, or
+    None when there is none below its truncation."""
+    return min((len(m) for m, v in s.items() if m and v), default=None)
 
 
 def lcs_weight(w, cmax, gens):

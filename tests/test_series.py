@@ -119,6 +119,17 @@ class TestClaimedClosedForms:
             img = subgroup_image(tower[d - 1], gamma2_p2k_claimed(n))
             assert img == tower_kernel_image(tower, n, d)
 
+    def test_stage4_builds_no_tree(self, p2k):
+        # stage 4 multiplies through stage 3, so only the stages the tower
+        # extended have a BFS tree
+        tower = two_quotient_tower(p2k, 4)
+        assert compare_descriptions(gamma_p2k_claimed(2),
+                                    lower_central_description(p2k, 2),
+                                    tower[3]) == EQUAL
+        assert (subgroup_image(tower[3], gamma2_p2k_claimed(2))
+                == tower_kernel_image(tower, 2, 4))
+        assert [m._tree is None for m in tower] == [False, False, False, True]
+
     def test_depth_validation(self):
         with pytest.raises(BadParameters):
             gamma_p2k_claimed(1)
