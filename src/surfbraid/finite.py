@@ -460,18 +460,17 @@ class FiniteModel:
         (regular models: a word for every group element)."""
         return _tree_path(*self._spanning_tree()[:2], point)
 
-    def _right_mul(self, x, b: int):
-        """The points x, one point or an array, times the group element with
-        base-point image b (regular models only: the point set is the
-        group). A tower stage with a stage below walks that stage's tree
-        path to b's block b >> d from x with b's layer bits flipped
-        (`two_quotient_tower` proves it); any other model walks b's own BFS
-        tree path."""
+    def _mul_route(self, b: int) -> Tuple[List[int], int]:
+        """Right multiplication by the group element with base-point image b
+        (regular models only: the point set is the group), as a pair
+        (path, bits): a point x times b is x ^ bits walked along the column
+        path. A tower stage with a stage below takes that stage's tree path
+        to b's block b >> d and b's layer bits (`two_quotient_tower` proves
+        it); any other model takes b's own BFS tree path and bits 0."""
         if self._below is None:
-            return _trace(self.columns, self._path(b), x)
+            return self._path(b), 0
         d = self._layer_bits
-        return _trace(self.columns, self._below._path(b >> d),
-                      x ^ (b & ((1 << d) - 1)))
+        return self._below._path(b >> d), b & ((1 << d) - 1)
 
     def point_mul(self, a: int, b: int) -> int:
         """Product of the group elements with base-point images a and b
@@ -479,7 +478,8 @@ class FiniteModel:
         the BFS tree path of b and use it in their brute-force normal
         closures, the independent route `subgroup_image` is checked
         against."""
-        return int(self._right_mul(a, b))
+        path, bits = self._mul_route(b)
+        return int(_trace(self.columns, path, a ^ bits))
 
 
 def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
@@ -783,7 +783,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     that word sends (0, w) to (c_x, w ^ a) with one a for every w, and
     a = v_x because it sends 0 to x; so it ends at x ^ v.
     Right multiplication by (c << d) | v therefore walks u_c from x ^ v,
-    and `FiniteModel._right_mul` reads u_c off the tree of stage i, which
+    and `FiniteModel._mul_route` reads u_c off the tree of stage i, which
     the tower builds anyway, never a tree of stage i+1."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -923,13 +923,18 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
     seeds.discard(0)
     # conjugation closure of the generating set under x -> g^-1 x g alone:
     # in a finite group that map is a permutation, so its orbits are cycles
-    # and the closure is closed under x -> g x g^-1 as well
+    # and the closure is closed under x -> g x g^-1 as well. Each element is
+    # popped once, and its `_mul_route` is taken then, for its conjugates
+    # here and for the frontier walk below.
     closure = set(seeds)
     frontier = list(seeds)
+    routes = []
     while frontier:
         x = frontier.pop()
+        path, bits = route = model._mul_route(x)
+        routes.append(route)
         for gip, col in conj:
-            y = int(col[model._right_mul(gip, x)])
+            y = int(col[_trace(model.columns, path, gip ^ bits)])
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
@@ -943,8 +948,8 @@ def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupIma
     level = np.zeros(1, dtype=np.int64)
     while level.size:
         reached = [level[:0]]  # an empty closure reaches nothing
-        for t in closure:
-            nxt = model._right_mul(level, t)
+        for path, bits in routes:
+            nxt = _trace(model.columns, path, level ^ bits)
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             reached.append(nxt)

@@ -295,24 +295,23 @@ def action_table(n: int) -> ActionTable:
     level = n + 1
     basis = fiber_basis(level)
     raw = _raw_action_rows(level)
-    phi: Dict[Sym, Dict[Sym, Word]] = {}
-    psi: Dict[Sym, Dict[Sym, Word]] = {}
+    phi = {z: {y: _eliminate(row[y], level) for y in basis}
+           for z, row in raw.items()}
+    psi = {z: invert_automorphism(basis, phi_z) for z, phi_z in phi.items()}
+    # certified through the table's own image tables, built once each
+    table = ActionTable(level, phi, psi)
+    top = _top_d_expansion(level)
     for z, row in raw.items():
-        phi_z = {y: _eliminate(row[y], level) for y in basis}
         # consistency: the eliminated letter's row must match the elimination
-        expected = substitute(_top_d_expansion(level), phi_z)
         stated = _eliminate(row[_d(level - 1, level)], level)
-        if expected != stated:
+        if table.apply_phi(z, top) != stated:
             raise AssertionError(f"action row for {z} is inconsistent")
-        psi_z = invert_automorphism(basis, phi_z)
         for y in basis:
-            back = substitute(psi_z[y], phi_z)
-            there = substitute(phi_z[y], psi_z)
+            back = table.apply_phi(z, psi[z][y])
+            there = table.apply_psi(z, phi[z][y])
             if back != Word.from_syms(y) or there != Word.from_syms(y):
                 raise AssertionError(f"inverse action for {z} fails on {y}")
-        phi[z] = phi_z
-        psi[z] = psi_z
-    return ActionTable(level, phi, psi)
+    return table
 
 
 class SemidirectElement:

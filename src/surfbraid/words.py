@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import threading
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter, xor
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -221,12 +221,36 @@ def left_normed(args: Sequence[Word]) -> Word:
     return out
 
 
+class _Blocks(dict):
+    """The reduced images of blocks of one to three letter codes, keyed by
+    the block's code tuple and filled on first use from the letter table.
+    Two threads that fill one block store equal tuples, so it needs no
+    lock."""
+
+    __slots__ = ("_letter",)
+
+    def __init__(self, letter):
+        super().__init__()
+        self._letter = letter  # the letter table's __getitem__
+
+    def __missing__(self, block: Tuple[int, ...]) -> Tuple[int, ...]:
+        # an unmapped letter raises KeyError here, before the block is stored
+        img = self[block] = _join(map(self._letter, block))
+        return img
+
+
 class ImageTable(dict):
     """The images of a substitution by letter code: a symbol's code maps to
     the codes of its image word, and the inverse code to those of the
-    image's inverse. Build one once to pass to ``substitute`` many times."""
+    image's inverse. Build one once to pass to ``substitute`` many times.
 
-    __slots__ = ()
+    ``blocks`` keeps the reduced image of each block of one to three codes
+    that ``substitute`` has met, so the seams inside a block cancel once per
+    table rather than once per call. Blocks are subwords of reduced words,
+    so with 2m letter codes it holds at most 2m + 2m(2m-1) + 2m(2m-1)^2
+    entries. It starts empty and is not pickled: codes are per-process."""
+
+    __slots__ = ("blocks",)
 
     def __init__(self, images: Mapping[Sym, Word]):
         super().__init__()
@@ -234,6 +258,7 @@ class ImageTable(dict):
             code = sym.code
             self[code] = img.codes
             self[code ^ 1] = (~img).codes
+        self.blocks = _Blocks(self.__getitem__)
 
     def __reduce__(self):
         # through the symbols: another process numbers them differently
@@ -244,10 +269,16 @@ class ImageTable(dict):
 def substitute(w: Word, images: Mapping[Sym, Word]) -> Word:
     """Apply the homomorphism determined by symbol images (a mapping or an
     ``ImageTable``). Every image is reduced, so the product reduces at the
-    seams between images only."""
+    seams between images only. The word is read three letters at a time,
+    plus a shorter tail block, through the table's block images."""
     table = images if isinstance(images, ImageTable) else ImageTable(images)
+    codes = w.codes
+    blocks = zip(*[iter(codes)] * 3)
+    tail = len(codes) % 3
+    if tail:
+        blocks = chain(blocks, (codes[-tail:],))
     try:
-        return Word._trusted(_join(map(table.__getitem__, w.codes)))
+        return Word._trusted(_join(map(table.blocks.__getitem__, blocks)))
     except KeyError as e:
         raise UnmappedSymbol(
             f"no image for symbol {Sym.from_code(e.args[0])}") from None

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfbraid
-from surfbraid.klein import action_table
+from surfbraid import words
+from surfbraid.klein import (action_table, base_generators, fiber_basis,
+                             normal_form)
 from surfbraid.words import (IDENTITY, ImageTable, Sym, UnmappedSymbol, Word,
                              WordSyntaxError, colchete_rhs, commutator,
                              left_normed, parse_word, print_word, substitute)
@@ -331,6 +334,136 @@ class TestSubstitution:
     def test_respects_products(self, w, ix, iy):
         images = {X: ix, Y: iy, Sym("z", (1,)): IDENTITY}
         assert substitute(w * w, images) == substitute(w, images) ** 2
+
+
+def _letterwise(w, table):
+    """Reference substitution: one piece per letter, joined at every seam."""
+    return words._join(map(table.__getitem__, w.codes))
+
+
+def _reduced_word(draw, syms, length):
+    """A reduced word of exactly `length` letters over `syms`."""
+    letters = []
+    while len(letters) < length:
+        letter = (draw(st.sampled_from(syms)), draw(st.sampled_from([1, -1])))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(letters)
+
+
+@st.composite
+def _cancelling_images_strategy(draw):
+    """Images of x, y and z[1] as products of two short atoms and their
+    inverses: identities, single letters and images that cancel across two
+    or more seams (x -> p, y -> p^-1 q, z[1] -> q^-1) all come up."""
+    letters = [A1, Sym("b", (1,)), Sym("c", (1,))]
+    atoms = [_reduced_word(draw, letters, draw(st.integers(0, 3)))
+             for _ in range(2)]
+    atom = st.tuples(st.sampled_from(atoms), st.sampled_from([1, -1]))
+    images = {}
+    for sym in _IMAGE_SYMS:
+        out = IDENTITY
+        for a, e in draw(st.lists(atom, max_size=3)):
+            out = out * (a if e == 1 else ~a)
+        images[sym] = out
+    return images
+
+
+class TestBlockSubstitution:
+    @given(st.data(), _cancelling_images_strategy())
+    @settings(max_examples=400)
+    def test_matches_letterwise_reference(self, data, images):
+        length = data.draw(st.integers(0, 40))
+        w = _reduced_word(data.draw, _IMAGE_SYMS, length)
+        table = ImageTable(images)
+        want = _letterwise(w, table)
+        assert substitute(w, table).codes == want
+        # a second call reads the blocks the first one stored
+        assert substitute(w, table).codes == want
+
+    def test_cascade_across_blocks(self):
+        # x y z[1] cancels across two seams, so the blocks x y z[1] and
+        # y z[1] x are empty, and a seam can cancel across an empty block
+        p = Word([(A1, 1), (Sym("b", (1,)), 1)])
+        q, z = Word([(Sym("c", (1,)), 1)]), Sym("z", (1,))
+        table = ImageTable({X: p, Y: ~p * q, z: ~q})
+        for pattern in ((X, Y, z), (X, X, Y, z), (z, z, Y, X, X, Y)):
+            for length in range(0, 41):
+                w = Word([(pattern[i % len(pattern)], 1)
+                          for i in range(length)])
+                assert substitute(w, table).codes == _letterwise(w, table)
+        # x x y | z x y | z z: p q, then nothing, then q^-2
+        w = Word([(s, 1) for s in (X, X, Y, z, X, Y, z, z)])
+        assert substitute(w, table) == p * ~q
+        assert table.blocks[(z.code, X.code, Y.code)] == ()
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_unmapped_symbol_inside_a_block(self, where):
+        z = Sym("z", (1,))
+        letters = [(X, 1), (Y, -1), (X, 1)]
+        letters[where] = (z, -1)
+        w = Word([(Y, 1), (X, 1), (Y, 1)] + letters)
+        table = ImageTable({X: WY, Y: IDENTITY})
+        with pytest.raises(UnmappedSymbol, match=r"no image for symbol z\[1\]"):
+            substitute(w, table)
+        assert w.codes[3:] not in table.blocks
+        assert all(z.code ^ 1 not in block for block in table.blocks)
+
+    @given(st.data(), _cancelling_images_strategy())
+    @settings(max_examples=100)
+    def test_at_most_one_piece_per_block(self, data, images):
+        w = _reduced_word(data.draw, _IMAGE_SYMS,
+                          data.draw(st.integers(0, 40)))
+        table = ImageTable(images)
+        calls = []
+        join = words._join
+
+        def counting(pieces):
+            pieces = list(pieces)  # fills the block table first
+            calls.append(len(pieces))
+            return join(pieces)
+
+        words._join = counting
+        try:
+            substitute(w, table)
+        finally:
+            words._join = join
+        # the last call to return is the outer join of the block images
+        assert calls[-1] <= -(-len(w) // 3)
+
+    def test_action_tables_stay_under_the_block_bound(self):
+        rng = random.Random("block-bound")
+        gens = [c for z in base_generators(5) for c in (z.code, z.code ^ 1)]
+        for _ in range(60):
+            codes = [rng.choice(gens) for _ in range(rng.randint(6, 12))]
+            normal_form(Word._trusted(words._join(zip(codes))), 5)
+        filled = 0
+        for n in range(1, 5):
+            for table in action_table(n)._tables.values():
+                k = len(table)
+                assert len(table.blocks) <= k + k * (k - 1) + k * (k - 1) ** 2
+                filled += len(table.blocks)
+        assert filled
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_carry_no_blocks(self, protocol):
+        z = Sym("z", (1,))
+        table = ImageTable({X: WY * ~WX, Y: WX * Word.from_syms(z), z: WX})
+        w = Word([(X, 1), (Y, 1), (z, -1), (Y, 1), (X, 1)])
+        want = substitute(w, table)
+        assert table.blocks
+        back = pickle.loads(pickle.dumps(table, protocol))
+        assert not back.blocks and dict(back) == dict(table)
+        assert substitute(w, back) == want
+        here = action_table(2)
+        fiber = Word.from_syms(*fiber_basis(3)) ** 2
+        for g in here.phi:
+            here.apply_phi(g, fiber)
+        action = pickle.loads(pickle.dumps(here, protocol))
+        assert all(not t.blocks for t in action._tables.values())
+        for g in here.phi:
+            assert action.apply_phi(g, fiber) == here.apply_phi(g, fiber)
+            assert action.apply_psi(g, fiber) == here.apply_psi(g, fiber)
 
 
 class TestTextFormat:
