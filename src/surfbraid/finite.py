@@ -28,16 +28,16 @@ def _trace(columns: Sequence[np.ndarray], path: Sequence[int], start):
 class CosetTable:
     """Complete table of cosets of a subgroup; columns[2g][c] is the coset
     generator g sends c to, columns[2g+1] the action of its inverse. Coset 0
-    is the subgroup itself. A table `todd_coxeter` returns also reports its
-    work: `defined`, the cosets it defined, dead ones included (what
-    `max_cosets` bounds), and `scanned`, the relator letters of the cosets
-    it scanned (what `MAX_SCAN_LETTERS` bounds); both are 0 for a table
-    read off a model."""
+    is the subgroup itself. The table also reports the work of the
+    `todd_coxeter` call that returned it: `defined`, the cosets it defined,
+    dead ones included (what `max_cosets` bounds), and `scanned`, the
+    relator letters of the cosets it scanned (what `MAX_SCAN_LETTERS`
+    bounds)."""
 
     __slots__ = ("presentation", "columns", "index", "defined", "scanned")
 
     def __init__(self, presentation: Presentation, columns: Sequence[np.ndarray],
-                 index: int, defined: int = 0, scanned: int = 0):
+                 index: int, defined: int, scanned: int):
         self.presentation = presentation
         self.columns = list(columns)
         self.index = index
@@ -325,8 +325,7 @@ def _edge_bits(columns: Sequence[np.ndarray],
 def reidemeister_schreier(t: CosetTable) -> Presentation:
     """Presentation of the subgroup on its Schreier generators. Only the
     tests call it: its presentations are how they check a coset table
-    independently, by known subgroup abelianizations (A3 in S3) and by
-    equal dumps across a `model_table` round trip."""
+    independently, by known subgroup abelianizations (A3 in S3)."""
     p = t.presentation
     ngens = len(p.generators)
     bits = _edge_bits(t.columns, _schreier_tree(t.columns, t.index))
@@ -409,37 +408,23 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
 
 class FiniteModel:
     """Images of the presentation's generators as permutations of
-    {0..npoints-1}, stored as coset-table columns: columns[2g] is generator
-    g, columns[2g+1] its inverse, so a letter code is a column. A tower
-    stage above the first also links the stage below it and its layer
-    width, through which it multiplies (`two_quotient_tower`)."""
+    {0..npoints-1}, given as coset-table columns, numpy arrays that other
+    models may share: columns[2g] is generator g, columns[2g+1] its inverse,
+    so a letter code is a column. A tower stage above the first also links
+    the stage below it and its layer width, through which it multiplies
+    (`two_quotient_tower`)."""
 
-    __slots__ = ("presentation", "columns", "npoints", "regular", "_tree",
-                 "_below", "_layer_bits")
+    __slots__ = ("presentation", "columns", "npoints", "_tree", "_below",
+                 "_layer_bits")
 
-    def __init__(self, p: Presentation, perms: Sequence[Sequence[int]],
-                 npoints: int, regular: bool = False):
+    def __init__(self, p: Presentation, columns: Sequence[np.ndarray],
+                 npoints: int):
         self.presentation = p
+        self.columns = list(columns)
         self.npoints = npoints
-        self.regular = regular
-        self.columns: List[np.ndarray] = []
-        for perm in perms:
-            perm = np.asarray(perm, dtype=np.int64)
-            inv = np.empty_like(perm)
-            inv[perm] = np.arange(npoints)
-            self.columns += [perm, inv]
         self._tree = None
         self._below: Optional[FiniteModel] = None
         self._layer_bits = 0
-
-    @classmethod
-    def _of_columns(cls, p: Presentation, columns: List[np.ndarray],
-                    npoints: int) -> "FiniteModel":
-        """A model on columns already laid out as above, which it may share
-        with other models."""
-        model = cls(p, [], npoints)
-        model.columns = columns
-        return model
 
     @property
     def generators(self) -> Tuple[Sym, ...]:
@@ -455,51 +440,34 @@ class FiniteModel:
             self._tree = _schreier_tree(self.columns, self.npoints)
         return self._tree
 
-    def _path(self, point: int) -> List[int]:
-        """Column codes tracing the base point to `point` along the BFS tree
-        (regular models: a word for every group element)."""
-        return _tree_path(*self._spanning_tree()[:2], point)
+    def _check_stage(self) -> None:
+        """Products need a tower stage above the first, which links the
+        stage below it, or a one-point model, whose point is the identity."""
+        if self._below is None and self.npoints > 1:
+            raise ValueError("products are taken only in the stages of a "
+                             "two-quotient tower")
 
     def _mul_route(self, b: int) -> Tuple[List[int], int]:
-        """Right multiplication by the group element with base-point image b
-        (regular models only: the point set is the group), as a pair
-        (path, bits): a point x times b is x ^ bits walked along the column
-        path. A tower stage with a stage below takes that stage's tree path
-        to b's block b >> d and b's layer bits (`two_quotient_tower` proves
-        it); any other model takes b's own BFS tree path and bits 0."""
+        """Right multiplication by the group element with base-point image b,
+        as a pair (path, bits): a point x times b is x ^ bits walked along
+        the column path. A tower stage above the first takes the tree path
+        of the stage below to b's block b >> d and b's layer bits
+        (`two_quotient_tower` proves it); in a one-point model the route is
+        empty."""
+        self._check_stage()
         if self._below is None:
-            return self._path(b), 0
+            return [], 0
         d = self._layer_bits
-        return self._below._path(b >> d), b & ((1 << d) - 1)
+        parent, letter, _ = self._below._spanning_tree()
+        return _tree_path(parent, letter, b >> d), b & ((1 << d) - 1)
 
     def point_mul(self, a: int, b: int) -> int:
-        """Product of the group elements with base-point images a and b
-        (regular models only). Only the tests call it: they check it against
-        the BFS tree path of b and use it in their brute-force normal
-        closures, the independent route `subgroup_image` is checked
-        against."""
+        """Product of the group elements with base-point images a and b.
+        Only the tests call it: they check it against the BFS tree path of
+        b and use it in their brute-force normal closures, the independent
+        route `subgroup_image` is checked against."""
         path, bits = self._mul_route(b)
         return int(_trace(self.columns, path, a ^ bits))
-
-
-def coset_action(t: CosetTable, regular: bool = False) -> FiniteModel:
-    """The permutation action of the group on the cosets of the table.
-    Only the tests call it: it turns coset tables into the models on which
-    they check relators, Schreier generators and point arithmetic."""
-    return FiniteModel(t.presentation, t.columns[::2], t.index, regular=regular)
-
-
-def model_table(model: FiniteModel, p: Presentation) -> CosetTable:
-    """A coset table over `p` whose cosets are the model's points (regular
-    models: the table of the kernel of the presented group onto the model).
-    Only the tests call it: the round trip through `coset_action` checks
-    the column layout that coset tables and models share."""
-    if tuple(p.generators) != tuple(model.generators):
-        raise ValueError("model generators do not match the presentation")
-    out = CosetTable(p, model.columns, model.npoints)
-    if not out.scan_closes():
-        raise ValueError("model does not satisfy the presentation relators")
-    return out
 
 
 # -- homomorphism search --------------------------------------------------
@@ -591,7 +559,7 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
     inverses = perms[inv]
     inverses.setflags(write=False)
     pairs = list(zip(perms, inverses))
-    return [FiniteModel._of_columns(p, [col for c in row for col in pairs[c]], degree)
+    return [FiniteModel(p, [col for c in row for col in pairs[c]], degree)
             for row in rows.tolist()]
 
 
@@ -790,7 +758,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     ngens = len(p.generators)
     rel_paths = [p.codes(r) for r in p.relators]
 
-    stages = [FiniteModel(p, [[0]] * ngens, 1, regular=True)]
+    stages = [FiniteModel(p, [np.zeros(1, dtype=np.int64)] * (2 * ngens), 1)]
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
@@ -854,11 +822,18 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         cocycle = np.zeros(n * ngens, dtype=np.int64)
         cocycle[[c * ngens + g for c, g in edges]] = layer.projection
         cocycle = cocycle.reshape(n, ngens)
-        # point (c << d) | v moves to (target of c << d) | (v ^ cocycle)
+        # generator g moves the point (c << d) | v to (c' << d) | (v ^
+        # cocycle[c, g]), c' its target in the stage below; its inverse moves
+        # (c' << d) | w to (c << d) | (w ^ cocycle[c, g]), c = back[c']
         block = np.arange(1 << d)
-        perms = [((model.columns[2 * g] << d)[:, None]
-                  | (block ^ cocycle[:, g, None])).ravel() for g in range(ngens)]
-        new_model = FiniteModel(p, perms, n << d, regular=True)
+        columns = []
+        for g in range(ngens):
+            back = model.columns[2 * g + 1]
+            for col, flip in ((model.columns[2 * g], cocycle[:, g]),
+                              (back, cocycle[back, g])):
+                columns.append(((col << d)[:, None]
+                                | (block ^ flip[:, None])).ravel())
+        new_model = FiniteModel(p, columns, n << d)
         new_model._below, new_model._layer_bits = model, d
         # sanity: relators act trivially (regular action: base point suffices)
         for r in p.relators:
@@ -911,9 +886,9 @@ class SubgroupImage:
 
 def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupImage:
     """Normal closure of the images of the description's generators: close
-    the generating set under conjugation, then enumerate the subgroup."""
-    if not model.regular:
-        raise ValueError("subgroup images are computed in regular models")
+    the generating set under conjugation, then enumerate the subgroup. The
+    model must be a stage of `two_quotient_tower` (`FiniteModel._check_stage`)."""
+    model._check_stage()
     if tuple(desc.ambient.generators) != tuple(model.generators):
         raise ValueError("description ambient does not match the model")
     conj = [(int(inv[0]), col) for col, inv in zip(model.columns[::2],

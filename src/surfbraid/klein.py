@@ -112,6 +112,13 @@ def section_images(n: int) -> Dict[Sym, Word]:
     return images
 
 
+@lru_cache(maxsize=None)
+def _section_table(n: int) -> ImageTable:
+    """`section_images(n)` as one image table per level, whose blocks
+    every substitution through the section reuses."""
+    return ImageTable(section_images(n))
+
+
 def base_generators(n: int) -> List[Sym]:
     gens = []
     for i in range(1, n + 1):
@@ -363,7 +370,7 @@ class SemidirectElement:
             k, l = self.base
             return _wb(1) ** k * _wa(1) ** l
         fiber_as_gens = substitute(self.fiber, _generator_images(self.level))
-        sect = substitute(self.base.to_word(), section_images(self.level - 1))
+        sect = substitute(self.base.to_word(), _section_table(self.level - 1))
         return fiber_as_gens * sect
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
@@ -459,9 +466,9 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     braid group of the Klein bottle iff their normal forms coincide.
 
     Raises Overflow once the fiber of any level passes MAX_FIBER_LETTERS.
-    The bound is on the work, not on the answer: a short word whose normal
-    form is small can still be refused, as (a4*C[1,4])^8 conjugating a5
-    peaks at about 1.7 million letters and ends with a one-letter fiber."""
+    The bound is on the work, so a short word can be refused: at n = 5 the
+    37-letter u*a5*u^-1 with u = (a4*b3*C[2,4])^6 raises Overflow after
+    about a second."""
     if n is None:
         n = max([1] + [i for sym in w.syms() for i in sym.indices])
     if n < 1:
@@ -494,14 +501,15 @@ def verify_section(n: int, corrupted: bool = False) -> List[Tuple[str, bool]]:
     each relator's image must normalize to the identity one level up. The
     `corrupted` flag drops the second factor of the a_n image, which must
     break at least one relation (negative control)."""
-    images = section_images(n)
+    table = _section_table(n)
     if corrupted:
-        images = dict(images)
+        images = section_images(n)
         images[_a(n)] = _wa(n)
+        table = ImageTable(images)
     p = catalog("PnK", n)
     report = []
     for idx, r in enumerate(p.relators):
-        image = substitute(r, images)
+        image = substitute(r, table)
         ok = normal_form(image, n + 1).is_identity()
         report.append((f"relation-{idx + 1}", ok))
     return report
@@ -509,13 +517,14 @@ def verify_section(n: int, corrupted: bool = False) -> List[Tuple[str, bool]]:
 
 def verify_action(n: int) -> List[Tuple[str, bool]]:
     """Certify the action: every table automorphism inverts, and conjugation
-    along any defining relation of the base group fixes the fiber basis."""
+    along any defining relation of the base group fixes the fiber basis.
+    Every substitution reads the action table's own image tables."""
     table = action_table(n)
     basis = fiber_basis(n + 1)
     report = []
     for z in table.phi:
-        ok = all(substitute(table.phi[z][y], table.psi[z]) == Word.from_syms(y)
-                 and substitute(table.psi[z][y], table.phi[z]) == Word.from_syms(y)
+        ok = all(table.apply_psi(z, table.phi[z][y]) == Word.from_syms(y)
+                 and table.apply_phi(z, table.psi[z][y]) == Word.from_syms(y)
                  for y in basis)
         report.append((f"invertible-{z}", ok))
     p = catalog("PnK", n)

@@ -3,14 +3,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbraid import finite
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
-                              adjoin_kernel_relators, coset_action,
-                              hom_search, model_table,
+                              adjoin_kernel_relators, hom_search,
                               reidemeister_schreier, schreier_generator_words,
                               subgroup_image, todd_coxeter,
                               tower_kernel_image, two_quotient_tower)
@@ -52,6 +52,19 @@ def _standardize(columns, n):
 
 def _table_lists(t):
     return [col.tolist() for col in t.columns]
+
+
+def _columns(perms, n):
+    """Coset-table columns of permutations of range(n): each permutation,
+    then its inverse by a scatter. The tower builds its inverse columns by a
+    broadcast instead, so models built here are an independent reference."""
+    out = []
+    for perm in perms:
+        perm = np.asarray(perm, dtype=np.int64)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(n)
+        out += [perm, inv]
+    return out
 
 
 def _a5():
@@ -253,7 +266,8 @@ def _transitive_models(draw):
         cycle[x] = ring[(i + 1) % n]
     perms = [cycle] + draw(st.lists(st.permutations(range(n)), max_size=2))
     perms = draw(st.permutations(perms))
-    return FiniteModel(Presentation("F", [A, B, C][:len(perms)], []), perms, n)
+    return FiniteModel(Presentation("F", [A, B, C][:len(perms)], []),
+                       _columns(perms, n), n)
 
 
 def _assert_tree_matches_reference(model):
@@ -383,41 +397,44 @@ class TestToddCoxeter:
 class TestCosetAction:
     def test_regular_action_order(self):
         t = todd_coxeter(_s3(), [])
-        m = coset_action(t, regular=True)
-        # |S3| = 6 points: the regular model has one point per element
+        m = FiniteModel(t.presentation, t.columns, t.index)
+        # |S3| = 6 points: the model of the trivial subgroup's table has one
+        # point per element
         assert m.npoints == 6
 
     def test_action_satisfies_relators(self):
         t = todd_coxeter(_s3(), [WA])
-        m = coset_action(t)
+        m = FiniteModel(t.presentation, t.columns, t.index)
         for r in _s3().relators:
             for pt in range(m.npoints):
                 assert m.apply_word(r, pt) == pt
 
-    def test_model_table_round_trip(self):
-        for p in (_q8(), _s3()):
-            t = todd_coxeter(p, [])
-            t2 = model_table(coset_action(t, regular=True), p)
-            assert t2.index == t.index
-            assert (reidemeister_schreier(t2).dumps()
-                    == reidemeister_schreier(t).dumps())
-
-    def test_model_table_rejects_broken_relator(self):
-        z3 = coset_action(todd_coxeter(_cyclic(3), []))
-        with pytest.raises(ValueError):
-            model_table(z3, _cyclic(2))
-
-    def test_point_arithmetic(self):
-        t = todd_coxeter(_q8(), [])
-        m = coset_action(t, regular=True)
-        for x in range(m.npoints):
-            assert m.point_mul(x, _point_inv(m, x)) == 0
-            assert m.point_mul(0, x) == x
-
     def test_point_mul_needs_transitive_model(self):
-        m = FiniteModel(Presentation("F1", [A], []), [[1, 0, 2]], 3)
+        m = FiniteModel(Presentation("F1", [A], []), _columns([[1, 0, 2]], 3), 3)
         with pytest.raises(ValueError):
             m.point_mul(0, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FiniteModel(_q8(), todd_coxeter(_q8(), []).columns, 8),
+        lambda: hom_search(_q8(), 4)[-1]], ids=["Q8-table", "Q8-hom"])
+    def test_products_need_a_tower_stage(self, make):
+        # a model with more than one point that no tower built links no
+        # stage below, so products and subgroup images refuse it, even where
+        # the action is regular (Q8 on its own table)
+        m = make()
+        assert m.npoints > 1
+        with pytest.raises(ValueError, match="tower"):
+            m.point_mul(0, 1)
+        with pytest.raises(ValueError, match="tower"):
+            subgroup_image(m, SubgroupDescription(_q8(), []))
+
+    def test_one_point_model_multiplies(self):
+        # stage 1 of a tower, and any one-point model, is the trivial group
+        stage1 = two_quotient_tower(_q8(), 1)[0]
+        one = hom_search(_q8(), 1)[0]
+        for m in (stage1, one):
+            assert m.point_mul(0, 0) == 0
+            assert subgroup_image(m, SubgroupDescription(_q8(), [WA])).points == {0}
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,6 +458,14 @@ def _point_inv(model, a):
     return int(finite._trace(model.columns, [x ^ 1 for x in reversed(path)], 0))
 
 
+def _assert_inverse_columns(models):
+    # every inverse column undoes its generator's column on every point
+    for m in models:
+        identity = np.arange(m.npoints)
+        for fwd, back in zip(m.columns[::2], m.columns[1::2]):
+            assert np.array_equal(back[fwd], identity)
+
+
 def _inverse_round_trip(models, p):
     words = [Word.from_syms(g) for g in p.generators]
     words += [u * ~v * u for u in words for v in words] + list(p.relators)
@@ -452,7 +477,8 @@ def _inverse_round_trip(models, p):
 
 class TestInverseColumns:
     def test_coset_action(self):
-        _inverse_round_trip([coset_action(todd_coxeter(_s3(), [WA]))], _s3())
+        t = todd_coxeter(_s3(), [WA])
+        _inverse_round_trip([FiniteModel(t.presentation, t.columns, t.index)], _s3())
 
     def test_hom_search(self):
         p = catalog("Pi1K", 1)
@@ -461,6 +487,18 @@ class TestInverseColumns:
     def test_tower(self):
         p = catalog("P2K_reduced", 2)
         _inverse_round_trip(two_quotient_tower(p, 3), p)
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda: catalog("P2K_reduced", 2), 4), (lambda: catalog("PnK", 3), 3),
+        (lambda: Presentation("F3", [A, B, C], []), 3)],
+        ids=["P2K_reduced", "P3K", "F3"])
+    def test_tower_inverse_on_every_point(self, make, depth):
+        _assert_inverse_columns(two_quotient_tower(make(), depth))
+
+    @pytest.mark.parametrize("family, n, degree", [
+        ("Pi1K", 1, 3), ("P2K_reduced", 2, 4)])
+    def test_hom_search_inverse_on_every_point(self, family, n, degree):
+        _assert_inverse_columns(hom_search(catalog(family, n), degree))
 
 
 class TestReidemeisterSchreier:
@@ -482,7 +520,7 @@ class TestReidemeisterSchreier:
         words = schreier_generator_words(t)
         # every Schreier generator word stays in the subgroup: it fixes
         # coset 0 of the table
-        m = coset_action(t)
+        m = FiniteModel(t.presentation, t.columns, t.index)
         for w in words:
             assert m.apply_word(w, 0) == 0
 
@@ -513,7 +551,7 @@ class TestReidemeisterSchreier:
         assert words == [Word([((A, B)[x >> 1], -1 if x & 1 else 1)
                                for x in ref.generator_path(c, g)])
                          for c, g in ref.index]
-        m = coset_action(t)
+        m = FiniteModel(t.presentation, t.columns, t.index)
         assert all(m.apply_word(w, 0) == 0 for w in words)
 
     def test_adjoin_kernel_relators_trivializes(self):
@@ -628,7 +666,7 @@ def _per_coset_tower(p, depth):
     space per layer, so this is a reference for its stages."""
     ngens = len(p.generators)
     rel_paths = [p.codes(r) for r in p.relators]
-    model = FiniteModel(p, [[0]] * ngens, 1, regular=True)
+    model = FiniteModel(p, _columns([[0]] * ngens, 1), 1)
     out = [[col.tolist() for col in model.columns]]
     for _ in range(depth - 1):
         n = model.npoints
@@ -648,7 +686,7 @@ def _per_coset_tower(p, depth):
                        for c in range(n)]
             perms.append([(int(model.columns[2 * g][c]) << d) | (v ^ cocycle[c])
                           for c in range(n) for v in range(1 << d)])
-        model = FiniteModel(p, perms, n << d, regular=True)
+        model = FiniteModel(p, _columns(perms, n << d), n << d)
         out.append([col.tolist() for col in model.columns])
     return out
 

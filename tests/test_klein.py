@@ -18,7 +18,8 @@ from surfbraid.klein import (BadLevel, SemidirectElement, action_table,
                              normal_form, section_images, verify_action,
                              verify_central, verify_section)
 from surfbraid.presentations import catalog
-from surfbraid.words import Overflow, Sym, Word, commutator, substitute
+from surfbraid.words import (ImageTable, Overflow, Sym, Word, commutator,
+                             substitute)
 
 A1, B1 = Sym("a", (1,)), Sym("b", (1,))
 A2, B2 = Sym("a", (2,)), Sym("b", (2,))
@@ -51,6 +52,32 @@ class TestSection:
     def test_bad_level(self):
         with pytest.raises(BadLevel):
             section_images(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_section_table_matches_images(self, n):
+        assert klein._section_table(n) == ImageTable(section_images(n))
+
+    def test_checks_reuse_cached_tables(self, monkeypatch):
+        # once their tables exist, the section and action checks and
+        # `to_word` substitute through them and build no ImageTable
+        e = normal_form(center_witness(4) * Word.from_syms(A2), 4)
+
+        def run():
+            verify_section(3)
+            verify_action(3)
+            return e.to_word()
+
+        word = run()
+        built = []
+        init = ImageTable.__init__
+
+        def counting(self, images):
+            built.append(images)
+            init(self, images)
+
+        monkeypatch.setattr(ImageTable, "__init__", counting)
+        assert run() == word
+        assert built == []
 
 
 class TestAction:
@@ -118,6 +145,17 @@ class TestNormalForm:
         w = u * Word.from_syms(Sym("a", (5,))) * ~u
         monkeypatch.setattr(klein, "MAX_FIBER_LETTERS", 10_000)
         with pytest.raises(Overflow, match="fiber passed 10000 letters"):
+            normal_form(w, n=5)
+
+    def test_docstring_overflow_example(self):
+        # the word the normal_form docstring and the README cite, and CI's
+        # out-of-bound `solve 5` call: at the default bound its level-5 fiber
+        # passes 2,000,000 letters after about a second on a 2-core x86 VM
+        assert klein.MAX_FIBER_LETTERS == 2_000_000
+        u = Word.from_syms(Sym("a", (4,)), Sym("b", (3,)), Sym("C", (2, 4))) ** 6
+        w = u * Word.from_syms(Sym("a", (5,))) * ~u
+        assert len(w) == 37
+        with pytest.raises(Overflow, match="fiber passed 2000000 letters"):
             normal_form(w, n=5)
 
     def test_overflow_is_one_class(self):

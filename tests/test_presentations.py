@@ -153,7 +153,7 @@ class TestLetterCodes:
         with pytest.raises(BadParameters, match="symbol z is not among"):
             p.codes(stray)
         with pytest.raises(BadParameters):
-            FiniteModel(p, [[1, 0]], 2).apply_word(stray, 0)
+            FiniteModel(p, [[1, 0], [1, 0]], 2).apply_word(stray, 0)
         with pytest.raises(BadParameters):
             NilpotentImage.of(p, 2).contains_word(stray)
         with pytest.raises(BadParameters):
