@@ -299,12 +299,14 @@ def _generator_path(columns: Sequence[np.ndarray], parent: Sequence[int],
 
 
 def _edge_bits(columns: Sequence[np.ndarray],
-               tree: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[List[int]]:
+               tree: Tuple[np.ndarray, np.ndarray, np.ndarray]
+               ) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
     """The Schreier generators as edge bits over the BFS tree of the
     action: the k-th edge (c, g) off the tree in (coset, generator) order
     has the bit 1 << k, and a tree edge has 0. Returns the bit each column
-    move crosses: bits[2g][c] is that of (c, g), and bits[2g+1][c] that of
-    (d, g), which the inverse move from c to d walks backwards."""
+    move crosses, and the edges off the tree in bit order: bits[2g][c] is
+    the bit of (c, g), and bits[2g+1][c] that of (d, g), which the inverse
+    move from c to d walks backwards."""
     parent, letter, _ = tree
     ngens = len(columns) // 2
     off = [True] * (len(parent) * ngens)
@@ -319,7 +321,7 @@ def _edge_bits(columns: Sequence[np.ndarray],
     for g in range(ngens):
         bits.append(edge[g::ngens])
         bits.append([edge[d * ngens + g] for d in columns[2 * g + 1].tolist()])
-    return bits
+    return bits, [divmod(i, ngens) for i, o in enumerate(off) if o]
 
 
 def reidemeister_schreier(t: CosetTable) -> Presentation:
@@ -327,12 +329,9 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
     tests call it: its presentations are how they check a coset table
     independently, by known subgroup abelianizations (A3 in S3)."""
     p = t.presentation
-    ngens = len(p.generators)
-    bits = _edge_bits(t.columns, _schreier_tree(t.columns, t.index))
+    bits, edges = _edge_bits(t.columns, _schreier_tree(t.columns, t.index))
     # the Schreier generators' symbols by edge bit, in bit order
-    ys = {bits[2 * g][c]: Sym("y", (c, g))
-          for c, g in itertools.product(range(t.index), range(ngens))
-          if bits[2 * g][c]}
+    ys = {bits[2 * g][c]: Sym("y", (c, g)) for c, g in edges}
 
     relators = []
     for r in p.relators:
@@ -359,12 +358,10 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     mod-2 tower that the tests check `two_quotient_tower` against."""
     gens = t.presentation.generators
     parent, letter, _ = tree = _schreier_tree(t.columns, t.index)
-    bits = _edge_bits(t.columns, tree)
     words = []
-    for c, g in itertools.product(range(t.index), range(len(gens))):
-        if bits[2 * g][c]:
-            path = _generator_path(t.columns, parent, letter, c, g)
-            words.append(Word([(gens[x >> 1], -1 if x & 1 else 1) for x in path]))
+    for c, g in _edge_bits(t.columns, tree)[1]:
+        path = _generator_path(t.columns, parent, letter, c, g)
+        words.append(Word([(gens[x >> 1], -1 if x & 1 else 1) for x in path]))
     return words
 
 
@@ -769,12 +766,9 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
             raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
                            f"of {width} bits")
         tree = model._spanning_tree()
-        bits = _edge_bits(model.columns, tree)
+        bits, edges = _edge_bits(model.columns, tree)
         parent, letter, order = (a.tolist() for a in tree)
         cols = [col.tolist() for col in model.columns]
-        # the edges off the tree, in bit order
-        edges = [(c, g) for c, g in itertools.product(range(n), range(ngens))
-                 if bits[2 * g][c]]
         # for each generator h, the point P[c] that u_c leads to from h.0
         starts = []
         for h in range(ngens):

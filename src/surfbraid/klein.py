@@ -132,38 +132,36 @@ def base_generators(n: int) -> List[Sym]:
 
 class ActionTable:
     """Conjugation action of the sectioned base group on the free fiber at
-    one level: for each base generator z, the automorphism h -> s(z)^-1 h s(z)
-    (phi) and its inverse h -> s(z) h s(z)^-1 (psi), both over the free
-    fiber basis."""
+    one level, over the free fiber basis: `tables` maps the letter code of
+    each base generator z to the image table of h -> s(z)^-1 h s(z) (phi_z),
+    and the code of z^-1 to that of its inverse h -> s(z) h s(z)^-1 (psi_z).
+    The constructor takes phi and psi as dicts by symbol."""
 
-    __slots__ = ("level", "phi", "psi", "_tables")
+    __slots__ = ("level", "tables")
 
     def __init__(self, level: int, phi: Dict[Sym, Dict[Sym, Word]],
                  psi: Dict[Sym, Dict[Sym, Word]]):
         self.level = level
-        self.phi = phi
-        self.psi = psi
-        # the automorphism of each base letter by its code: z acts by
-        # phi[z], and z^-1 by psi[z]
-        self._tables: Dict[int, ImageTable] = {}
+        self.tables: Dict[int, ImageTable] = {}
         for z in phi:
-            self._tables[z.code] = ImageTable(phi[z])
-            self._tables[z.code ^ 1] = ImageTable(psi[z])
+            self.tables[z.code] = ImageTable(phi[z])
+            self.tables[z.code ^ 1] = ImageTable(psi[z])
 
     def __reduce__(self):
-        # the tables hold codes, which another process numbers differently
-        return ActionTable, (self.level, self.phi, self.psi)
-
-    def apply_phi(self, z: Sym, w: Word) -> Word:
-        return substitute(w, self._tables[z.code])
-
-    def apply_psi(self, z: Sym, w: Word) -> Word:
-        return substitute(w, self._tables[z.code ^ 1])
+        # through the symbols: another process numbers the codes differently
+        phi: Dict[Sym, Dict[Sym, Word]] = {}
+        psi: Dict[Sym, Dict[Sym, Word]] = {}
+        for code, table in self.tables.items():
+            (psi if code & 1 else phi)[Sym.from_code(code)] = {
+                Sym.from_code(c): Word._trusted(img)
+                for c, img in table.items() if not c & 1}
+        return ActionTable, (self.level, phi, psi)
 
     def apply_base_word(self, base_word: Word, w: Word) -> Word:
-        """s(u)^-1 w s(u) for a base word u, letter by letter."""
+        """s(u)^-1 w s(u) for a base word u, letter by letter: phi_z(w) for
+        u = z and psi_z(w) for u = z^-1."""
         out = w
-        tables = self._tables
+        tables = self.tables
         for code in base_word.codes:
             out = substitute(out, tables[code])
         return out
@@ -309,13 +307,14 @@ def action_table(n: int) -> ActionTable:
     table = ActionTable(level, phi, psi)
     top = _top_d_expansion(level)
     for z, row in raw.items():
+        u = Word.from_syms(z)
         # consistency: the eliminated letter's row must match the elimination
         stated = _eliminate(row[_d(level - 1, level)], level)
-        if table.apply_phi(z, top) != stated:
+        if table.apply_base_word(u, top) != stated:
             raise AssertionError(f"action row for {z} is inconsistent")
         for y in basis:
-            back = table.apply_phi(z, psi[z][y])
-            there = table.apply_psi(z, phi[z][y])
+            back = table.apply_base_word(u, psi[z][y])
+            there = table.apply_base_word(~u, phi[z][y])
             if back != Word.from_syms(y) or there != Word.from_syms(y):
                 raise AssertionError(f"inverse action for {z} fails on {y}")
     return table
@@ -415,17 +414,19 @@ def _moves(level: int) -> Dict[int, Tuple[Word, Optional[ImageTable]]]:
         fibers[_c(i, level)] = _eliminate(_c_fiber(i, level), level)
     # f_z for the base letters that move the new strand; the others are
     # their own sections
-    pair = {_a(n): table.apply_psi(_a(n), ~_wa(level)), _b(n): ~_wb(level)}
+    pair = {_a(n): table.apply_base_word(~_wa(n), ~_wa(level)),
+            _b(n): ~_wb(level)}
     for i in range(1, n):
         raw = _c_fiber(n, level) * ~_c_fiber(i, level)
-        pair[_c(i, n)] = table.apply_psi(_c(i, n), _eliminate(raw, level))
+        pair[_c(i, n)] = table.apply_base_word(~Word.from_syms(_c(i, n)),
+                                               _eliminate(raw, level))
     moves: Dict[int, Tuple[Word, Optional[ImageTable]]] = {}
     for x, f in fibers.items():
         moves[x.code] = (f, None)
         moves[x.code ^ 1] = (~f, None)
     for z in base_generators(n):
         f = pair.get(z, IDENTITY)
-        phi, psi = table._tables[z.code], table._tables[z.code ^ 1]
+        phi, psi = table.tables[z.code], table.tables[z.code ^ 1]
         moves[z.code] = (f, psi)
         moves[z.code ^ 1] = (substitute(~f, phi), phi)
     return moves
@@ -520,19 +521,17 @@ def verify_action(n: int) -> List[Tuple[str, bool]]:
     along any defining relation of the base group fixes the fiber basis.
     Every substitution reads the action table's own image tables."""
     table = action_table(n)
-    basis = fiber_basis(n + 1)
+    fiber = [Word.from_syms(y) for y in fiber_basis(n + 1)]
     report = []
-    for z in table.phi:
-        ok = all(table.apply_psi(z, table.phi[z][y]) == Word.from_syms(y)
-                 and table.apply_phi(z, table.psi[z][y]) == Word.from_syms(y)
-                 for y in basis)
+    for z in base_generators(n):
+        u = Word.from_syms(z)
+        ok = all(table.apply_base_word(~u, table.apply_base_word(u, y)) == y
+                 and table.apply_base_word(u, table.apply_base_word(~u, y)) == y
+                 for y in fiber)
         report.append((f"invertible-{z}", ok))
     p = catalog("PnK", n)
     for idx, r in enumerate(p.relators):
-        ok = True
-        for y in basis:
-            if table.apply_base_word(r, Word.from_syms(y)) != Word.from_syms(y):
-                ok = False
+        ok = all(table.apply_base_word(r, y) == y for y in fiber)
         report.append((f"respects-relation-{idx + 1}", ok))
     return report
 

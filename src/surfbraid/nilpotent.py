@@ -71,9 +71,11 @@ def series_mul(s1: Series, s2: Series, c: int) -> Series:
     return {m: v for m, v in out.items() if v}
 
 
+@lru_cache(maxsize=None)
 def generator_series(code: int, c: int) -> Series:
     """Series of the letter with this `Presentation.codes` code: x_i for
-    2i, x_i^-1 for 2i+1, truncated at degree c."""
+    2i, x_i^-1 for 2i+1, truncated at degree c. Cached, so every caller
+    shares one dict and must not change it."""
     i = code >> 1
     if not code & 1:
         return {(): 1, (i,): 1}
@@ -284,9 +286,6 @@ class NilpotentImage:
                 f"class bound {c} unsupported (use 1..{MAX_CLASS})")
         self.presentation = p
         self.c = c
-        # the series of each letter, indexed by its code
-        self._letters = [generator_series(code, c)
-                         for code in range(2 * len(p.generators))]
         self._pivots: Dict[int, Dict[Monomial, List[Series]]] = {
             k: {} for k in range(1, c + 1)}
         self.sifts = 0  # elements sifted by add_words, bounded by MAX_SIFTS
@@ -299,13 +298,6 @@ class NilpotentImage:
         img = cls(p, c)
         img.add_words(list(p.relators) + list(words))
         return img
-
-    def _word_series(self, w: Word) -> Series:
-        c, letters = self.c, self._letters
-        out = series_one()
-        for code in self.presentation.codes(w):
-            out = series_mul(out, letters[code], c)
-        return out
 
     def _reduce(self, s: Series) -> Optional[Tuple[Series, Monomial,
                                                    Optional[List[Series]]]]:
@@ -353,8 +345,11 @@ class NilpotentImage:
             s = series_mul(series_pow(p, -b // g), series_pow(t, a // g), c)
 
     def add_words(self, words: Sequence[Word]) -> None:
-        c, letters = self.c, self._letters
-        queue = [self._word_series(w) for w in words]
+        p, c = self.presentation, self.c
+        queue = [word_series(p.codes(w), c) for w in words]
+        conjugators = [(generator_series(2 * g, c),
+                        generator_series(2 * g + 1, c))
+                       for g in range(len(p.generators))]
         while queue:
             s = queue.pop()  # a stack: the class docstring says why
             self.sifts += 1
@@ -362,11 +357,12 @@ class NilpotentImage:
                 raise Overflow(f"normal closure passed {MAX_SIFTS} sifts "
                                f"at class {c}")
             for ser in self._sift(s):
-                for g, gi in zip(letters[::2], letters[1::2]):
+                for g, gi in conjugators:
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
 
     def contains_word(self, w: Word) -> bool:
-        return self._reduce(self._word_series(w)) is None
+        s = word_series(self.presentation.codes(w), self.c)
+        return self._reduce(s) is None
 
     def layer(self, k: int) -> AbelianInvariants:
         """Invariants of layer k, gamma_k / (N cap gamma_k) gamma_{k+1}: the

@@ -14,7 +14,6 @@ from .words import (
     Sym,
     UnmappedSymbol,
     Word,
-    print_word,
     substitute,
 )
 
@@ -63,13 +62,6 @@ class Presentation:
     def __repr__(self) -> str:
         return (f"Presentation({self.label!r}, {len(self.generators)} generators, "
                 f"{len(self.relators)} relators)")
-
-    def dumps(self) -> str:
-        lines = [f"group {self.label}"]
-        lines.append("gens: " + " ".join(str(g) for g in self.generators))
-        for r in self.relators:
-            lines.append(f"rel: {print_word(r)}")
-        return "\n".join(lines) + "\n"
 
 
 class SubgroupDescription:

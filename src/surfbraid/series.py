@@ -37,8 +37,10 @@ class OracleMismatch(ValueError):
 # -- the generator recursion for Gamma_n(H x| G) = L_n x| Gamma_n(G) ------
 
 def _fiber_words(action: ActionTable) -> List[Word]:
-    row = next(iter(action.phi.values()))
-    return [Word.from_syms(y) for y in row]
+    # any one table maps the fiber basis, in order: each letter's code, then
+    # its inverse's
+    table = next(iter(action.tables.values()))
+    return [Word.from_syms(Sym.from_code(code)) for code in table if not code & 1]
 
 
 def _dedupe(words: Sequence[Word]) -> List[Word]:

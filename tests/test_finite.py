@@ -277,6 +277,19 @@ def _assert_tree_matches_reference(model):
         == (ref.parent, ref.letter, ref.order)
 
 
+def _assert_edges_match_bits(model):
+    # edge k is the (coset, generator) pair whose forward move crosses bit
+    # 1 << k, and the edges come in (coset, generator) order, one for each
+    # move the n - 1 tree edges leave off
+    n, ngens = model.npoints, len(model.columns) // 2
+    bits, edges = finite._edge_bits(
+        model.columns, finite._schreier_tree(model.columns, n))
+    assert all(bits[2 * g][c] == 1 << k for k, (c, g) in enumerate(edges))
+    assert edges == [(c, g) for c in range(n) for g in range(ngens)
+                     if bits[2 * g][c]]
+    assert len(edges) == n * (ngens - 1) + 1
+
+
 class TestSchreierTree:
     @given(_transitive_models())
     @settings(max_examples=80, deadline=None)
@@ -290,6 +303,24 @@ class TestSchreierTree:
     def test_tower_stages_match_queue_bfs(self, make, depth):
         for model in two_quotient_tower(make(), depth):
             _assert_tree_matches_reference(model)
+
+    def test_refuses_a_non_transitive_action(self):
+        # a 2-cycle and a fixed point: the BFS from point 0 never meets 2
+        with pytest.raises(ValueError, match="not transitive"):
+            finite._schreier_tree(_columns([[1, 0, 2]], 3), 3)
+
+    @given(_transitive_models())
+    @settings(max_examples=80, deadline=None)
+    def test_edges_come_with_their_bits(self, model):
+        _assert_edges_match_bits(model)
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda: catalog("P2K_reduced", 2), 4),
+        (lambda: Presentation("F3", [A, B, C], []), 3)],
+        ids=["P2K_reduced", "F3"])
+    def test_tower_stage_edges_come_with_their_bits(self, make, depth):
+        for model in two_quotient_tower(make(), depth):
+            _assert_edges_match_bits(model)
 
 
 class TestToddCoxeter:
@@ -408,11 +439,6 @@ class TestCosetAction:
         for r in _s3().relators:
             for pt in range(m.npoints):
                 assert m.apply_word(r, pt) == pt
-
-    def test_point_mul_needs_transitive_model(self):
-        m = FiniteModel(Presentation("F1", [A], []), _columns([[1, 0, 2]], 3), 3)
-        with pytest.raises(ValueError):
-            m.point_mul(0, 1)
 
     @pytest.mark.parametrize("make", [
         lambda: FiniteModel(_q8(), todd_coxeter(_q8(), []).columns, 8),
@@ -543,8 +569,8 @@ class TestReidemeisterSchreier:
                 if not w.is_identity():
                     relators.append(w)
         sub = reidemeister_schreier(t)
-        assert sub.dumps() == Presentation(f"random_sub{t.index}", ys,
-                                           relators).dumps()
+        assert (sub.label, sub.generators, sub.relators) == (
+            f"random_sub{t.index}", tuple(ys), tuple(relators))
         assert len(sub.generators) == t.index * (2 - 1) + 1
         assert list(sub.generators) == ys
         words = schreier_generator_words(t)

@@ -91,10 +91,11 @@ class TestAction:
         at = action_table(n)
         basis = fiber_basis(n + 1)
         for z in base_generators(n):
+            u = Word.from_syms(z)
             for y in basis:
                 w = Word.from_syms(y)
-                assert at.apply_psi(z, at.apply_phi(z, w)) == w
-                assert at.apply_phi(z, at.apply_psi(z, w)) == w
+                assert at.apply_base_word(~u, at.apply_base_word(u, w)) == w
+                assert at.apply_base_word(u, at.apply_base_word(~u, w)) == w
 
     def test_non_surjective_endomorphism_is_refused(self):
         # a -> a^2, b -> b is injective but not onto: every move makes a

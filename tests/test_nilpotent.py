@@ -403,13 +403,15 @@ class _ProductClosure(NilpotentImage):
     a reference for the conjugate-only closure."""
 
     def add_words(self, words):
-        c, letters = self.c, self._letters
-        queue = [self._word_series(w) for w in words]
+        p, c = self.presentation, self.c
+        queue = [word_series(p.codes(w), c) for w in words]
         while queue:
             s = queue.pop()
             for ser in self._sift(s):
-                for g, gi in zip(letters[::2], letters[1::2]):
-                    queue.append(series_mul(series_mul(g, ser, c), gi, c))
+                for g in range(len(p.generators)):
+                    queue.append(series_mul(series_mul(
+                        generator_series(2 * g, c), ser, c),
+                        generator_series(2 * g + 1, c), c))
                 for row in self._pivots.values():
                     for lead in sorted(row):
                         pivot = {(): 1, **row[lead][0]}
@@ -472,5 +474,5 @@ class TestConjugateClosure:
         img = NilpotentImage.of(pres, c)
         for w in probes:
             grown = deepcopy(img)
-            grown._sift(grown._word_series(w))
+            grown._sift(word_series(pres.codes(w), c))
             assert img.contains_word(w) == (grown._pivots == img._pivots)

@@ -193,11 +193,13 @@ class TestReduction:
         assert substitute(WX * WY, table) == local
         assert p.codes(local) == [4, 3, 0, 5]
         here = action_table(2)
-        for g in here.phi:
-            for y in here.phi[g]:
+        for g in base_generators(2):
+            u = Word.from_syms(g)
+            for y in fiber_basis(3):
                 fiber = Word.from_syms(y)
-                assert action.apply_phi(g, fiber) == here.apply_phi(g, fiber)
-                assert action.apply_psi(g, fiber) == here.apply_psi(g, fiber)
+                for v in (u, ~u):
+                    assert (action.apply_base_word(v, fiber)
+                            == here.apply_base_word(v, fiber))
 
 
 class TestCommutators:
@@ -439,7 +441,7 @@ class TestBlockSubstitution:
             normal_form(Word._trusted(words._join(zip(codes))), 5)
         filled = 0
         for n in range(1, 5):
-            for table in action_table(n)._tables.values():
+            for table in action_table(n).tables.values():
                 k = len(table)
                 assert len(table.blocks) <= k + k * (k - 1) + k * (k - 1) ** 2
                 filled += len(table.blocks)
@@ -457,13 +459,16 @@ class TestBlockSubstitution:
         assert substitute(w, back) == want
         here = action_table(2)
         fiber = Word.from_syms(*fiber_basis(3)) ** 2
-        for g in here.phi:
-            here.apply_phi(g, fiber)
+        letters = [Word.from_syms(g) for g in base_generators(2)]
+        for u in letters:
+            here.apply_base_word(u, fiber)
         action = pickle.loads(pickle.dumps(here, protocol))
-        assert all(not t.blocks for t in action._tables.values())
-        for g in here.phi:
-            assert action.apply_phi(g, fiber) == here.apply_phi(g, fiber)
-            assert action.apply_psi(g, fiber) == here.apply_psi(g, fiber)
+        assert all(not t.blocks for t in action.tables.values())
+        assert action.tables == here.tables
+        for u in letters:
+            for v in (u, ~u):
+                assert (action.apply_base_word(v, fiber)
+                        == here.apply_base_word(v, fiber))
 
 
 class TestTextFormat:
