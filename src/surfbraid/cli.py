@@ -471,9 +471,10 @@ def _cmd_verify(args) -> int:
         raise BadParameters(
             f"--class must be 1..{MAX_CLASS}, got {args.class_bound}")
     # open the report file before the suite runs, so that a path that
-    # cannot be written is a usage error and costs no computation
+    # cannot be written is a usage error and costs no computation; it opens
+    # to append, so a suite that stops leaves an earlier report as it was
     try:
-        fh = open(args.json, "w") if args.json else contextlib.nullcontext()
+        fh = open(args.json, "a") if args.json else contextlib.nullcontext()
     except OSError as e:
         raise BadParameters(f"cannot write --json file: {e}") from None
     bounds = {"class": args.class_bound, "depth": args.depth,
@@ -484,6 +485,7 @@ def _cmd_verify(args) -> int:
         payload = json.dumps(result.to_json(), indent=2)
         print(payload)
         if args.json:
+            fh.truncate(0)
             fh.write(payload + "\n")
     return result.exit_code
 

@@ -201,8 +201,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         rows = renum[np.array([table[c] for c in live], dtype=np.int64)
                      .reshape(len(live), width)]
         order = _schreier_tree(list(rows.T), len(live))[2]
-        standard = np.empty_like(order)
-        standard[order] = np.arange(len(live))
+        standard = np.argsort(order)  # the inverse permutation
         columns = [standard[col[order]] for col in rows.T]
         out = CosetTable(p, columns, len(live), len(table), scanned)
         if out.scan_closes() and all(_trace(columns, path, 0) == 0
@@ -240,50 +239,35 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
 # -- Reidemeister-Schreier ------------------------------------------------
 
 def _schreier_tree(columns: Sequence[np.ndarray], n: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> Tuple[List[int], List[int], List[int]]:
     """BFS spanning tree over cosets 0..n-1, where columns[j][c] is the coset
     column j leads to from c: parent coset and entering column for each
-    coset, and the cosets in the order they are discovered. Runs one level at
-    a time; within a level cosets are discovered in (coset, column) order, as
-    a one-coset-at-a-time queue would."""
-    width = len(columns)
-    parent = np.full(n, -1, dtype=np.int64)
-    letter = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    coset, and the cosets in the order a queue meets them, in (coset,
+    column) order."""
+    cols = [col.tolist() for col in columns]
+    parent, letter = [-1] * n, [-1] * n
+    seen = [False] * n
     seen[0] = True
-    # first[t]: the least (frontier, column) position of a level that reaches
-    # the new point t. Every point written is marked seen below and never
-    # written again, so the array needs no reset between levels.
-    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    levels = []
-    while frontier.size:
-        levels.append(frontier)
-        targets = np.empty((frontier.size, width), dtype=np.int64)
-        for j, col in enumerate(columns):
-            targets[:, j] = col[frontier]
-        targets = targets.ravel()
-        fresh = np.flatnonzero(~seen[targets])
-        hit = targets[fresh]
-        np.minimum.at(first, hit, fresh)
-        # positions in increasing order, one per new point
-        found = fresh[first[hit] == fresh]
-        reached = targets[found]
-        parent[reached] = frontier[found // width]
-        letter[reached] = found % width
-        seen[reached] = True
-        frontier = reached
-    if not seen.all():
+    order = [0]
+    for c in order:  # grows as cosets are met
+        for j, col in enumerate(cols):
+            d = col[c]
+            if not seen[d]:
+                seen[d] = True
+                parent[d], letter[d] = c, j
+                order.append(d)
+    if len(order) != n:
         raise ValueError("the action is not transitive")
-    return parent, letter, np.concatenate(levels)
+    return parent, letter, order
 
 
-def _tree_path(parent: np.ndarray, letter: np.ndarray, c: int) -> List[int]:
+def _tree_path(parent: Sequence[int], letter: Sequence[int], c: int
+               ) -> List[int]:
     """Columns along the tree path from coset 0 to coset c."""
     path = []
     while c != 0:
-        path.append(int(letter[c]))
-        c = int(parent[c])
+        path.append(letter[c])
+        c = parent[c]
     path.reverse()
     return path
 
@@ -299,7 +283,7 @@ def _generator_path(columns: Sequence[np.ndarray], parent: Sequence[int],
 
 
 def _edge_bits(columns: Sequence[np.ndarray],
-               tree: Tuple[np.ndarray, np.ndarray, np.ndarray]
+               tree: Tuple[List[int], List[int], List[int]]
                ) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
     """The Schreier generators as edge bits over the BFS tree of the
     action: the k-th edge (c, g) off the tree in (coset, generator) order
@@ -310,8 +294,7 @@ def _edge_bits(columns: Sequence[np.ndarray],
     parent, letter, _ = tree
     ngens = len(columns) // 2
     off = [True] * (len(parent) * ngens)
-    for c, a, col in zip(range(1, len(parent)), parent[1:].tolist(),
-                         letter[1:].tolist()):
+    for c, a, col in zip(range(1, len(parent)), parent[1:], letter[1:]):
         # an inverse column enters c along the edge (c, g) backwards
         off[(c if col & 1 else a) * ngens + (col >> 1)] = False
     # the running count of edges off the tree numbers them from 1
@@ -430,7 +413,7 @@ class FiniteModel:
     def apply_word(self, w: Word, point: int) -> int:
         return int(_trace(self.columns, self.presentation.codes(w), point))
 
-    def _spanning_tree(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _spanning_tree(self) -> Tuple[List[int], List[int], List[int]]:
         """The `_schreier_tree` of the points, built once; building it
         certifies that the action is transitive."""
         if self._tree is None:
@@ -765,9 +748,8 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         if width * nrows > MAX_LAYER_BITS:
             raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
                            f"of {width} bits")
-        tree = model._spanning_tree()
+        parent, letter, order = tree = model._spanning_tree()
         bits, edges = _edge_bits(model.columns, tree)
-        parent, letter, order = (a.tolist() for a in tree)
         cols = [col.tolist() for col in model.columns]
         # for each generator h, the point P[c] that u_c leads to from h.0
         starts = []

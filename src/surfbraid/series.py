@@ -80,28 +80,23 @@ def serie_generators(action: ActionTable,
                                [])
     base_gens = list(base_lcs(1))
 
-    L: List[List[Word]] = [fiber]
-    V: List[List[Word]] = [fiber]
-    K_n: List[Word] = []
-    for m in range(2, n + 1):
-        K_m = [action.apply_base_word(g, h) * ~h
-               for g in base_lcs(m - 1) for h in fiber]
-        H_m = [action.apply_base_word(g, w) * ~w
-               for g in base_gens for w in L[-1]]
-        comm = [commutator(h, w) for h in fiber for w in L[-1]]
-        L.append(_dedupe(K_m + H_m + comm))
-        Ht_m = [action.apply_base_word(g, w) * ~w
-                for g in base_gens for w in V[-1]]
-        commv = [commutator(h, w) for h in fiber for w in V[-1]]
-        V.append(_dedupe(Ht_m + commv))
-        if m == n:
-            K_n = _dedupe(K_m)
+    def step(prev: List[Word]) -> List[Word]:
+        """The H-part over the previous term, then its commutators with the
+        fiber."""
+        return ([action.apply_base_word(g, w) * ~w
+                 for g in base_gens for w in prev]
+                + [commutator(h, w) for h in fiber for w in prev])
 
-    if n == 1:
-        K_n = _dedupe(fiber)
-    return (SubgroupDescription(ambient, K_n, label=f"K_{n}"),
-            SubgroupDescription(ambient, L[-1], label=f"L_{n}"),
-            SubgroupDescription(ambient, V[-1], label=f"V_{n}"))
+    K, L, V = fiber, fiber, fiber
+    for m in range(2, n + 1):
+        K = [action.apply_base_word(g, h) * ~h
+             for g in base_lcs(m - 1) for h in fiber]
+        L = _dedupe(K + step(L))
+        V = _dedupe(step(V))
+    K = _dedupe(K)
+    return (SubgroupDescription(ambient, K, label=f"K_{n}"),
+            SubgroupDescription(ambient, L, label=f"L_{n}"),
+            SubgroupDescription(ambient, V, label=f"V_{n}"))
 
 
 def pi1k_base_lcs(i: int) -> List[Word]:

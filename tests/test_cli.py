@@ -13,7 +13,7 @@ import surfbraid
 from surfbraid import cli, words
 from surfbraid.cli import SUITES, main
 from surfbraid.presentations import Presentation, catalog
-from surfbraid.words import Sym, Word, left_normed
+from surfbraid.words import Overflow, Sym, Word, left_normed
 
 
 def run(capsys, *argv):
@@ -231,6 +231,26 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+    @pytest.mark.parametrize("stop", ["usage", "overflow"])
+    def test_stopped_suite_keeps_an_earlier_report(self, capsys, monkeypatch,
+                                                   tmp_path, stop):
+        # the file is truncated and written only once the suite has returned:
+        # --depth 1 is a usage error raised inside the suite (exit 2), and an
+        # Overflow stops it as the stage-5 bound of --depth 5 does (exit 1)
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"suite": "earlier"}\n')
+        if stop == "overflow":
+            def overflow(result, args):
+                raise Overflow("stage 5 would need too many points")
+            monkeypatch.setitem(cli._SUITE_IMPL, "gammaP2", overflow)
+        argv = ["--depth", "1"] if stop == "usage" else []
+        code, _, _ = run(capsys, "verify", "gammaP2", *argv, "--json", str(path))
+        assert code == (2 if stop == "usage" else 1)
+        assert path.read_bytes() == b'{"suite": "earlier"}\n'
+        # a suite that returns replaces the earlier report in full
+        code, rep = self._report(capsys, "section", "--json", str(path))
+        assert json.loads(path.read_text()) == rep
 
     @pytest.mark.parametrize("suite", ["gammaP2", "gamma2P2"])
     def test_depth_below_suite_claims_is_usage_error(self, capsys, monkeypatch,

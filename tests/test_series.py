@@ -12,7 +12,7 @@ from surfbraid.series import (A_IN_B, B_IN_A, EQUAL, INCOMPARABLE,
                               lower_central_description,
                               pi1k_base_lcs, residual_separation,
                               serie_generators, wn_tilde, ztilde)
-from surfbraid.series import _nilpotent_image, _oracle_image
+from surfbraid.series import _fiber_words, _nilpotent_image, _oracle_image
 from surfbraid.words import Sym, Word, commutator
 
 A2 = Word.from_syms(Sym("a", (2,)))
@@ -29,7 +29,62 @@ def tower(p2k):
     return two_quotient_tower(p2k, 4)
 
 
+def _reference_serie_generators(action, base_lcs, n):
+    """(K_n, L_n, V_n) as lists, by the recursion written out term by term
+    with the whole history of L and V kept, apart from the package's loop."""
+    def dedupe(words):
+        out = []
+        for w in words:
+            if not w.is_identity() and w not in out:
+                out.append(w)
+        return out
+
+    fiber = _fiber_words(action)
+    base_gens = list(base_lcs(1))
+    L, V, K_n = [fiber], [fiber], dedupe(fiber)
+    for m in range(2, n + 1):
+        K_m = [action.apply_base_word(g, h) * ~h
+               for g in base_lcs(m - 1) for h in fiber]
+        H_m = [action.apply_base_word(g, w) * ~w
+               for g in base_gens for w in L[-1]]
+        comm = [commutator(h, w) for h in fiber for w in L[-1]]
+        L.append(dedupe(K_m + H_m + comm))
+        Ht_m = [action.apply_base_word(g, w) * ~w
+                for g in base_gens for w in V[-1]]
+        commv = [commutator(h, w) for h in fiber for w in V[-1]]
+        V.append(dedupe(Ht_m + commv))
+        K_n = dedupe(K_m)
+    return K_n, L[-1], V[-1]
+
+
+def _p2k_lcs(i):
+    if i == 1:
+        return [Word.from_syms(s) for s in base_generators(2)]
+    return list(gamma_p2k_claimed(i).normal_generators)
+
+
+def _pi1_context():
+    a1, b1 = Sym("a", (1,)), Sym("b", (1,))
+    inv = {a1: ~Word.from_syms(a1)}
+    return (ActionTable(1, {b1: inv}, {b1: inv}),
+            lambda i: [Word.from_syms(b1)] if i == 1 else [])
+
+
 class TestSerieGenerators:
+    @pytest.mark.parametrize("context, n", [
+        *[("action_table(1)", n) for n in range(1, 5)],
+        *[("action_table(2)", m) for m in range(1, 4)],
+        *[("pi1", n) for n in range(1, 4)]])
+    def test_matches_reference_recursion(self, context, n):
+        # the exact lists, order included, for the calls the suites make
+        action, lcs = {"action_table(1)": lambda: (action_table(1), pi1k_base_lcs),
+                       "action_table(2)": lambda: (action_table(2), _p2k_lcs),
+                       "pi1": _pi1_context}[context]()
+        got = serie_generators(action, lcs, n)
+        assert [list(d.normal_generators) for d in got] \
+            == list(_reference_serie_generators(action, lcs, n))
+        assert [d.label for d in got] == [f"K_{n}", f"L_{n}", f"V_{n}"]
+
     def test_worked_values(self):
         at = action_table(1)
         K3, L3, _ = serie_generators(at, pi1k_base_lcs, 3)
