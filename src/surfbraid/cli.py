@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 import time
@@ -472,7 +473,9 @@ def _cmd_verify(args) -> int:
             f"--class must be 1..{MAX_CLASS}, got {args.class_bound}")
     # open the report file before the suite runs, so that a path that
     # cannot be written is a usage error and costs no computation; it opens
-    # to append, so a suite that stops leaves an earlier report as it was
+    # to append, so a suite that stops leaves an earlier report as it was,
+    # and removes the empty file only if this open created it
+    created = bool(args.json) and not os.path.exists(args.json)
     try:
         fh = open(args.json, "a") if args.json else contextlib.nullcontext()
     except OSError as e:
@@ -480,13 +483,20 @@ def _cmd_verify(args) -> int:
     bounds = {"class": args.class_bound, "depth": args.depth,
               "hom_degree": args.hom_degree}
     result = SuiteResult(args.suite, bounds)
-    with fh:
-        _SUITE_IMPL[args.suite](result, args)
-        payload = json.dumps(result.to_json(), indent=2)
-        print(payload)
-        if args.json:
-            fh.truncate(0)
-            fh.write(payload + "\n")
+    try:
+        with fh:
+            _SUITE_IMPL[args.suite](result, args)
+            payload = json.dumps(result.to_json(), indent=2)
+            print(payload)
+            if args.json:
+                fh.truncate(0)
+                fh.write(payload + "\n")
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                if os.path.getsize(args.json) == 0:
+                    os.remove(args.json)
+        raise
     return result.exit_code
 
 

@@ -6,11 +6,11 @@ verification."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, commutator,
-                    substitute)
+from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, _block_images,
+                    _join, commutator, substitute)
 from .presentations import catalog
 
 
@@ -336,13 +336,6 @@ class SemidirectElement:
         elif not isinstance(base, SemidirectElement) or base.level != level - 1:
             raise BadLevel(f"level-{level} element needs a level-{level - 1} base")
 
-    @staticmethod
-    def identity(level: int) -> "SemidirectElement":
-        if level == 1:
-            return SemidirectElement(1, IDENTITY, (0, 0))
-        return SemidirectElement(level, IDENTITY,
-                                 SemidirectElement.identity(level - 1))
-
     def is_identity(self) -> bool:
         if self.level == 1:
             return self.base == (0, 0)
@@ -400,13 +393,14 @@ def _generator_images(level: int) -> ImageTable:
 
 
 @lru_cache(maxsize=None)
-def _moves(level: int) -> Dict[int, Tuple[Word, Optional[ImageTable]]]:
+def _moves(level: int) -> Dict[int, Tuple[Tuple[int, ...], Optional[ImageTable]]]:
     """How each generator letter of a level >= 2 is prepended to an
     element F s(E), by letter code; the keys are the level's generators
-    and their inverses. A fiber letter (a, b or C_{i,level}) maps to
-    (f, None), its fiber word: x F s(E) = (f F) s(E). A base letter
-    z = f_z s(z) maps to (f_z, psi_z), and z^-1 to (phi_z(f_z^-1), phi_z):
-    x F s(E) = (f A(F)) s(x E) for the pair (f, A)."""
+    and their inverses, and each f is given by its code tuple. A fiber
+    letter (a, b or C_{i,level}) maps to (f, None), its fiber word:
+    x F s(E) = (f F) s(E). A base letter z = f_z s(z) maps to (f_z, psi_z),
+    and z^-1 to (phi_z(f_z^-1), phi_z): x F s(E) = (f A(F)) s(x E) for the
+    pair (f, A)."""
     n = level - 1
     table = action_table(n)
     fibers = {_a(level): _wa(level), _b(level): _wb(level)}
@@ -420,15 +414,15 @@ def _moves(level: int) -> Dict[int, Tuple[Word, Optional[ImageTable]]]:
         raw = _c_fiber(n, level) * ~_c_fiber(i, level)
         pair[_c(i, n)] = table.apply_base_word(~Word.from_syms(_c(i, n)),
                                                _eliminate(raw, level))
-    moves: Dict[int, Tuple[Word, Optional[ImageTable]]] = {}
+    moves: Dict[int, Tuple[Tuple[int, ...], Optional[ImageTable]]] = {}
     for x, f in fibers.items():
-        moves[x.code] = (f, None)
-        moves[x.code ^ 1] = (~f, None)
+        moves[x.code] = (f.codes, None)
+        moves[x.code ^ 1] = ((~f).codes, None)
     for z in base_generators(n):
         f = pair.get(z, IDENTITY)
         phi, psi = table.tables[z.code], table.tables[z.code ^ 1]
-        moves[z.code] = (f, psi)
-        moves[z.code ^ 1] = (substitute(~f, phi), phi)
+        moves[z.code] = (f.codes, psi)
+        moves[z.code ^ 1] = (substitute(~f, phi).codes, phi)
     return moves
 
 
@@ -440,36 +434,24 @@ def _letter_codes(level: int) -> FrozenSet[int]:
     return frozenset(c for z in base_generators(level) for c in (z.code, z.code ^ 1))
 
 
-def _prepend(e: SemidirectElement, code: int) -> SemidirectElement:
-    level = e.level
-    if level == 1:
-        k, l = e.base
-        exp = -1 if code & 1 else 1
-        if code >> 1 == _a(1).code >> 1:
-            sign = 1 if k % 2 == 0 else -1
-            return SemidirectElement(1, IDENTITY, (k, l + exp * sign))
-        return SemidirectElement(1, IDENTITY, (k + exp, l))
-    f, act = _moves(level)[code]
-    if act is None:
-        return SemidirectElement(level, _bounded(f * e.fiber, level), e.base)
-    return SemidirectElement(level, _bounded(f * substitute(e.fiber, act), level),
-                             _prepend(e.base, code))
-
-
-def _bounded(fiber: Word, level: int) -> Word:
-    if len(fiber.codes) > MAX_FIBER_LETTERS:
-        raise Overflow(f"level-{level} fiber passed {MAX_FIBER_LETTERS} letters")
-    return fiber
-
-
 def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
     """Solve the word problem: two words are equal in the n-strand pure
     braid group of the Klein bottle iff their normal forms coincide.
 
-    Raises Overflow once the fiber of any level passes MAX_FIBER_LETTERS.
-    The bound is on the work, so a short word can be refused: at n = 5 the
-    37-letter u*a5*u^-1 with u = (a4*b3*C[2,4])^6 raises Overflow after
-    about a second."""
+    The word is read right to left, one letter code x at a time, into one
+    fiber code tuple F per level and the level-1 pair (k, l). The letter is
+    prepended at each level from n down through the pair (f, A) of
+    `_moves(level)[x]`: the level's fiber becomes f A(F), made by one
+    `_join` of f and A's block images of F. A fiber letter (A = None) makes
+    f F and stops there; a base letter goes on to the level below, and at
+    level 1 b_1^e adds e to k while a_1^e adds (-1)^k e to l. So a letter
+    joins each fiber it reaches once, and the nested SemidirectElement is
+    built once, from the final fibers.
+
+    Raises Overflow once the fiber of any level passes MAX_FIBER_LETTERS,
+    checked at each level as the letter reaches it. The bound is on the
+    work, so a short word can be refused: at n = 5 the 37-letter u*a5*u^-1
+    with u = (a4*b3*C[2,4])^6 raises Overflow after about a second."""
     if n is None:
         n = max([1] + [i for sym in w.syms() for i in sym.indices])
     if n < 1:
@@ -481,9 +463,30 @@ def normal_form(w: Word, n: Optional[int] = None) -> SemidirectElement:
         if code not in generators:
             raise BadLevel(f"{Sym.from_code(code)} is not a pure braid "
                            f"generator for n={n}")
-    e = SemidirectElement.identity(n)
+    bound = MAX_FIBER_LETTERS
+    levels = [(level, _moves(level)) for level in range(n, 1, -1)]
+    fibers: List[Tuple[int, ...]] = [()] * (n + 1)
+    a1 = _a(1).code >> 1
+    k = l = 0
     for code in reversed(w.codes):
-        e = _prepend(e, code)
+        for level, moves in levels:
+            f, table = moves[code]
+            fiber = _join((f, fibers[level]) if table is None
+                          else chain((f,), _block_images(fibers[level], table)))
+            if len(fiber) > bound:
+                raise Overflow(f"level-{level} fiber passed {bound} letters")
+            fibers[level] = fiber
+            if table is None:
+                break
+        else:
+            exp = -1 if code & 1 else 1
+            if code >> 1 == a1:
+                l += exp if k % 2 == 0 else -exp
+            else:
+                k += exp
+    e = SemidirectElement(1, IDENTITY, (k, l))
+    for level in range(2, n + 1):
+        e = SemidirectElement(level, Word._trusted(fibers[level]), e)
     return e
 
 

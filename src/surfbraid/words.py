@@ -266,19 +266,26 @@ class ImageTable(dict):
                              for c, img in self.items() if not c & 1},)
 
 
-def substitute(w: Word, images: Mapping[Sym, Word]) -> Word:
-    """Apply the homomorphism determined by symbol images (a mapping or an
-    ``ImageTable``). Every image is reduced, so the product reduces at the
-    seams between images only. The word is read three letters at a time,
-    plus a shorter tail block, through the table's block images."""
-    table = images if isinstance(images, ImageTable) else ImageTable(images)
-    codes = w.codes
+def _block_images(codes: Tuple[int, ...],
+                  table: ImageTable) -> Iterator[Tuple[int, ...]]:
+    """The images of a code tuple read three letters at a time, plus a
+    shorter tail block, through the table's block images: lazily, so an
+    unmapped letter raises KeyError as ``_join`` reaches it."""
     blocks = zip(*[iter(codes)] * 3)
     tail = len(codes) % 3
     if tail:
         blocks = chain(blocks, (codes[-tail:],))
+    return map(table.blocks.__getitem__, blocks)
+
+
+def substitute(w: Word, images: Mapping[Sym, Word]) -> Word:
+    """Apply the homomorphism determined by symbol images (a mapping or an
+    ``ImageTable``). Every image is reduced, so the product reduces at the
+    seams between images only, which ``_block_images`` cuts to the seams
+    between blocks of three letters."""
+    table = images if isinstance(images, ImageTable) else ImageTable(images)
     try:
-        return Word._trusted(_join(map(table.blocks.__getitem__, blocks)))
+        return Word._trusted(_join(_block_images(w.codes, table)))
     except KeyError as e:
         raise UnmappedSymbol(
             f"no image for symbol {Sym.from_code(e.args[0])}") from None

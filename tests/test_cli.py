@@ -252,6 +252,25 @@ class TestVerify:
         code, rep = self._report(capsys, "section", "--json", str(path))
         assert json.loads(path.read_text()) == rep
 
+    @pytest.mark.parametrize("stop", ["usage", "overflow"])
+    def test_stopped_suite_leaves_no_new_report(self, capsys, monkeypatch,
+                                                tmp_path, stop):
+        # a path that did not exist is not left behind as an empty file,
+        # while an empty file that was there before stays
+        if stop == "overflow":
+            def overflow(result, args):
+                raise Overflow("stage 5 would need too many points")
+            monkeypatch.setitem(cli._SUITE_IMPL, "gammaP2", overflow)
+        argv = ["--depth", "1"] if stop == "usage" else []
+        new, empty = tmp_path / "new.json", tmp_path / "empty.json"
+        empty.write_bytes(b"")
+        for path in (new, empty):
+            code, _, _ = run(capsys, "verify", "gammaP2", *argv,
+                             "--json", str(path))
+            assert code == (2 if stop == "usage" else 1)
+        assert not new.exists()
+        assert empty.read_bytes() == b""
+
     @pytest.mark.parametrize("suite", ["gammaP2", "gamma2P2"])
     def test_depth_below_suite_claims_is_usage_error(self, capsys, monkeypatch,
                                                      suite):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfbraid
-from surfbraid import klein
+from surfbraid import klein, words
 from surfbraid.finite import Overflow as FiniteOverflow
 from surfbraid.klein import (BadLevel, SemidirectElement, action_table,
                              base_generators, center_witness, fiber_basis,
@@ -34,6 +34,44 @@ def _gen_word_strategy(n, max_len=8):
             syms.append(Sym("C", (i, j)))
     letter = st.tuples(st.sampled_from(syms), st.sampled_from([1, -1]))
     return st.lists(letter, max_size=max_len).map(Word)
+
+
+def _reference_normal_form(w, n):
+    """The recursion `normal_form` replaced, kept as a reference: each
+    letter builds one element per level it reaches, as the product
+    f * substitute(F, A) of Words, and each level's fiber is checked against
+    the bound before the letter goes on to the level below."""
+    def prepend(e, code):
+        level = e.level
+        if level == 1:
+            k, l = e.base
+            exp = -1 if code & 1 else 1
+            if code >> 1 == A1.code >> 1:
+                sign = 1 if k % 2 == 0 else -1
+                return SemidirectElement(1, Word(), (k, l + exp * sign))
+            return SemidirectElement(1, Word(), (k + exp, l))
+        f, act = klein._moves(level)[code]
+        f = Word._trusted(f)
+        fiber = f * e.fiber if act is None else f * substitute(e.fiber, act)
+        if len(fiber) > klein.MAX_FIBER_LETTERS:
+            raise Overflow(f"level-{level} fiber passed "
+                           f"{klein.MAX_FIBER_LETTERS} letters")
+        base = e.base if act is None else prepend(e.base, code)
+        return SemidirectElement(level, fiber, base)
+
+    e = SemidirectElement(1, Word(), (0, 0))
+    for level in range(2, n + 1):
+        e = SemidirectElement(level, Word(), e)
+    for code in reversed(w.codes):
+        e = prepend(e, code)
+    return e
+
+
+def _outcome(solve, w, n):
+    try:
+        return solve(w, n)
+    except Overflow as e:
+        return f"Overflow: {e}"
 
 
 class TestSection:
@@ -218,6 +256,52 @@ class TestNormalForm:
         with pytest.raises(BadLevel, match=f"{re.escape(str(sym))} is not a "
                                            "pure braid generator"):
             normal_form(Word.from_syms(A1, sym), n)
+
+    @pytest.mark.parametrize("bound", [30, 300, 2_000, None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_recursion(self, n, bound, data):
+        # equal elements or equal Overflow messages on words of up to 14
+        # letters: random words, and conjugates u r u^-1 of relators, whose
+        # fibers grow and then shrink to nothing, so that under the bound
+        # of 30 a bound checked only at the end lets through what the
+        # reference refuses
+        relators = catalog("PnK", n).relators
+        r = data.draw(st.sampled_from(relators))
+        u = data.draw(_gen_word_strategy(n, max_len=(14 - len(r)) // 2))
+        w = data.draw(st.one_of(st.just(u * r * ~u),
+                                _gen_word_strategy(n, max_len=14)))
+        with pytest.MonkeyPatch.context() as mp:
+            if bound is not None:
+                mp.setattr(klein, "MAX_FIBER_LETTERS", bound)
+            want = _outcome(_reference_normal_form, w, n)
+            assert _outcome(normal_form, w, n) == want
+
+    def test_one_join_per_level_per_letter(self, monkeypatch):
+        # with the block tables warm, a letter whose own level is L (the
+        # largest index of its symbol) joins the fibers of levels 5 down to
+        # max(L, 2) once each, and nothing else joins
+        rng = random.Random("klein-join-count")
+        gens = base_generators(5)
+        ws = [Word([(rng.choice(gens), rng.choice((1, -1)))
+                    for _ in range(8)]) for _ in range(12)]
+        for w in ws:
+            normal_form(w, 5)
+        joins = []
+        join = klein._join
+
+        def counting(pieces):
+            joins.append(None)
+            return join(pieces)
+
+        monkeypatch.setattr(klein, "_join", counting)
+        monkeypatch.setattr(words, "_join", counting)
+        for w in ws:
+            joins.clear()
+            normal_form(w, 5)
+            assert len(joins) == sum(6 - max(2, *Sym.from_code(c).indices)
+                                     for c in w.codes)
 
     @given(_gen_word_strategy(2))
     @settings(max_examples=60, deadline=None)
