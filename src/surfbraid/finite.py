@@ -6,6 +6,7 @@ finite 2-group models."""
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -30,19 +31,22 @@ class CosetTable:
     generator g sends c to, columns[2g+1] the action of its inverse. Coset 0
     is the subgroup itself. The table also reports the work of the
     `todd_coxeter` call that returned it: `defined`, the cosets it defined,
-    dead ones included (what `max_cosets` bounds), and `scanned`, the
-    relator letters of the cosets it scanned (what `MAX_SCAN_LETTERS`
-    bounds)."""
+    dead ones included (what `max_cosets` bounds), `scanned`, the relator
+    letters of the cosets it scanned (what `MAX_SCAN_LETTERS` bounds), and
+    `open_scans`, the relator scans that did not close on the bulk trace
+    and so went to the letter-by-letter scan."""
 
-    __slots__ = ("presentation", "columns", "index", "defined", "scanned")
+    __slots__ = ("presentation", "columns", "index", "defined", "scanned",
+                 "open_scans")
 
     def __init__(self, presentation: Presentation, columns: Sequence[np.ndarray],
-                 index: int, defined: int, scanned: int):
+                 index: int, defined: int, scanned: int, open_scans: int):
         self.presentation = presentation
         self.columns = list(columns)
         self.index = index
         self.defined = defined
         self.scanned = scanned
+        self.open_scans = open_scans
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
@@ -57,7 +61,7 @@ class CosetTable:
 # tests or the benchmark make is the 512-coset step of the P2K_reduced coset
 # route, 383,600 letters (175 cosets of 2,192); the bound is 10.9 times that.
 # The PnK 3 route's step to 32,768 cosets scans 68,896 letters per coset,
-# so it ends in `Overflow` at its 61st coset, after about 1 s on a 2-core
+# so it ends in `Overflow` at its 61st coset, after about 0.4 s on a 2-core
 # x86 VM; with no bound it ran for 289 s.
 MAX_SCAN_LETTERS = 1 << 22
 
@@ -72,6 +76,15 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     live rows only ever point at live cosets. `max_cosets` bounds the
     cosets defined, dead ones included, and `MAX_SCAN_LETTERS` the relator
     letters scanned; past either it raises `Overflow`.
+
+    Before the scans at a coset c, numpy traces every relator from c at
+    once, and only the relators that do not lead back to c are scanned,
+    letter by letter and in their order. This keeps HLT's order exactly: a
+    relator that closes at c makes a scan that changes nothing, and it
+    still closes when its turn comes, because the table only gains entries
+    and a coincidence maps a closed path at a live coset onto a closed
+    path at its representative. `scanned` still counts every relator's
+    letters at each live coset.
 
     The enumeration stops at the first complete table that closes: once no
     live row has an empty entry, and again after each coincidence that
@@ -92,35 +105,51 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     it is the independent coset route to the mod-2 tower that the tests
     check `two_quotient_tower` against."""
     width = 2 * len(p.generators)
+    stride = width + 1
     rel_paths = [p.codes(r) for r in p.relators if r.codes]
     rel_letters = sum(map(len, rel_paths))
     sub_paths = [p.codes(w) for w in subgroup]
+    # steps[k] holds every relator's k-th letter, or the parent column
+    steps = np.full((max(map(len, rel_paths), default=0), len(rel_paths)),
+                    width, dtype=np.int64)
+    for k, path in enumerate(rel_paths):
+        steps[:len(path), k] = path
 
-    table: List[List[Optional[int]]] = [[None] * width]
-    parent = [0]  # union-find over coincidences; live cosets are roots
+    # One flat table of rows of width + 1 entries, read by the scans in
+    # Python and by the bulk trace through `np.frombuffer` with no copy; each
+    # view lives only inside the call that reads it, since an array with an
+    # exported buffer cannot grow. Row 0 is a sentinel of zeros and coset k
+    # is row k + 1. An entry holds the offset of the row it leads to, so 0
+    # is empty and a trace that meets a gap stays on the sentinel. The last
+    # entry of a row is its union-find parent over coincidences: a live row
+    # points at itself, so that entry pads the shorter relators.
+    blank = array("q", bytes(8 * stride))
+    table = blank * 2  # the sentinel row and coset 0, at offset stride
+    table[stride + width] = stride
+    limit = (max_cosets + 1) * stride
     # empty entries of live rows, and whether the complete table has failed
     # the closing check with no coincidence since
     empty = width
     failed = False
-    scanned = 0
+    scanned = open_scans = 0
 
     def rep(c: int) -> int:
         root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
+        while table[root + width] != root:
+            root = table[root + width]
+        while table[c + width] != root:
+            table[c + width], c = root, table[c + width]
         return root
 
     def define(c: int, col: int) -> None:
         nonlocal empty
-        if len(table) >= max_cosets:
+        if len(table) >= limit:
             raise Overflow(f"exceeded {max_cosets} cosets")
         d = len(table)
-        table.append([None] * width)
-        parent.append(d)
-        table[c][col] = d
-        table[d][col ^ 1] = c
+        table.extend(blank)
+        table[d + width] = d
+        table[c + col] = d
+        table[d + (col ^ 1)] = c
         empty += width - 2
 
     def coincidence(a: int, b: int) -> None:
@@ -133,28 +162,27 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
             x, y = rep(x), rep(y)
             if x != y:
                 x, y = min(x, y), max(x, y)
-                parent[y] = x
+                table[y + width] = x
                 dead.append(y)
-                empty -= table[y].count(None)
+                empty -= table[y:y + width].count(0)
 
         merge(a, b)
         for e in dead:  # grows as merges kill more cosets
-            row = table[e]
             for col in range(width):
-                f = row[col]
-                if f is None:
+                f = table[e + col]
+                if not f:
                     continue
-                table[f][col ^ 1] = None
-                if parent[f] == f:
+                table[f + (col ^ 1)] = 0
+                if table[f + width] == f:
                     empty += 1
                 x, y = rep(e), rep(f)
-                if table[x][col] is not None:
-                    merge(y, table[x][col])
-                elif table[y][col ^ 1] is not None:
-                    merge(x, table[y][col ^ 1])
+                if table[x + col]:
+                    merge(y, table[x + col])
+                elif table[y + (col ^ 1)]:
+                    merge(x, table[y + (col ^ 1)])
                 else:
-                    table[x][col] = y
-                    table[y][col ^ 1] = x
+                    table[x + col] = y
+                    table[y + (col ^ 1)] = x
                     empty -= 2
 
     def scan_and_fill(c: int, path: Sequence[int]) -> None:
@@ -164,8 +192,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         while True:
             # scan forward as far as possible
             while i <= j:
-                nxt = table[f][path[i]]
-                if nxt is None:
+                nxt = table[f + path[i]]
+                if not nxt:
                     break
                 f = nxt
                 i += 1
@@ -175,8 +203,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 return
             # scan backward as far as possible
             while j >= i:
-                prv = table[b][path[j] ^ 1]
-                if prv is None:
+                prv = table[b + (path[j] ^ 1)]
+                if not prv:
                     break
                 b = prv
                 j -= 1
@@ -185,33 +213,43 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                 return
             if j == i:
                 # single gap: deduction
-                table[f][path[i]] = b
-                table[b][path[i] ^ 1] = f
+                table[f + path[i]] = b
+                table[b + (path[i] ^ 1)] = f
                 empty -= 2
                 return
             # fill the forward gap with a new coset and continue
             define(f, path[i])
 
+    def open_relators(c: int) -> List[int]:
+        """The relators that do not trace back to the live row c."""
+        flat = np.frombuffer(table, dtype=np.int64)
+        at = c
+        for step in steps:
+            at = flat[at + step]
+        return np.flatnonzero(at != c).tolist()
+
     def closed_table() -> Optional[CosetTable]:
         """The complete table compacted over live cosets and renumbered in
         breadth-first order, if it closes; None if it does not."""
-        live = [c for c in range(len(table)) if parent[c] == c]
-        renum = np.zeros(len(table), dtype=np.int64)
+        rows = np.frombuffer(table, dtype=np.int64).reshape(-1, stride)
+        live = np.flatnonzero(rows[:, width] == np.arange(0, len(table), stride))
+        live = live[1:]  # the sentinel row
+        renum = np.zeros(len(rows), dtype=np.int64)
         renum[live] = np.arange(len(live))
-        rows = renum[np.array([table[c] for c in live], dtype=np.int64)
-                     .reshape(len(live), width)]
-        order = _schreier_tree(list(rows.T), len(live))[2]
+        compact = renum[rows[live, :width] // stride]
+        order = _schreier_tree(list(compact.T), len(live))[2]
         standard = np.argsort(order)  # the inverse permutation
-        columns = [standard[col[order]] for col in rows.T]
-        out = CosetTable(p, columns, len(live), len(table), scanned)
+        columns = [standard[col[order]] for col in compact.T]
+        out = CosetTable(p, columns, len(live), len(rows) - 1, scanned,
+                         open_scans)
         if out.scan_closes() and all(_trace(columns, path, 0) == 0
                                      for path in sub_paths):
             return out
         return None
 
+    c = stride
     for path in sub_paths:
-        scan_and_fill(0, path)
-    c = 0
+        scan_and_fill(c, path)
     while True:
         if empty == 0 and not failed:
             out = closed_table()
@@ -220,20 +258,21 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
             failed = True
         if c == len(table):
             raise AssertionError("coset table closed but a relator scan fails")
-        if parent[c] == c:
+        if table[c + width] == c:
             scanned += rel_letters
             if scanned > MAX_SCAN_LETTERS:
                 raise Overflow(f"exceeded {MAX_SCAN_LETTERS} relator letters "
                                "scanned")
-            for path in rel_paths:
-                scan_and_fill(c, path)
-                if parent[c] != c:
+            for k in open_relators(c):
+                open_scans += 1
+                scan_and_fill(c, rel_paths[k])
+                if table[c + width] != c:
                     break
             else:  # c is still live: define its columns still empty
                 for col in range(width):
-                    if table[c][col] is None:
+                    if not table[c + col]:
                         define(c, col)
-        c += 1
+        c += stride
 
 
 # -- Reidemeister-Schreier ------------------------------------------------
@@ -440,14 +479,6 @@ class FiniteModel:
         d = self._layer_bits
         parent, letter, _ = self._below._spanning_tree()
         return _tree_path(parent, letter, b >> d), b & ((1 << d) - 1)
-
-    def point_mul(self, a: int, b: int) -> int:
-        """Product of the group elements with base-point images a and b.
-        Only the tests call it: they check it against the BFS tree path of
-        b and use it in their brute-force normal closures, the independent
-        route `subgroup_image` is checked against."""
-        path, bits = self._mul_route(b)
-        return int(_trace(self.columns, path, a ^ bits))
 
 
 # -- homomorphism search --------------------------------------------------

@@ -11,6 +11,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from .words import (
     IDENTITY,
     ImageTable,
+    Overflow,
     Sym,
     UnmappedSymbol,
     Word,
@@ -108,17 +109,35 @@ class AbelianInvariants:
         return f"AbelianInvariants(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
 
+# Bound on the entries one `smith_normal_form` call searches or updates:
+# each pass counts the block it searches for a pivot, and each row or
+# column operation the entries it rewrites. The largest count a tier-1 test
+# makes is 22.6 M (a 240 x 720 layer), and no CI call or `verify` suite
+# makes more; the largest call that must finish, layer 4 of `nq BnK 5 4`
+# (315 x 1,260), makes 70.3 M in 7.7 s, and the bound is 1.9 times that.
+# `abelianize PnK 20` (24,815 x 230) would make 657 M in 52 s, and now
+# stops at the bound after about 10 s.
+MAX_SMITH_ENTRIES = 1 << 27
+
+
 def smith_normal_form(entries: Sequence[Sequence[int]], cols: int) -> List[int]:
     """The Smith diagonal d1 | d2 | ... | dr >= 0 over the integers of the
     matrix with these rows and `cols` columns, r = min(rows, cols), reached
     by unimodular row and column operations.
     Each pass moves a least nonzero entry of the remaining block to the
     pivot and clears its row and column by division; a remainder left
-    there is smaller than the pivot and becomes the next pass's pivot."""
+    there is smaller than the pivot and becomes the next pass's pivot.
+    Raises Overflow before a pass whose search would take the entries
+    searched or updated past MAX_SMITH_ENTRIES."""
     a = [list(row) for row in entries]
     rows = len(a)
     t = 0
+    work = 0
     while t < rows and t < cols:
+        work += (rows - t) * (cols - t)
+        if work > MAX_SMITH_ENTRIES:
+            raise Overflow(f"Smith form of a {rows} x {cols} matrix passed "
+                           f"{MAX_SMITH_ENTRIES} entries")
         block = [(abs(a[i][j]), i, j) for i in range(t, rows)
                  for j in range(t, cols) if a[i][j]]
         if not block:
@@ -132,21 +151,25 @@ def smith_normal_form(entries: Sequence[Sequence[int]], cols: int) -> List[int]:
             q = a[i][t] // piv
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                work += cols
         for j in range(t + 1, cols):
             q = a[t][j] // piv
             if q:
                 for row in a:
                     row[j] -= q * row[t]
+                work += rows
         if (any(a[i][t] for i in range(t + 1, rows))
                 or any(a[t][j] for j in range(t + 1, cols))):
             continue
         if piv < 0:
             a[t] = [-x for x in a[t]]
+            work += cols
         # restore divisibility: fold any entry the pivot misses back in
         offender = next((i for i in range(t + 1, rows)
                          if any(a[i][j] % piv for j in range(t + 1, cols))), None)
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            work += cols
             continue
         t += 1
     return [a[i][i] for i in range(min(rows, cols))]
@@ -385,7 +408,21 @@ _FAMILIES = {
 }
 
 
+# Bounds on the catalog's parameters, checked before anything is built. A
+# presentation grows with n (PnK and PnT as about n^4: 24,815 relators at
+# n = 20, built in 0.6 s, and 117,335 at n = 30) and BnNg with g (about g^2/2
+# relators), and `abelianize` or `nq` on the largest one stops at its own
+# work bound. The tests, CI, `verify` and the benchmark use n <= 5 and
+# g <= 6.
+MAX_CATALOG_N = 20
+MAX_CATALOG_GENUS = 20
+
+
 def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
+    if n > MAX_CATALOG_N:
+        raise BadParameters(f"n must be <= {MAX_CATALOG_N}, got {n}")
+    if g is not None and g > MAX_CATALOG_GENUS:
+        raise BadParameters(f"genus must be <= {MAX_CATALOG_GENUS}, got {g}")
     if family not in _FAMILIES:
         raise BadParameters(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
     if family == "P2K_reduced" and n != 2:

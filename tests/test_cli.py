@@ -134,6 +134,28 @@ class TestSingleShot:
         assert out == ""
         assert err == "error: normal closure passed 10000 sifts at class 4\n"
 
+    def test_smith_bound_exits_one(self, capsys, monkeypatch):
+        # the first search over the 7 x 4 exponent matrix of B_3(K) takes
+        # 28 entries
+        monkeypatch.setattr("surfbraid.presentations.MAX_SMITH_ENTRIES", 20)
+        code, out, err = run(capsys, "abelianize", "BnK", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Smith form of a 7 x 4 matrix passed 20 entries\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("tower", "BnK", "99999999999", "2"), "n must be <= 20, got 99999999999"),
+        (("abelianize", "BnNg", "2", "99999"), "genus must be <= 20, got 99999"),
+        (("catalog", "PnK", "100"), "n must be <= 20, got 100")],
+        ids=["tower-n", "abelianize-genus", "catalog-n"])
+    def test_catalog_bounds_are_usage_errors(self, capsys, argv, message):
+        # refused before any presentation is built: unbounded, the first
+        # two ran for over a minute and the third for over two
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_solve_fiber_bound_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("surfbraid.klein.MAX_FIBER_LETTERS", 10_000)
         # (a4*b3*C[2,4])^4 conjugating a5 peaks at 138,617 fiber letters

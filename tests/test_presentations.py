@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from surfbraid.finite import FiniteModel, todd_coxeter
 from surfbraid.nilpotent import NilpotentImage
-from surfbraid.presentations import (BadParameters, Presentation,
+from surfbraid import presentations
+from surfbraid.presentations import (MAX_CATALOG_GENUS, MAX_CATALOG_N,
+                                     BadParameters, Presentation,
                                      TorusMetabelianElement, abelianization,
                                      catalog, check_homomorphism,
                                      derived_relation_instances,
@@ -16,10 +18,20 @@ from surfbraid.presentations import (BadParameters, Presentation,
                                      smith_normal_form,
                                      torus_metabelian_evaluate,
                                      torus_metabelian_oracle)
-from surfbraid.words import Sym, Word, commutator, substitute
+from surfbraid.words import Overflow, Sym, Word, commutator, substitute
 
 
 class TestSmithNormalForm:
+    def test_work_bound(self, monkeypatch):
+        # the three passes search 9, 4 and 1 entries, and clearing the first
+        # column rewrites two rows of 3: 20 entries in all
+        rows = [[1, 0, 0], [2, 3, 0], [4, 0, 6]]
+        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 20)
+        assert smith_normal_form(rows, 3) == [1, 3, 6]
+        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 19)
+        with pytest.raises(Overflow, match="3 x 3 matrix passed 19 entries"):
+            smith_normal_form(rows, 3)
+
     def test_diagonal_only(self):
         diag = smith_normal_form([[2, 0], [0, 3]], 2)
         assert diag == [1, 6]
@@ -116,6 +128,14 @@ class TestCatalog:
     def test_genus_only_for_nonorientable(self):
         with pytest.raises(BadParameters):
             catalog("BnT", 3, g=2)
+
+    @pytest.mark.parametrize("family, n, g", [
+        ("PnK", MAX_CATALOG_N + 1, None),
+        ("TorusMetabelian", MAX_CATALOG_N + 1, None),
+        ("BnNg", 2, MAX_CATALOG_GENUS + 1), ("BnNg", MAX_CATALOG_N + 1, 3)])
+    def test_parameter_bounds(self, family, n, g):
+        with pytest.raises(BadParameters, match="must be <="):
+            catalog(family, n, g)
 
     def test_exponent_matrix_shape(self):
         p = catalog("BnK", 3)
