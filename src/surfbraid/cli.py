@@ -368,8 +368,8 @@ def _suite_nonorientable(result: SuiteResult, args) -> None:
         for g in (3, 4):
             def check(n=n, g=g):
                 inv = abelianization(catalog("BnNg", n, g=g))
-                ok = inv.free_rank == g and inv.torsion == (2,)
-                return ok, f"{_fmt_invariants(inv)}, expected free_rank={g} torsion=[2]"
+                ok = inv.free_rank == g - 1 and inv.torsion == (2, 2)
+                return ok, f"{_fmt_invariants(inv)}, expected free_rank={g - 1} torsion=[2,2]"
             result.run(f"nonorientable-ab-B{n}N{g}", check)
 
 

@@ -50,10 +50,9 @@ class CosetTable:
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
-        p = self.presentation
         start = np.arange(self.index)
-        return all(np.array_equal(_trace(self.columns, p.codes(r), start), start)
-                   for r in p.relators)
+        return all(np.array_equal(_trace(self.columns, path, start), start)
+                   for path in self.presentation.paths)
 
 
 # Bound on the relator letters one `todd_coxeter` call scans, counted as the
@@ -106,7 +105,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     check `two_quotient_tower` against."""
     width = 2 * len(p.generators)
     stride = width + 1
-    rel_paths = [p.codes(r) for r in p.relators if r.codes]
+    rel_paths = [path for path in p.paths if path]
     rel_letters = sum(map(len, rel_paths))
     sub_paths = [p.codes(w) for w in subgroup]
     # steps[k] holds every relator's k-th letter, or the parent column
@@ -356,8 +355,7 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
     ys = {bits[2 * g][c]: Sym("y", (c, g)) for c, g in edges}
 
     relators = []
-    for r in p.relators:
-        path = p.codes(r)
+    for path in p.paths:
         for c in range(t.index):
             met, cur = [], c
             for col in path:
@@ -510,9 +508,8 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
         raise ValueError(f"degree must be 1..6, got {degree}")
     ngens = len(p.generators)
     # a relator is traced once all its generators are assigned
-    checks: List[List[List[int]]] = [[] for _ in range(ngens)]
-    for r in p.relators:
-        path = p.codes(r)
+    checks: List[List[Sequence[int]]] = [[] for _ in range(ngens)]
+    for path in p.paths:
         if path:
             checks[max(path) >> 1].append(path)
 
@@ -767,7 +764,6 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ngens = len(p.generators)
-    rel_paths = [p.codes(r) for r in p.relators]
 
     stages = [FiniteModel(p, [np.zeros(1, dtype=np.int64)] * (2 * ngens), 1)]
     for stage_no in range(2, depth + 1):
@@ -775,7 +771,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         n = model.npoints
         # one Schreier generator per edge off the tree's n - 1 edges
         width = n * (ngens - 1) + 1
-        nrows = len(rel_paths) + width * ngens
+        nrows = len(p.paths) + width * ngens
         if width * nrows > MAX_LAYER_BITS:
             raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
                            f"of {width} bits")
@@ -796,7 +792,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
             rows: List[int] = []
             # relators at the base point; the conjugation differences below
             # supply their conjugates (see the docstring)
-            for path in rel_paths:
+            for path in p.paths:
                 vec = x = 0
                 for col in path:
                     vec ^= edge[col][x]
@@ -843,8 +839,8 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         new_model = FiniteModel(p, columns, n << d)
         new_model._below, new_model._layer_bits = model, d
         # sanity: relators act trivially (regular action: base point suffices)
-        for r in p.relators:
-            if new_model.apply_word(r, 0) != 0:
+        for path in p.paths:
+            if _trace(new_model.columns, path, 0) != 0:
                 raise AssertionError("relator acts nontrivially on the tower stage")
         # certifies transitivity (see the docstring)
         for k, i in enumerate(layer.free):

@@ -6,7 +6,7 @@ braid groups."""
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .words import (
     IDENTITY,
@@ -23,9 +23,10 @@ class BadParameters(ValueError):
 
 
 class Presentation:
-    """Generators plus relators (relations lhs=rhs stored as lhs*rhs^-1)."""
+    """Generators plus relators (relations lhs=rhs stored as lhs*rhs^-1).
+    `paths` holds each relator's letter codes (`codes`), encoded once."""
 
-    __slots__ = ("label", "generators", "relators", "_local")
+    __slots__ = ("label", "generators", "relators", "paths", "_local")
 
     def __init__(self, label: str, generators: Sequence[Sym], relators: Sequence[Word]):
         self.label = label
@@ -38,11 +39,8 @@ class Presentation:
         if len(self._local) != 2 * len(self.generators):
             raise ValueError(f"duplicate generators in {label!r}")
         self.relators = tuple(relators)
-        declared = set(self.generators)
-        for r in self.relators:
-            stray = r.syms() - declared
-            if stray:
-                raise ValueError(f"relator uses undeclared symbols {stray} in {label!r}")
+        # encoding refuses a relator symbol that is not a generator
+        self.paths = tuple(tuple(self.codes(r)) for r in self.relators)
 
     def codes(self, w: Word) -> List[int]:
         """The word as letter codes: 2i for generator i, 2i+1 for its
@@ -115,8 +113,8 @@ class AbelianInvariants:
 # makes is 22.6 M (a 240 x 720 layer), and no CI call or `verify` suite
 # makes more; the largest call that must finish, layer 4 of `nq BnK 5 4`
 # (315 x 1,260), makes 70.3 M in 7.7 s, and the bound is 1.9 times that.
-# `abelianize PnK 20` (24,815 x 230) would make 657 M in 52 s, and now
-# stops at the bound after about 10 s.
+# `abelianization` passes only the distinct nonzero exponent rows: for
+# `abelianize PnK 20` 590 of 24,815, which make 13.9 M (657 M for all).
 MAX_SMITH_ENTRIES = 1 << 27
 
 
@@ -193,10 +191,11 @@ def _relator(lhs: Word, rhs: Word) -> Word:
     return lhs * ~rhs
 
 
-def _pure_surface(n: int, klein: bool) -> Presentation:
-    if n < 1:
-        raise BadParameters(f"need n >= 1, got {n}")
+# what a builder returns, for parameters `catalog` has checked
+_Built = Tuple[str, List[Sym], List[Word]]
 
+
+def _pure_surface(n: int, klein: bool) -> _Built:
     def C(i: int, j: int) -> Word:
         if i == j:
             return IDENTITY
@@ -273,9 +272,7 @@ def _pure_surface(n: int, klein: bool) -> Presentation:
 
     gens = [_a(i) for i in range(1, n + 1)] + [_b(i) for i in range(1, n + 1)]
     gens += [Sym("C", (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    label = f"P{n}K" if klein else f"P{n}T"
-    rels = [r for r in rels if not r.is_identity()]
-    return Presentation(label, gens, rels)
+    return (f"P{n}K" if klein else f"P{n}T"), gens, rels
 
 
 def _artin_relations(S: Sequence[Word]) -> List[Word]:
@@ -305,9 +302,7 @@ def _twist_chain(S: Sequence[Word]) -> Word:
     return chain
 
 
-def _full_surface(n: int, klein: bool) -> Presentation:
-    if n < 1:
-        raise BadParameters(f"need n >= 1, got {n}")
+def _full_surface(n: int, klein: bool) -> _Built:
     a, b = Sym("a"), Sym("b")
     A, B = Word.from_syms(a), Word.from_syms(b)
     S = [Word.from_syms(_s(i)) for i in range(1, n)]  # S[i-1] = sigma_i
@@ -328,18 +323,10 @@ def _full_surface(n: int, klein: bool) -> Presentation:
     else:
         rels.append(_relator(chain, B * A * ~B * ~A))
     gens = [a, b] + [_s(i) for i in range(1, n)]
-    label = f"B{n}K" if klein else f"B{n}T"
-    rels = [r for r in rels if not r.is_identity()]
-    return Presentation(label, gens, rels)
+    return (f"B{n}K" if klein else f"B{n}T"), gens, rels
 
 
-def _nonorientable(n: int, g: Optional[int]) -> Presentation:
-    if g is None:
-        raise BadParameters("BnNg needs a genus argument g >= 3")
-    if g < 3:
-        raise BadParameters(f"genus must be >= 3, got {g}")
-    if n < 1:
-        raise BadParameters(f"need n >= 1, got {n}")
+def _nonorientable(n: int, g: int) -> _Built:
     A = [Word.from_syms(_a(r)) for r in range(1, g + 1)]  # A[r-1] = a_r
     S = [Word.from_syms(_s(i)) for i in range(1, n)]
     rels = _artin_relations(S)
@@ -349,7 +336,7 @@ def _nonorientable(n: int, g: Optional[int]) -> Presentation:
     if n >= 2:
         for r in range(g):
             rels.append(_relator(~S[0] * A[r] * ~S[0] * A[r],
-                                 A[r] * ~S[0] * A[r] * ~S[0]))
+                                 A[r] * ~S[0] * A[r] * S[0]))
         for s in range(g):
             for r in range(s + 1, g):
                 rels.append(_relator(~S[0] * A[s] * S[0] * A[r],
@@ -360,11 +347,10 @@ def _nonorientable(n: int, g: Optional[int]) -> Presentation:
     chain = _twist_chain(S)
     rels.append(_relator(lhs, chain))
     gens = [_s(i) for i in range(1, n)] + [_a(r) for r in range(1, g + 1)]
-    rels = [r for r in rels if not r.is_identity()]
-    return Presentation(f"B{n}N{g}", gens, rels)
+    return f"B{n}N{g}", gens, rels
 
 
-def _p2k_reduced() -> Presentation:
+def _p2k_reduced() -> _Built:
     a1, a2 = Word.from_syms(_a(1)), Word.from_syms(_a(2))
     b1, b2 = Word.from_syms(_b(1)), Word.from_syms(_b(2))
     rels = [
@@ -374,17 +360,15 @@ def _p2k_reduced() -> Presentation:
         _relator(~b1 * b2 * b1, a2 * b2 * a2),
         _relator(~b2 * a2 * b2 * a2, b1 * ~a1 * ~b1 * ~a1),
     ]
-    return Presentation("P2K_reduced", [_a(1), _a(2), _b(1), _b(2)], rels)
+    return "P2K_reduced", [_a(1), _a(2), _b(1), _b(2)], rels
 
 
-def _pi1k() -> Presentation:
+def _pi1k() -> _Built:
     a1, b1 = Word.from_syms(_a(1)), Word.from_syms(_b(1))
-    return Presentation("Pi1K", [_a(1), _b(1)], [_relator(a1 * b1, b1 * ~a1)])
+    return "Pi1K", [_a(1), _b(1)], [_relator(a1 * b1, b1 * ~a1)]
 
 
-def _torus_metabelian(n: int) -> Presentation:
-    if n < 2:
-        raise BadParameters(f"need n >= 2, got {n}")
+def _torus_metabelian(n: int) -> _Built:
     sg, a, b = Sym("s"), Sym("a"), Sym("b")
     S, A, B = Word.from_syms(sg), Word.from_syms(a), Word.from_syms(b)
     rels = [
@@ -393,18 +377,20 @@ def _torus_metabelian(n: int) -> Presentation:
         S ** (2 * n),
         _relator(B * A * ~B * ~A, ~S * ~S),
     ]
-    return Presentation(f"TorusMetabelian{n}", [sg, a, b], rels)
+    return f"TorusMetabelian{n}", [sg, a, b], rels
 
 
+# family -> (its builder of (n, g), least n, only n or None, least genus or
+# None when it takes no genus)
 _FAMILIES = {
-    "PnT": lambda n, g: _pure_surface(n, klein=False),
-    "PnK": lambda n, g: _pure_surface(n, klein=True),
-    "BnT": lambda n, g: _full_surface(n, klein=False),
-    "BnK": lambda n, g: _full_surface(n, klein=True),
-    "BnNg": lambda n, g: _nonorientable(n, g),
-    "P2K_reduced": lambda n, g: _p2k_reduced(),
-    "Pi1K": lambda n, g: _pi1k(),
-    "TorusMetabelian": lambda n, g: _torus_metabelian(n),
+    "PnT": (lambda n, g: _pure_surface(n, klein=False), 1, None, None),
+    "PnK": (lambda n, g: _pure_surface(n, klein=True), 1, None, None),
+    "BnT": (lambda n, g: _full_surface(n, klein=False), 1, None, None),
+    "BnK": (lambda n, g: _full_surface(n, klein=True), 1, None, None),
+    "BnNg": (_nonorientable, 1, None, 3),
+    "P2K_reduced": (lambda n, g: _p2k_reduced(), 2, 2, None),
+    "Pi1K": (lambda n, g: _pi1k(), 1, 1, None),
+    "TorusMetabelian": (lambda n, g: _torus_metabelian(n), 2, None, None),
 }
 
 
@@ -419,19 +405,28 @@ MAX_CATALOG_GENUS = 20
 
 
 def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
+    """The family's presentation with its identity relators dropped;
+    parameters outside its domain raise BadParameters before any build."""
     if n > MAX_CATALOG_N:
         raise BadParameters(f"n must be <= {MAX_CATALOG_N}, got {n}")
     if g is not None and g > MAX_CATALOG_GENUS:
         raise BadParameters(f"genus must be <= {MAX_CATALOG_GENUS}, got {g}")
     if family not in _FAMILIES:
         raise BadParameters(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    if family == "P2K_reduced" and n != 2:
-        raise BadParameters(f"P2K_reduced is only defined for n=2, got {n}")
-    if family == "Pi1K" and n != 1:
-        raise BadParameters(f"Pi1K is only defined for n=1, got {n}")
-    if family != "BnNg" and g is not None:
-        raise BadParameters(f"genus parameter is only meaningful for BnNg")
-    return _FAMILIES[family](n, g)
+    build, least_n, only_n, least_genus = _FAMILIES[family]
+    if only_n is not None and n != only_n:
+        raise BadParameters(f"{family} is only defined for n={only_n}, got {n}")
+    if least_genus is None:
+        if g is not None:
+            raise BadParameters("genus parameter is only meaningful for BnNg")
+    elif g is None:
+        raise BadParameters(f"{family} needs a genus argument g >= {least_genus}")
+    elif g < least_genus:
+        raise BadParameters(f"genus must be >= {least_genus}, got {g}")
+    if n < least_n:
+        raise BadParameters(f"need n >= {least_n}, got {n}")
+    label, gens, rels = build(n, g)
+    return Presentation(label, gens, [r for r in rels if not r.is_identity()])
 
 
 # -- abelianization -----------------------------------------------------
@@ -439,9 +434,9 @@ def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
 def exponent_matrix(p: Presentation) -> List[List[int]]:
     """One row of exponent sums per relator, one column per generator."""
     rows = []
-    for r in p.relators:
+    for path in p.paths:
         row = [0] * len(p.generators)
-        for code in p.codes(r):
+        for code in path:
             row[code >> 1] += -1 if code & 1 else 1
         rows.append(row)
     return rows
@@ -449,7 +444,9 @@ def exponent_matrix(p: Presentation) -> List[List[int]]:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     ncols = len(p.generators)
-    nonzero = [d for d in smith_normal_form(exponent_matrix(p), ncols) if d]
+    # zero and repeated rows change neither the row lattice nor the answer
+    rows = dict.fromkeys(tuple(row) for row in exponent_matrix(p) if any(row))
+    nonzero = [d for d in smith_normal_form(list(rows), ncols) if d]
     free_rank = ncols - len(nonzero)
     torsion = sorted(d for d in nonzero if d > 1)
     return AbelianInvariants(free_rank, torsion)

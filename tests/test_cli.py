@@ -31,7 +31,7 @@ class TestSingleShot:
     def test_abelianize_genus(self, capsys):
         code, out, _ = run(capsys, "abelianize", "BnNg", "3", "3")
         assert code == 0
-        assert out.strip() == "free_rank=3 torsion=[2]"
+        assert out.strip() == "free_rank=2 torsion=[2,2]"
 
     def test_catalog(self, capsys):
         code, out, _ = run(capsys, "catalog", "Pi1K", "1")
@@ -135,13 +135,13 @@ class TestSingleShot:
         assert err == "error: normal closure passed 10000 sifts at class 4\n"
 
     def test_smith_bound_exits_one(self, capsys, monkeypatch):
-        # the first search over the 7 x 4 exponent matrix of B_3(K) takes
-        # 28 entries
+        # B_3(K) has 4 distinct nonzero exponent rows: the first pass
+        # searches their 16 entries and its row operations rewrite 12 more
         monkeypatch.setattr("surfbraid.presentations.MAX_SMITH_ENTRIES", 20)
         code, out, err = run(capsys, "abelianize", "BnK", "3")
         assert code == 1
         assert out == ""
-        assert err == "error: Smith form of a 7 x 4 matrix passed 20 entries\n"
+        assert err == "error: Smith form of a 4 x 4 matrix passed 20 entries\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("tower", "BnK", "99999999999", "2"), "n must be <= 20, got 99999999999"),
@@ -341,6 +341,25 @@ class TestVerify:
         assert exhausted
         assert all(verdicts[cid] == "INDETERMINATE" for cid in exhausted)
         assert "FAIL" not in verdicts.values()
+
+    @pytest.mark.parametrize("bound, value, message", [
+        ("MAX_SIFTS", 5, "normal closure passed 5 sifts at class 2"),
+        ("MAX_CLASS", 1, "class bound 2 unsupported (use 1..1)")],
+        ids=["overflow", "class-unsupported"])
+    def test_stopped_check_is_indeterminate(self, capsys, monkeypatch, bound,
+                                            value, message):
+        # the nq claim stops and says why; the suite's other claims are
+        # still made and reported
+        monkeypatch.setattr(f"surfbraid.nilpotent.{bound}", value)
+        code, rep = self._report(capsys, "nonorientable")
+        assert code == 1
+        claims = {c["id"]: c for c in rep["claims"]}
+        stopped = claims.pop("nonorientable-nq-B3N3-layer2-trivial")
+        assert (stopped["verdict"], stopped["witness"]) == ("INDETERMINATE",
+                                                            message)
+        assert sorted(claims) == [f"nonorientable-ab-B{n}N{g}"
+                                  for n in (2, 3) for g in (3, 4)]
+        assert all(c["verdict"] == "PASS" for c in claims.values())
 
     def test_suite_names_complete(self):
         assert len(SUITES) == 12

@@ -287,7 +287,7 @@ class TestNilpotentQuotients:
 
     def test_nonorientable_collapse(self):
         rep = nilpotent_quotient(catalog("BnNg", 3, g=3), 3)
-        assert _layer(rep, 1) == (3, (2,))
+        assert _layer(rep, 1) == (2, (2, 2))
         assert _layer(rep, 2) == (0, ())
         assert _layer(rep, 3) == (0, ())
 

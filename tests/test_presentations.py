@@ -101,7 +101,7 @@ class TestAbelianizations:
     @pytest.mark.parametrize("n,g", [(2, 3), (3, 3), (2, 4), (3, 4)])
     def test_nonorientable(self, n, g):
         inv = abelianization(catalog("BnNg", n, g=g))
-        assert (inv.free_rank, inv.torsion) == (g, (2,))
+        assert (inv.free_rank, inv.torsion) == (g - 1, (2, 2))
 
     def test_two_strand_klein(self):
         inv = abelianization(catalog("P2K_reduced", 2))
@@ -117,17 +117,30 @@ class TestAbelianizations:
 
 
 class TestCatalog:
-    def test_unknown_family(self):
-        with pytest.raises(BadParameters):
-            catalog("Nope", 2)
-
-    def test_reduced_needs_n2(self):
-        with pytest.raises(BadParameters):
-            catalog("P2K_reduced", 3)
-
-    def test_genus_only_for_nonorientable(self):
-        with pytest.raises(BadParameters):
-            catalog("BnT", 3, g=2)
+    @pytest.mark.parametrize("family, n, g, message", [
+        ("PnK", 21, None, "n must be <= 20, got 21"),
+        ("BnNg", 2, 21, "genus must be <= 20, got 21"),
+        ("Nope", 2, None, "unknown family 'Nope'; choose from ['BnK', 'BnNg', "
+         "'BnT', 'P2K_reduced', 'Pi1K', 'PnK', 'PnT', 'TorusMetabelian']"),
+        ("P2K_reduced", 3, None, "P2K_reduced is only defined for n=2, got 3"),
+        ("Pi1K", 2, None, "Pi1K is only defined for n=1, got 2"),
+        ("BnT", 3, 2, "genus parameter is only meaningful for BnNg"),
+        ("BnNg", 2, None, "BnNg needs a genus argument g >= 3"),
+        ("BnNg", 2, 2, "genus must be >= 3, got 2"),
+        ("PnT", 0, None, "need n >= 1, got 0"),
+        ("PnK", 0, None, "need n >= 1, got 0"),
+        ("BnT", 0, None, "need n >= 1, got 0"),
+        ("BnK", -1, None, "need n >= 1, got -1"),
+        ("BnNg", 0, 3, "need n >= 1, got 0"),
+        ("TorusMetabelian", 1, None, "need n >= 2, got 1")],
+        ids=["n-bound", "genus-bound", "unknown-family", "reduced-only-n2",
+             "pi1k-only-n1", "genus-only-for-nonorientable", "missing-genus",
+             "genus-floor", "PnT-n", "PnK-n", "BnT-n", "BnK-n", "BnNg-n",
+             "TorusMetabelian-n"])
+    def test_refusals(self, family, n, g, message):
+        with pytest.raises(BadParameters) as exc:
+            catalog(family, n, g)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("family, n, g", [
         ("PnK", MAX_CATALOG_N + 1, None),
@@ -179,11 +192,24 @@ class TestLetterCodes:
         with pytest.raises(BadParameters):
             todd_coxeter(p, [stray])
 
+    @pytest.mark.parametrize("family, n, g", [
+        ("PnT", 2, None), ("PnK", 3, None), ("BnT", 3, None), ("BnK", 1, None),
+        ("BnNg", 2, 3), ("P2K_reduced", 2, None), ("Pi1K", 1, None),
+        ("TorusMetabelian", 3, None)])
+    def test_paths_are_the_relator_codes(self, family, n, g):
+        p = catalog(family, n, g)
+        assert p.paths == tuple(tuple(p.codes(r)) for r in p.relators)
+
+    def test_undeclared_relator_symbol(self):
+        a = Word.from_syms(Sym("a"))
+        with pytest.raises(ValueError, match="stray"):
+            Presentation("Z2", [Sym("a")], [a * Word.from_syms(Sym("stray"))])
+
     def test_pickle_rebuilds_the_code_table(self):
         p = catalog("BnNg", 3, 3)
         q = pickle.loads(pickle.dumps(p))
         assert q.generators == p.generators and q.relators == p.relators
-        assert [q.codes(r) for r in q.relators] == [p.codes(r) for r in p.relators]
+        assert q.paths == p.paths
 
 
 class TestTorusMetabelian:
