@@ -368,6 +368,8 @@ class NilpotentImage:
         """Invariants of layer k, gamma_k / (N cap gamma_k) gamma_{k+1}: the
         torsion is the Smith diagonal of the weight-k pivot components, and
         the free rank is the basic commutators of weight k less the pivots."""
+        if not 1 <= k <= self.c:
+            raise BadParameters(f"layer {k} is outside 1..{self.c} at class {self.c}")
         comps = [series_component(p[0], k) for p in self._pivots[k].values()]
         monomials = sorted({m for comp in comps for m in comp})
         rows = [[comp.get(m, 0) for m in monomials] for comp in comps]

@@ -13,7 +13,6 @@ from .words import (
     ImageTable,
     Overflow,
     Sym,
-    UnmappedSymbol,
     Word,
     substitute,
 )
@@ -460,79 +459,12 @@ def check_homomorphism(
     is_trivial: Callable[[Word], bool],
 ) -> List[Word]:
     """The relators of src whose image under the candidate images is not
-    trivial. With `torus_metabelian_oracle` it is the route by which the
-    torus-derived suite checks that the relators of B_n(T) die in the
-    metabelian quotient."""
+    trivial. With the `contains_word` of the class-2 image of the
+    TorusMetabelian group (`cli._torus_quotient`) as `is_trivial`, it is the
+    route by which the torus-derived suite checks that the relators of
+    B_n(T) die in the metabelian quotient."""
     table = ImageTable(images)
     return [r for r in src.relators if not is_trivial(substitute(r, table))]
-
-
-class TorusMetabelianElement:
-    """Element a^i b^j s^k of <s,a,b : [a,s]=[b,s]=s^(2n)=1, [b,a]=s^-2>,
-    with k taken modulo 2n."""
-
-    __slots__ = ("n", "i", "j", "k")
-
-    def __init__(self, n: int, i: int = 0, j: int = 0, k: int = 0):
-        self.n = n
-        self.i = i
-        self.j = j
-        self.k = k % (2 * n)
-
-    def __mul__(self, other: "TorusMetabelianElement") -> "TorusMetabelianElement":
-        if self.n != other.n:
-            raise ValueError("mixed moduli")
-        # b^j a^i' = a^i' b^j s^(-2 j i')
-        return TorusMetabelianElement(
-            self.n, self.i + other.i, self.j + other.j,
-            self.k + other.k - 2 * self.j * other.i)
-
-    def inverse(self) -> "TorusMetabelianElement":
-        # (a^i b^j s^k)^-1 = a^-i b^-j s^(-k - 2 i j)
-        return TorusMetabelianElement(self.n, -self.i, -self.j, -self.k - 2 * self.i * self.j)
-
-    def is_identity(self) -> bool:
-        return self.i == 0 and self.j == 0 and self.k == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TorusMetabelianElement) and self.n == other.n
-                and (self.i, self.j, self.k) == (other.i, other.j, other.k))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.i, self.j, self.k))
-
-    def __repr__(self) -> str:
-        return f"TorusMetabelianElement(n={self.n}, a^{self.i} b^{self.j} s^{self.k})"
-
-
-def torus_metabelian_evaluate(w: Word, n: int,
-                              images: Optional[Mapping[Sym, TorusMetabelianElement]] = None
-                              ) -> TorusMetabelianElement:
-    if images is None:
-        images = {
-            Sym("a"): TorusMetabelianElement(n, i=1),
-            Sym("b"): TorusMetabelianElement(n, j=1),
-            Sym("s"): TorusMetabelianElement(n, k=1),
-        }
-    table = {}  # letter code -> its element
-    for sym, g in images.items():
-        table[sym.code] = g
-        table[sym.code ^ 1] = g.inverse()
-    out = TorusMetabelianElement(n)
-    for code in w.codes:
-        g = table.get(code)
-        if g is None:
-            raise UnmappedSymbol(f"no image for symbol {Sym.from_code(code)}")
-        out = out * g
-    return out
-
-
-def torus_metabelian_oracle(n: int) -> Callable[[Word], bool]:
-    """Triviality in the metabelian quotient of B_n(T), as a predicate for
-    `check_homomorphism`; the torus-derived suite uses the pair."""
-    def is_trivial(w: Word) -> bool:
-        return torus_metabelian_evaluate(w, n).is_identity()
-    return is_trivial
 
 
 # -- derived subgroup of the torus braid group ---------------------------

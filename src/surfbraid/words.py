@@ -334,12 +334,14 @@ MAX_PARSED_LETTERS = 100_000
 
 def parse_word(text: str) -> Word:
     tokens = []
+    written = []  # each token as the text has it, for error messages
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise WordSyntaxError(f"bad word syntax at offset {pos}: {text[pos:pos+12]!r}")
         pos = m.end()
+        written.append(m.group(0).strip())
         if m.group("name"):
             idx = m.group("idx")
             indices = tuple(int(s) for s in idx.split(",")) if idx else ()
@@ -358,7 +360,7 @@ def parse_word(text: str) -> Word:
         tok = tokens[i]
         if expect_term:
             if not isinstance(tok, Sym):
-                raise WordSyntaxError(f"expected a generator, got {tok!r}")
+                raise WordSyntaxError(f"expected a generator, got {written[i]!r}")
             exp = 1
             if i + 1 < len(tokens) and tokens[i + 1] == "^":
                 if i + 2 >= len(tokens) or not isinstance(tokens[i + 2], int):
@@ -373,7 +375,7 @@ def parse_word(text: str) -> Word:
             expect_term = False
         else:
             if tok != "*":
-                raise WordSyntaxError(f"expected '*', got {tok!r}")
+                raise WordSyntaxError(f"expected '*', got {written[i]!r}")
             expect_term = True
         i += 1
     if expect_term:

@@ -70,6 +70,13 @@ class TestSingleShot:
         code, _, err = run(capsys, "solve", "2", "a1*")
         assert code == 2
 
+    def test_word_syntax_error_names_the_token(self, capsys):
+        code, out, err = run(capsys, "solve", "2", "a1 a2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected '*', got 'a2'\n"
+        assert "Sym(" not in err
+
     def test_huge_exponent_is_usage_error(self, capsys):
         # refused before the 10^9 letters are built
         code, out, err = run(capsys, "solve", "1", "a1^1000000000")
@@ -215,9 +222,12 @@ class TestVerify:
             assert "differ in F(u, v)" in c["witness"]
 
     def test_torus_derived_names_a_failing_relator(self, capsys, monkeypatch):
-        # a relator a, which the metabelian quotient does not kill
+        # a relator a of B_n(T), which the metabelian quotient does not
+        # kill; the quotient comes through catalog too, so it keeps its own
         def with_a(family, n, g=None):
             p = catalog(family, n, g)
+            if family != "BnT":
+                return p
             a = Word.from_syms(Sym("a"))
             return Presentation(p.label, list(p.generators), list(p.relators) + [a])
         monkeypatch.setattr(cli, "catalog", with_a)

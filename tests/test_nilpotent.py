@@ -11,7 +11,8 @@ from surfbraid.nilpotent import (MAX_SIFTS, ClassUnsupported, NilpotentImage,
                                  nilpotent_quotient, series_component,
                                  series_mul, series_one, series_pow,
                                  series_powers, witt_rank, word_series)
-from surfbraid.presentations import (Presentation, abelianization, catalog,
+from surfbraid.presentations import (BadParameters, Presentation,
+                                     abelianization, catalog,
                                      smith_normal_form)
 from surfbraid.words import Overflow, Sym, Word, commutator
 
@@ -321,6 +322,12 @@ class TestNilpotentQuotients:
     def test_class_bound_validation(self):
         with pytest.raises(ClassUnsupported):
             nilpotent_quotient(catalog("BnK", 2), 5)
+
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_layer_outside_the_class_is_refused(self, k):
+        img = NilpotentImage.of(catalog("BnK", 3), 2)
+        with pytest.raises(BadParameters, match=r"^layer -?\d+ is outside 1\.\.2 at class 2$"):
+            img.layer(k)
 
 
 class TestSiftBound:

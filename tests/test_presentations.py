@@ -6,18 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from surfbraid.cli import _torus_quotient
 from surfbraid.finite import FiniteModel, todd_coxeter
 from surfbraid.nilpotent import NilpotentImage
 from surfbraid import presentations
 from surfbraid.presentations import (MAX_CATALOG_GENUS, MAX_CATALOG_N,
                                      BadParameters, Presentation,
-                                     TorusMetabelianElement, abelianization,
-                                     catalog, check_homomorphism,
+                                     abelianization, catalog,
+                                     check_homomorphism,
                                      derived_relation_instances,
                                      exponent_matrix,
-                                     smith_normal_form,
-                                     torus_metabelian_evaluate,
-                                     torus_metabelian_oracle)
+                                     smith_normal_form)
 from surfbraid.words import Overflow, Sym, Word, commutator, substitute
 
 
@@ -212,39 +211,96 @@ class TestLetterCodes:
         assert q.paths == p.paths
 
 
+def _torus_law_is_trivial(w: Word, n: int) -> bool:
+    """The closed form of <s, a, b : [a,s] = [b,s] = s^(2n) = 1,
+    [b,a] = s^-2>: read w letter by letter as a^i b^j s^k, where
+    b^j a^e = a^e b^j s^(-2je)."""
+    i = j = k = 0
+    for sym, e in w.letters:
+        if sym.name == "a":
+            i, k = i + e, k - 2 * j * e
+        elif sym.name == "b":
+            j += e
+        else:
+            k += e
+    return i == 0 and j == 0 and k % (2 * n) == 0
+
+
+_TORUS_LETTERS = [(Sym(c), e) for c in "sab" for e in (1, -1)]
+
+
+@st.composite
+def _torus_words(draw):
+    """(n, w): a random word over s, a, b, or a product of conjugates of
+    the TorusMetabelian relators times a short tail, which is often empty."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    letters = st.lists(st.sampled_from(_TORUS_LETTERS), max_size=6)
+    if draw(st.booleans()):
+        return n, Word(draw(st.lists(st.sampled_from(_TORUS_LETTERS), max_size=16)))
+    rels = catalog("TorusMetabelian", n).relators
+    w = Word()
+    for _ in range(draw(st.integers(1, 3))):
+        u = Word(draw(letters))
+        r = draw(st.sampled_from(rels)) ** draw(st.sampled_from([1, -1]))
+        w = w * u * r * ~u
+    tail = draw(st.one_of(st.just([]), st.lists(st.sampled_from(_TORUS_LETTERS),
+                                                 max_size=3)))
+    return n, w * Word(tail)
+
+
 class TestTorusMetabelian:
+    """The metabelian quotient of B_n(T), decided at class 2 in the
+    catalog's TorusMetabelian group (`cli._torus_quotient`)."""
+
     def test_sigma_order(self):
         n = 5
-        one = TorusMetabelianElement(n)
+        quotient, _ = _torus_quotient(n)
         s = Word.from_syms(Sym("s"))
         orders = [k for k in range(1, 2 * n + 1)
-                  if torus_metabelian_evaluate(s ** k, n) == one]
+                  if quotient.contains_word(s ** k)]
         assert orders == [2 * n]
 
     def test_sigma_central(self):
         n = 5
-        one = TorusMetabelianElement(n)
+        quotient, _ = _torus_quotient(n)
         s, a = Word.from_syms(Sym("s")), Word.from_syms(Sym("a"))
-        assert torus_metabelian_evaluate(commutator(s, a), n) == one
+        assert quotient.contains_word(commutator(s, a))
 
     def test_relators_map_trivially(self):
         n = 5
         p = catalog("BnT", n)
-        images = {Sym("a"): Word.from_syms(Sym("a")),
-                  Sym("b"): Word.from_syms(Sym("b"))}
-        for i in range(1, n):
-            images[Sym("s", (i,))] = Word.from_syms(Sym("s"))
-        assert check_homomorphism(p, images, torus_metabelian_oracle(n)) == []
+        quotient, images = _torus_quotient(n)
+        assert check_homomorphism(p, images, quotient.contains_word) == []
 
     def test_failing_relator_is_reported(self):
         n = 5
         p = catalog("BnT", n)
+        quotient, images = _torus_quotient(n)
         a = Word.from_syms(Sym("a"))
-        images = {Sym("a"): a, Sym("b"): Word.from_syms(Sym("b"))}
-        for i in range(1, n):
-            images[Sym("s", (i,))] = Word.from_syms(Sym("s"))
         bad = Presentation(p.label, list(p.generators), list(p.relators) + [a])
-        assert check_homomorphism(bad, images, torus_metabelian_oracle(n)) == [a]
+        assert check_homomorphism(bad, images, quotient.contains_word) == [a]
+
+    @given(_torus_words())
+    @example((3, Word.from_syms(Sym("s")) ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_presentation_matches_the_closed_form(self, nw):
+        n, w = nw
+        quotient = NilpotentImage.of(catalog("TorusMetabelian", n), 2)
+        assert quotient.contains_word(w) == _torus_law_is_trivial(w, n)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_closed_form_control(self, n):
+        # with [b,a] = s^+2 the engine must part from the closed form on
+        # [b,a] s^2, which is s^4 there and 1 in the torus quotient
+        S, A, B = (Word.from_syms(Sym(c)) for c in "sab")
+        p = catalog("TorusMetabelian", n)
+        w = commutator(B, A) * S * S
+        assert p.relators[3] == w
+        flipped = Presentation(p.label + "+", list(p.generators),
+                               list(p.relators[:3]) + [commutator(B, A) * ~(S * S)])
+        assert _torus_law_is_trivial(w, n)
+        assert NilpotentImage.of(p, 2).contains_word(w)
+        assert not NilpotentImage.of(flipped, 2).contains_word(w)
 
 
 class TestDerivedInstances:
@@ -258,10 +314,6 @@ class TestDerivedInstances:
 
     def test_instances_trivial_in_metabelian_image(self):
         n = 5
-        one = TorusMetabelianElement(n)
-        images = {Sym("a"): TorusMetabelianElement(n, i=1),
-                  Sym("b"): TorusMetabelianElement(n, j=1)}
-        for i in range(1, n):
-            images[Sym("s", (i,))] = TorusMetabelianElement(n, k=1)
+        quotient, images = _torus_quotient(n)
         for w in derived_relation_instances(n, [0, 1], [0, 1]):
-            assert torus_metabelian_evaluate(w, n, images=images) == one
+            assert quotient.contains_word(substitute(w, images))

@@ -492,6 +492,18 @@ class TestTextFormat:
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("a[1] b[2]", "expected '*', got 'b[2]'"),
+        ("x*y b[ 2 ]", "expected '*', got 'b[ 2 ]'"),
+        ("a2 a3", "expected '*', got 'a3'"),
+        ("^2", "expected a generator, got '^'"),
+        ("x*3", "expected a generator, got '3'")])
+    def test_syntax_errors_name_the_token_as_written(self, bad, message):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(bad)
+        assert str(exc.value) == message
+        assert "Sym(" not in str(exc.value)
+
     @pytest.mark.parametrize("text", ["x^1000000000", "x^-100001",
                                       "x^60000*y^-60000"])
     def test_letter_bound(self, text):
