@@ -366,14 +366,11 @@ class NilpotentImage:
 
     def layer(self, k: int) -> AbelianInvariants:
         """Invariants of layer k, gamma_k / (N cap gamma_k) gamma_{k+1}: the
-        torsion is the Smith diagonal of the weight-k pivot components, and
+        torsion is the weight-k pivot components' invariant factors above 1, and
         the free rank is the basic commutators of weight k less the pivots."""
         if not 1 <= k <= self.c:
             raise BadParameters(f"layer {k} is outside 1..{self.c} at class {self.c}")
         comps = [series_component(p[0], k) for p in self._pivots[k].values()]
-        monomials = sorted({m for comp in comps for m in comp})
-        rows = [[comp.get(m, 0) for m in monomials] for comp in comps]
-        diag = smith_normal_form(rows, len(monomials))
         return AbelianInvariants(witt_rank(len(self.presentation.generators), k)
                                  - len(comps),
-                                 sorted(d for d in diag if d > 1))
+                                 [d for d in smith_normal_form(comps) if d > 1])

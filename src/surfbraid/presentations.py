@@ -5,8 +5,9 @@ braid groups."""
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .words import (
     IDENTITY,
@@ -106,70 +107,69 @@ class AbelianInvariants:
         return f"AbelianInvariants(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
 
-# Bound on the entries one `smith_normal_form` call searches or updates:
-# each pass counts the block it searches for a pivot, and each row or
-# column operation the entries it rewrites. The largest count a tier-1 test
-# makes is 22.6 M (a 240 x 720 layer), and no CI call or `verify` suite
-# makes more; the largest call that must finish, layer 4 of `nq BnK 5 4`
-# (315 x 1,260), makes 70.3 M in 7.7 s, and the bound is 1.9 times that.
-# `abelianization` passes only the distinct nonzero exponent rows: for
-# `abelianize PnK 20` 590 of 24,815, which make 13.9 M (657 M for all).
-MAX_SMITH_ENTRIES = 1 << 27
+# Bound on the entries one `smith_normal_form` call searches or rewrites:
+# each pass counts the entries it searches for a pivot, and each row or
+# column operation the pivot row's entries it applies. The largest count a
+# tier-1 test makes is 0.81 M (layer 4 of P_2(K) at class 4, 150 rows), a
+# CI call 3.56 M (layer 4 of `nq BnT 5 4`) and a `verify` suite 184; the
+# largest call that must finish, layer 4 of `nq BnK 5 4` (315 rows), makes
+# 3.71 M in about 0.25 s, and the bound is 2.3 times that. `abelianize PnK
+# 20` passes 591 distinct exponent rows of 24,815 (one zero) and makes 0.15 M.
+MAX_SMITH_ENTRIES = 1 << 23
 
 
-def smith_normal_form(entries: Sequence[Sequence[int]], cols: int) -> List[int]:
-    """The Smith diagonal d1 | d2 | ... | dr >= 0 over the integers of the
-    matrix with these rows and `cols` columns, r = min(rows, cols), reached
-    by unimodular row and column operations.
-    Each pass moves a least nonzero entry of the remaining block to the
-    pivot and clears its row and column by division; a remainder left
-    there is smaller than the pivot and becomes the next pass's pivot.
+def smith_normal_form(rows: Iterable[Mapping[Hashable, int]]) -> List[int]:
+    """The invariant factors d1 | d2 | ... | dr > 0 over the integers of the
+    lattice these sparse rows (column key -> entry) span, r its rank.
+    Each pass pivots on an entry x of least absolute value, ties going to
+    the shortest row, and reduces x's column mod x by row operations. Once
+    that column is clear, column operations change only the pivot row, so
+    it is reduced mod x: if nothing is left, |x| splits off and the row is
+    dropped; otherwise a remainder smaller than x is the next pivot. Then
+    diag(a, b) ~ diag(gcd, lcm) turns the split factors into a chain.
     Raises Overflow before a pass whose search would take the entries
-    searched or updated past MAX_SMITH_ENTRIES."""
-    a = [list(row) for row in entries]
-    rows = len(a)
-    t = 0
+    searched or rewritten past MAX_SMITH_ENTRIES."""
+    a = [r for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
+    count = len(a)
+    split = []
     work = 0
-    while t < rows and t < cols:
-        work += (rows - t) * (cols - t)
+    while a:
+        work += sum(map(len, a))
         if work > MAX_SMITH_ENTRIES:
-            raise Overflow(f"Smith form of a {rows} x {cols} matrix passed "
+            raise Overflow(f"Smith form of {count} rows passed "
                            f"{MAX_SMITH_ENTRIES} entries")
-        block = [(abs(a[i][j]), i, j) for i in range(t, rows)
-                 for j in range(t, cols) if a[i][j]]
-        if not block:
-            break
-        _, pi, pj = min(block)
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        piv = a[t][t]
-        for i in range(t + 1, rows):
-            q = a[i][t] // piv
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                work += cols
-        for j in range(t + 1, cols):
-            q = a[t][j] // piv
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-                work += rows
-        if (any(a[i][t] for i in range(t + 1, rows))
-                or any(a[t][j] for j in range(t + 1, cols))):
+        _, _, i = min((min(map(abs, r.values())), len(r), i)
+                      for i, r in enumerate(a))
+        p = a.pop(i)
+        j = min(p, key=lambda k: abs(p[k]))
+        x = p[j]
+        for r in a:
+            if j in r:
+                q = r[j] // x
+                for k, y in p.items():
+                    v = r.get(k, 0) - q * y
+                    if v:
+                        r[k] = v
+                    else:  # q * y != 0, so r held an entry here
+                        del r[k]
+                work += len(p)
+        a = [r for r in a if r]
+        if any(j in r for r in a):
+            a.append(p)
             continue
-        if piv < 0:
-            a[t] = [-x for x in a[t]]
-            work += cols
-        # restore divisibility: fold any entry the pivot misses back in
-        offender = next((i for i in range(t + 1, rows)
-                         if any(a[i][j] % piv for j in range(t + 1, cols))), None)
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            work += cols
-            continue
-        t += 1
-    return [a[i][i] for i in range(min(rows, cols))]
+        rest = {k: y % x for k, y in p.items() if y % x}
+        work += len(p)
+        if rest:
+            rest[j] = x
+            a.append(rest)
+        else:
+            split.append(abs(x))
+    units = split.count(1)
+    d = [x for x in split if x > 1]
+    for s in range(len(d)):
+        for t in range(s + 1, len(d)):
+            d[s], d[t] = math.gcd(d[s], d[t]), math.lcm(d[s], d[t])
+    return [1] * units + d
 
 
 # -- presentation catalog ----------------------------------------------
@@ -442,13 +442,11 @@ def exponent_matrix(p: Presentation) -> List[List[int]]:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    ncols = len(p.generators)
     # zero and repeated rows change neither the row lattice nor the answer
-    rows = dict.fromkeys(tuple(row) for row in exponent_matrix(p) if any(row))
-    nonzero = [d for d in smith_normal_form(list(rows), ncols) if d]
-    free_rank = ncols - len(nonzero)
-    torsion = sorted(d for d in nonzero if d > 1)
-    return AbelianInvariants(free_rank, torsion)
+    rows = dict.fromkeys(map(tuple, exponent_matrix(p)))
+    factors = smith_normal_form(dict(enumerate(row)) for row in rows)
+    return AbelianInvariants(len(p.generators) - len(factors),
+                             [d for d in factors if d > 1])
 
 
 # -- homomorphism checking ----------------------------------------------

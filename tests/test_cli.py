@@ -143,12 +143,13 @@ class TestSingleShot:
 
     def test_smith_bound_exits_one(self, capsys, monkeypatch):
         # B_3(K) has 4 distinct nonzero exponent rows: the first pass
-        # searches their 16 entries and its row operations rewrite 12 more
-        monkeypatch.setattr("surfbraid.presentations.MAX_SMITH_ENTRIES", 20)
+        # searches their 7 entries and rewrites 8 (three rows and the pivot
+        # row, 2 each), and the second pass's search of 4 takes it to 19
+        monkeypatch.setattr("surfbraid.presentations.MAX_SMITH_ENTRIES", 18)
         code, out, err = run(capsys, "abelianize", "BnK", "3")
         assert code == 1
         assert out == ""
-        assert err == "error: Smith form of a 4 x 4 matrix passed 20 entries\n"
+        assert err == "error: Smith form of 4 rows passed 18 entries\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("tower", "BnK", "99999999999", "2"), "n must be <= 20, got 99999999999"),

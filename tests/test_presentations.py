@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -20,33 +21,65 @@ from surfbraid.presentations import (MAX_CATALOG_GENUS, MAX_CATALOG_N,
 from surfbraid.words import Overflow, Sym, Word, commutator, substitute
 
 
+def _det(a):
+    """Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
+# tuple column keys, as the nilpotent layers' monomials are
+_COLUMN_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _sparse_matrices():
+    """Up to 5 x 5, with empty rows and the empty input among them."""
+    return st.lists(_COLUMN_KEYS, unique=True, max_size=5).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            {}, optional={j: st.integers(-9, 9) for j in keys}), max_size=5))
+
+
+@st.composite
+def _echelon_rows(draw):
+    """Rows with distinct leading columns, the leads unit or not, shuffled."""
+    keys = draw(st.lists(_COLUMN_KEYS, unique=True, min_size=1, max_size=5))
+    leads = draw(st.lists(st.sampled_from([1, -1, 2, 3, 4, 6, -12]),
+                          max_size=len(keys)))
+    rows = [{keys[i]: lead,
+             **{j: draw(st.integers(-9, 9)) for j in keys[i + 1:]}}
+            for i, lead in enumerate(leads)]
+    return draw(st.permutations(rows))
+
+
 class TestSmithNormalForm:
     def test_work_bound(self, monkeypatch):
-        # the three passes search 9, 4 and 1 entries, and clearing the first
-        # column rewrites two rows of 3: 20 entries in all
-        rows = [[1, 0, 0], [2, 3, 0], [4, 0, 6]]
-        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 20)
-        assert smith_normal_form(rows, 3) == [1, 3, 6]
-        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 19)
-        with pytest.raises(Overflow, match="3 x 3 matrix passed 19 entries"):
-            smith_normal_form(rows, 3)
+        # the three passes search 5, 2 and 1 entries; clearing the first
+        # column rewrites one entry in each of two rows, and each pass reads
+        # its pivot row's one entry mod the pivot: 13 entries in all, of
+        # which 12 are counted when the last search starts
+        rows = [{0: 1}, {0: 2, 1: 3}, {0: 4, 2: 6}]
+        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 12)
+        assert smith_normal_form(rows) == [1, 3, 6]
+        monkeypatch.setattr(presentations, "MAX_SMITH_ENTRIES", 11)
+        with pytest.raises(Overflow, match="3 rows passed 11 entries"):
+            smith_normal_form(rows)
 
     def test_diagonal_only(self):
-        diag = smith_normal_form([[2, 0], [0, 3]], 2)
+        diag = smith_normal_form([{0: 2}, {1: 3}])
         assert diag == [1, 6]
 
     def test_zero_matrix(self):
-        diag = smith_normal_form([[0, 0]], 2)
-        assert diag == [0]
+        diag = smith_normal_form([{0: 0, 1: 0}])
+        assert diag == []
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                     min_size=1, max_size=4))
     @settings(max_examples=60)
     def test_divisibility_chain(self, rows):
-        diag = smith_normal_form(rows, 3)
-        nonzero = [d for d in diag if d]
-        assert all(d > 0 for d in nonzero)
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        diag = smith_normal_form(dict(enumerate(row)) for row in rows)
+        assert all(d > 0 for d in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
     @given(st.integers(1, 7).flatmap(lambda cols: st.lists(
         st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
@@ -58,13 +91,31 @@ class TestSmithNormalForm:
               [8, 3, -6, -4, -4, -7]])
     @settings(max_examples=150, deadline=None)
     def test_diagonal_matches_independent_invariants(self, rows):
-        diag = smith_normal_form(rows, len(rows[0]))
-        assert len(diag) == min(len(rows), len(rows[0]))
-        assert diag[0] == math.gcd(*(x for row in rows for x in row))
+        diag = smith_normal_form(dict(enumerate(row)) for row in rows)
         rank, det = _rank_and_det(rows)
-        assert sum(1 for d in diag if d) == rank
+        assert len(diag) == rank
+        if rank:
+            assert diag[0] == math.gcd(*(x for row in rows for x in row))
         if len(rows) == len(rows[0]):
-            assert abs(det) == math.prod(diag)
+            assert abs(det) == (math.prod(diag) if rank == len(rows) else 0)
+
+    @given(st.one_of(_sparse_matrices(), _echelon_rows()))
+    @settings(max_examples=150, deadline=None)
+    def test_factors_are_the_determinantal_quotients(self, rows):
+        """d1 * ... * dk is the gcd D_k of the k x k minors, and the rank is
+        the largest k with D_k != 0 (Handbook, section 9.2)."""
+        keys = sorted({j for row in rows for j in row})
+        dense = [[row.get(j, 0) for j in keys] for row in rows]
+        want, prev = [], 1
+        for k in range(1, min(len(dense), len(keys)) + 1):
+            dk = math.gcd(*(_det([[dense[i][j] for j in cols] for i in sub])
+                            for sub in itertools.combinations(range(len(dense)), k)
+                            for cols in itertools.combinations(range(len(keys)), k)))
+            if not dk:
+                break
+            want.append(dk // prev)
+            prev = dk
+        assert smith_normal_form(rows) == want
 
 
 def _rank_and_det(rows):

@@ -345,12 +345,27 @@ def _letterwise(w, table):
 
 def _reduced_word(draw, syms, length):
     """A reduced word of exactly `length` letters over `syms`."""
+    letter = st.sampled_from([(s, e) for s in syms for e in (1, -1)])
     letters = []
     while len(letters) < length:
-        letter = (draw(st.sampled_from(syms)), draw(st.sampled_from([1, -1])))
-        if not letters or letters[-1] != (letter[0], -letter[1]):
-            letters.append(letter)
+        sym, exp = draw(letter)
+        if not letters or letters[-1] != (sym, -exp):
+            letters.append((sym, exp))
     return Word(letters)
+
+
+def _reduced_words_by_length(syms, most):
+    """Every reduced word over `syms` of each length 0..most."""
+    out = [[()]]
+    for _ in range(most):
+        out.append([w + ((s, e),) for w in out[-1] for s in syms for e in (1, -1)
+                    if not w or w[-1] != (s, -e)])
+    return [[Word(w) for w in words] for words in out]
+
+
+# the 1 + 6 + 30 + 150 reduced words of length <= 3 over three letters,
+# built once: drawing from them allocates far less than drawing letters
+_ATOMS = _reduced_words_by_length([A1, Sym("b", (1,)), Sym("c", (1,))], 3)
 
 
 @st.composite
@@ -358,8 +373,7 @@ def _cancelling_images_strategy(draw):
     """Images of x, y and z[1] as products of two short atoms and their
     inverses: identities, single letters and images that cancel across two
     or more seams (x -> p, y -> p^-1 q, z[1] -> q^-1) all come up."""
-    letters = [A1, Sym("b", (1,)), Sym("c", (1,))]
-    atoms = [_reduced_word(draw, letters, draw(st.integers(0, 3)))
+    atoms = [draw(st.sampled_from(_ATOMS[draw(st.integers(0, 3))]))
              for _ in range(2)]
     atom = st.tuples(st.sampled_from(atoms), st.sampled_from([1, -1]))
     images = {}
