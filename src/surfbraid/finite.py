@@ -10,15 +10,13 @@ from array import array
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
-import numpy as np
-
 from .presentations import Presentation, SubgroupDescription
 from .words import Overflow, Sym, Word
 
 
-def _trace(columns: Sequence[np.ndarray], path: Sequence[int], start):
+def _trace(columns: Sequence[Sequence[int]], path: Sequence[int], start):
     """The point the column path leads to from `start`, which may be one
-    point or an array of points."""
+    point or, with numpy columns, an array of points."""
     for col in path:
         start = columns[col][start]
     return start
@@ -39,7 +37,7 @@ class CosetTable:
     __slots__ = ("presentation", "columns", "index", "defined", "scanned",
                  "open_scans")
 
-    def __init__(self, presentation: Presentation, columns: Sequence[np.ndarray],
+    def __init__(self, presentation: Presentation, columns: Sequence[Sequence[int]],
                  index: int, defined: int, scanned: int, open_scans: int):
         self.presentation = presentation
         self.columns = list(columns)
@@ -50,6 +48,7 @@ class CosetTable:
 
     def scan_closes(self) -> bool:
         """Every relator traces back to its starting coset from every coset."""
+        import numpy as np
         start = np.arange(self.index)
         return all(np.array_equal(_trace(self.columns, path, start), start)
                    for path in self.presentation.paths)
@@ -103,6 +102,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     Only the tests and the benchmark call it: with `adjoin_kernel_relators`
     it is the independent coset route to the mod-2 tower that the tests
     check `two_quotient_tower` against."""
+    import numpy as np
     width = 2 * len(p.generators)
     stride = width + 1
     rel_paths = [path for path in p.paths if path]
@@ -236,7 +236,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         renum = np.zeros(len(rows), dtype=np.int64)
         renum[live] = np.arange(len(live))
         compact = renum[rows[live, :width] // stride]
-        order = _schreier_tree(list(compact.T), len(live))[2]
+        order = _schreier_tree(compact.T.tolist(), len(live))[2]
         standard = np.argsort(order)  # the inverse permutation
         columns = [standard[col[order]] for col in compact.T]
         out = CosetTable(p, columns, len(live), len(rows) - 1, scanned,
@@ -276,13 +276,12 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
 
 # -- Reidemeister-Schreier ------------------------------------------------
 
-def _schreier_tree(columns: Sequence[np.ndarray], n: int
+def _schreier_tree(cols: Sequence[List[int]], n: int
                    ) -> Tuple[List[int], List[int], List[int]]:
-    """BFS spanning tree over cosets 0..n-1, where columns[j][c] is the coset
-    column j leads to from c: parent coset and entering column for each
-    coset, and the cosets in the order a queue meets them, in (coset,
-    column) order."""
-    cols = [col.tolist() for col in columns]
+    """BFS spanning tree over cosets 0..n-1, where cols[j][c] is the coset
+    column j leads to from c, the columns given as lists: parent coset and
+    entering column for each coset, and the cosets in the order a queue
+    meets them, in (coset, column) order."""
     parent, letter = [-1] * n, [-1] * n
     seen = [False] * n
     seen[0] = True
@@ -310,7 +309,7 @@ def _tree_path(parent: Sequence[int], letter: Sequence[int], c: int
     return path
 
 
-def _generator_path(columns: Sequence[np.ndarray], parent: Sequence[int],
+def _generator_path(columns: Sequence[Sequence[int]], parent: Sequence[int],
                     letter: Sequence[int], c: int, g: int) -> List[int]:
     """Columns of the Schreier generator u_c . x_g . u_d^-1 of the edge
     (c, g) off the tree, where u_c is the tree path to c and d is the coset
@@ -320,7 +319,7 @@ def _generator_path(columns: Sequence[np.ndarray], parent: Sequence[int],
             + [x ^ 1 for x in reversed(_tree_path(parent, letter, d))])
 
 
-def _edge_bits(columns: Sequence[np.ndarray],
+def _edge_bits(columns: Sequence[List[int]],
                tree: Tuple[List[int], List[int], List[int]]
                ) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
     """The Schreier generators as edge bits over the BFS tree of the
@@ -341,7 +340,7 @@ def _edge_bits(columns: Sequence[np.ndarray],
     bits: List[List[int]] = []
     for g in range(ngens):
         bits.append(edge[g::ngens])
-        bits.append([edge[d * ngens + g] for d in columns[2 * g + 1].tolist()])
+        bits.append([edge[d * ngens + g] for d in columns[2 * g + 1]])
     return bits, [divmod(i, ngens) for i, o in enumerate(off) if o]
 
 
@@ -350,7 +349,8 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
     tests call it: its presentations are how they check a coset table
     independently, by known subgroup abelianizations (A3 in S3)."""
     p = t.presentation
-    bits, edges = _edge_bits(t.columns, _schreier_tree(t.columns, t.index))
+    cols = [col.tolist() for col in t.columns]
+    bits, edges = _edge_bits(cols, _schreier_tree(cols, t.index))
     # the Schreier generators' symbols by edge bit, in bit order
     ys = {bits[2 * g][c]: Sym("y", (c, g)) for c, g in edges}
 
@@ -361,7 +361,7 @@ def reidemeister_schreier(t: CosetTable) -> Presentation:
             for col in path:
                 if bits[col][cur]:
                     met.append((ys[bits[col][cur]], -1 if col & 1 else 1))
-                cur = int(t.columns[col][cur])
+                cur = cols[col][cur]
             if cur != c:
                 raise ValueError("rewriting a non-closed path")
             w = Word(met)
@@ -377,10 +377,11 @@ def schreier_generator_words(t: CosetTable) -> List[Word]:
     `adjoin_kernel_relators` it makes the independent coset route to the
     mod-2 tower that the tests check `two_quotient_tower` against."""
     gens = t.presentation.generators
-    parent, letter, _ = tree = _schreier_tree(t.columns, t.index)
+    cols = [col.tolist() for col in t.columns]
+    parent, letter, _ = tree = _schreier_tree(cols, t.index)
     words = []
-    for c, g in _edge_bits(t.columns, tree)[1]:
-        path = _generator_path(t.columns, parent, letter, c, g)
+    for c, g in _edge_bits(cols, tree)[1]:
+        path = _generator_path(cols, parent, letter, c, g)
         words.append(Word([(gens[x >> 1], -1 if x & 1 else 1) for x in path]))
     return words
 
@@ -425,34 +426,69 @@ def adjoin_kernel_relators(p: Presentation, t: CosetTable) -> Presentation:
 
 class FiniteModel:
     """Images of the presentation's generators as permutations of
-    {0..npoints-1}, given as coset-table columns, numpy arrays that other
-    models may share: columns[2g] is generator g, columns[2g+1] its inverse,
-    so a letter code is a column. A tower stage above the first also links
-    the stage below it and its layer width, through which it multiplies
-    (`two_quotient_tower`)."""
+    {0..npoints-1}, given as coset-table columns, lists or numpy arrays
+    that other models may share: columns[2g] is generator g, columns[2g+1]
+    its inverse, so a letter code is a column.
+
+    A tower stage above the first is held through the stage below it
+    (`two_quotient_tower`): it links that stage, its layer width d and one
+    flip list per column over the stage below's points, and its point
+    x = (c << d) | v moves by column col to
+    (below.columns[col][c] << d) | (v ^ flips[col][c]). Its own columns
+    are None until the tower extends the stage and writes them out as
+    lists (`_write_columns`). It multiplies through the stage below."""
 
     __slots__ = ("presentation", "columns", "npoints", "_tree", "_below",
-                 "_layer_bits")
+                 "_layer_bits", "_flips")
 
-    def __init__(self, p: Presentation, columns: Sequence[np.ndarray],
-                 npoints: int):
+    def __init__(self, p: Presentation,
+                 columns: Optional[Sequence[Sequence[int]]], npoints: int):
         self.presentation = p
-        self.columns = list(columns)
+        self.columns = None if columns is None else list(columns)
         self.npoints = npoints
         self._tree = None
         self._below: Optional[FiniteModel] = None
         self._layer_bits = 0
+        self._flips: List[List[int]] = []
 
     @property
     def generators(self) -> Tuple[Sym, ...]:
         return self.presentation.generators
 
     def apply_word(self, w: Word, point: int) -> int:
-        return int(_trace(self.columns, self.presentation.codes(w), point))
+        return self._walk(self.presentation.codes(w), point)
+
+    def _walk(self, path: Sequence[int], point: int) -> int:
+        """The point the column path leads to from `point`: through the
+        columns, or for a tower stage not written out, as a block of the
+        stage below and its layer bits."""
+        if self.columns is not None:
+            return int(_trace(self.columns, path, point))
+        d = self._layer_bits
+        cols, flips = self._below.columns, self._flips
+        c, v = point >> d, point & ((1 << d) - 1)
+        for col in path:
+            v ^= flips[col][c]
+            c = cols[col][c]
+        return (c << d) | v
+
+    def _write_columns(self) -> List[List[int]]:
+        """The columns, for a tower stage written out as lists from the
+        stage below on first use; the tower asks for them only when it
+        extends the stage."""
+        if self.columns is None:
+            d = self._layer_bits
+            span = range(1 << d)
+            self.columns = [[(c << d) | (v ^ f) for c, f in zip(col, flip)
+                             for v in span]
+                            for col, flip in zip(self._below.columns,
+                                                 self._flips)]
+        return self.columns
 
     def _spanning_tree(self) -> Tuple[List[int], List[int], List[int]]:
-        """The `_schreier_tree` of the points, built once; building it
-        certifies that the action is transitive."""
+        """The `_schreier_tree` of the points, built once from the list
+        columns of a stage the tower has extended; building it certifies
+        that the action is transitive."""
         if self._tree is None:
             self._tree = _schreier_tree(self.columns, self.npoints)
         return self._tree
@@ -504,6 +540,7 @@ def hom_search(p: Presentation, degree: int) -> List[FiniteModel]:
     product-table gather per letter, dropping the rows a relator rejects.
     Raises `Overflow` before the candidates examined would pass
     `MAX_HOM_CANDIDATES`."""
+    import numpy as np
     if degree < 1 or degree > 6:
         raise ValueError(f"degree must be 1..6, got {degree}")
     ngens = len(p.generators)
@@ -746,8 +783,10 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
     block 0 by 1 << k. The stage checks that this word, walked from point
     0, ends at point 1 << k. These translations reach all of block 0 from
     point 0, and the tree path u_c of stage i sends block 0 onto block c,
-    so every point is reached. The new stage needs no BFS tree of its own:
-    it builds one only when the next stage asks for it.
+    so every point is reached. The new stage needs no BFS tree of its own,
+    nor columns: it walks (block, layer bits) through stage i by its flip
+    lists (`FiniteModel`), and builds its tree and writes its columns out
+    only when the next stage extends it.
 
     Products through the stage below. Each new stage links stage i and its
     layer width d.
@@ -765,7 +804,7 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ngens = len(p.generators)
 
-    stages = [FiniteModel(p, [np.zeros(1, dtype=np.int64)] * (2 * ngens), 1)]
+    stages = [FiniteModel(p, [[0]] * (2 * ngens), 1)]
     for stage_no in range(2, depth + 1):
         model = stages[-1]
         n = model.npoints
@@ -775,9 +814,9 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         if width * nrows > MAX_LAYER_BITS:
             raise Overflow(f"stage {stage_no} would need {nrows} F2 rows "
                            f"of {width} bits")
+        cols = model._write_columns()
         parent, letter, order = tree = model._spanning_tree()
-        bits, edges = _edge_bits(model.columns, tree)
-        cols = [col.tolist() for col in model.columns]
+        bits, edges = _edge_bits(cols, tree)
         # for each generator h, the point P[c] that u_c leads to from h.0
         starts = []
         for h in range(ngens):
@@ -822,30 +861,27 @@ def two_quotient_tower(p: Presentation, depth: int) -> List[FiniteModel]:
         if n << d > MAX_POINTS:
             raise Overflow(f"stage {stage_no} would need {n << d} points")
         # cocycle of a single generator move from each coset
-        cocycle = np.zeros(n * ngens, dtype=np.int64)
-        cocycle[[c * ngens + g for c, g in edges]] = layer.projection
-        cocycle = cocycle.reshape(n, ngens)
+        cocycle = [0] * (n * ngens)
+        for (c, g), v in zip(edges, layer.projection):
+            cocycle[c * ngens + g] = v
         # generator g moves the point (c << d) | v to (c' << d) | (v ^
         # cocycle[c, g]), c' its target in the stage below; its inverse moves
         # (c' << d) | w to (c << d) | (w ^ cocycle[c, g]), c = back[c']
-        block = np.arange(1 << d)
-        columns = []
+        flips = []
         for g in range(ngens):
-            back = model.columns[2 * g + 1]
-            for col, flip in ((model.columns[2 * g], cocycle[:, g]),
-                              (back, cocycle[back, g])):
-                columns.append(((col << d)[:, None]
-                                | (block ^ flip[:, None])).ravel())
-        new_model = FiniteModel(p, columns, n << d)
+            flip = cocycle[g::ngens]
+            flips += [flip, [flip[c] for c in cols[2 * g + 1]]]
+        new_model = FiniteModel(p, None, n << d)
         new_model._below, new_model._layer_bits = model, d
+        new_model._flips = flips
         # sanity: relators act trivially (regular action: base point suffices)
         for path in p.paths:
-            if _trace(new_model.columns, path, 0) != 0:
+            if new_model._walk(path, 0) != 0:
                 raise AssertionError("relator acts nontrivially on the tower stage")
         # certifies transitivity (see the docstring)
         for k, i in enumerate(layer.free):
-            path = _generator_path(model.columns, parent, letter, *edges[i])
-            if _trace(new_model.columns, path, 0) != 1 << k:
+            path = _generator_path(cols, parent, letter, *edges[i])
+            if new_model._walk(path, 0) != 1 << k:
                 raise AssertionError("the tower stage is not transitive")
         stages.append(new_model)
     return stages
@@ -868,13 +904,18 @@ def tower_kernel_image(stages: Sequence[FiniteModel], n: int,
 
 class SubgroupImage:
     """The image of a normal closure in a finite model, as a set of points
-    of the regular action (each point is one group element)."""
+    of the regular action (each point is one group element), with the work
+    of the `subgroup_image` call that built it: `kept`, the generators that
+    grew the subgroup, and `walks`, the route walks it made."""
 
-    __slots__ = ("model", "points")
+    __slots__ = ("model", "points", "kept", "walks")
 
-    def __init__(self, model: FiniteModel, points: Set[int]):
+    def __init__(self, model: FiniteModel, points: Set[int], kept: int = 0,
+                 walks: int = 0):
         self.model = model
         self.points = points
+        self.kept = kept
+        self.walks = walks
 
     def __len__(self) -> int:
         return len(self.points)
@@ -888,48 +929,83 @@ class SubgroupImage:
 
 
 def subgroup_image(model: FiniteModel, desc: SubgroupDescription) -> SubgroupImage:
-    """Normal closure of the images of the description's generators: close
-    the generating set under conjugation, then enumerate the subgroup. The
-    model must be a stage of `two_quotient_tower` (`FiniteModel._check_stage`)."""
+    """Normal closure of the images of the description's generators, built
+    by membership over the blocks of the stage below. The model must be a
+    stage of `two_quotient_tower` (`FiniteModel._check_stage`).
+
+    With layer width d, H is held as `reps`, the layer bits of one lift of
+    each block (point of the stage below) that H meets, and the F2 span N
+    of the layer bits w of H's elements z_w in block 0, H's intersection
+    with the layer. The layer is central and x z_w = x ^ w, so H is the
+    points (c << d) | (r ^ w) for (c, r) in reps and w in N.
+
+    H is generated from the kept generators by a breadth-first search over
+    blocks: each block reached gets its first lift as its transversal
+    element t_c, and a product t_c y that lands in a block reached already,
+    at the point t_c' ^ w, adds w to N. Those w are the Schreier generators
+    t_c y t_c'^-1 = z_w of H's intersection with the layer, which generate
+    it (Schreier's lemma; Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 2005).
+
+    Each seed, and each conjugate g^-1 y g of a kept generator y by an
+    ambient generator g, is popped in turn, and kept, with H generated
+    again, only if it is not yet in H. At the end H holds the seeds and is
+    mapped into itself by conjugation by every g, so in a finite group onto
+    itself: it is the normal closure. A kept generator lies outside the
+    subgroup before it, so each at least doubles |H|, and at most
+    log2(npoints) are kept."""
     model._check_stage()
     if tuple(desc.ambient.generators) != tuple(model.generators):
         raise ValueError("description ambient does not match the model")
-    conj = [(int(inv[0]), col) for col, inv in zip(model.columns[::2],
-                                                     model.columns[1::2])]
+    pending = [model.apply_word(w, 0) for w in desc.normal_generators]
+    if model._below is None:  # a one-point model
+        return SubgroupImage(model, {0})
+    d = model._layer_bits
+    mask = (1 << d) - 1
+    # each ambient generator g as the point of g^-1, with its column
+    conj = [(model._walk([2 * g + 1], 0), 2 * g)
+            for g in range(len(model.generators))]
+    reps: Dict[int, int] = {0: 0}
+    span: Dict[int, int] = {}
+    routes: List[Tuple[List[int], int]] = []
+    walks = 0
 
-    seeds = {model.apply_word(w, 0) for w in desc.normal_generators}
-    seeds.discard(0)
-    # conjugation closure of the generating set under x -> g^-1 x g alone:
-    # in a finite group that map is a permutation, so its orbits are cycles
-    # and the closure is closed under x -> g x g^-1 as well. Each element is
-    # popped once, and its `_mul_route` is taken then, for its conjugates
-    # here and for the frontier walk below.
-    closure = set(seeds)
-    frontier = list(seeds)
-    routes = []
-    while frontier:
-        x = frontier.pop()
-        path, bits = route = model._mul_route(x)
-        routes.append(route)
-        for gip, col in conj:
-            y = int(col[_trace(model.columns, path, gip ^ bits)])
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    # subgroup generated by the conjugation-closed set: the orbit of point 0
-    # under right multiplication by its elements, one frontier at a time.
-    # Right multiplication permutes the points, so each element's images of
-    # a frontier are distinct, and marking them before the next element
-    # keeps the new frontier free of repeats.
-    seen = np.zeros(model.npoints, dtype=bool)
-    seen[0] = True
-    level = np.zeros(1, dtype=np.int64)
-    while level.size:
-        reached = [level[:0]]  # an empty closure reaches nothing
-        for path, bits in routes:
-            nxt = _trace(model.columns, path, level ^ bits)
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            reached.append(nxt)
-        level = np.concatenate(reached)
-    return SubgroupImage(model, set(np.flatnonzero(seen).tolist()))
+    def member(x: int) -> bool:
+        r = reps.get(x >> d)
+        if r is None:
+            return False
+        v = (x & mask) ^ r
+        while v:
+            pivot = span.get(v.bit_length() - 1)
+            if pivot is None:
+                return False
+            v ^= pivot
+        return True
+
+    while pending:
+        y = pending.pop()
+        if member(y):
+            continue
+        routes.append(model._mul_route(y))
+        if 1 << len(routes) > model.npoints:
+            raise AssertionError("a kept generator did not grow the subgroup")
+        reps, span = {0: 0}, {}
+        level = [0]
+        for x in level:  # grows as blocks are reached
+            for path, bits in routes:
+                z = model._walk(path, x ^ bits)
+                r = reps.get(z >> d)
+                if r is None:
+                    reps[z >> d] = z & mask
+                    level.append(z)
+                else:
+                    _f2_insert(r ^ (z & mask), span)
+        walks += len(level) * len(routes)
+        path, bits = routes[-1]
+        pending += [model._walk(path + [col], gip ^ bits) for gip, col in conj]
+        walks += len(conj)
+    layer = [0]
+    for pivot in span.values():
+        layer += [w ^ pivot for w in layer]
+    points = {(c << d) | (r ^ w) for c, r in reps.items() for w in layer}
+    return SubgroupImage(model, points, len(routes), walks)

@@ -114,7 +114,7 @@ class AbelianInvariants:
 # CI call 3.56 M (layer 4 of `nq BnT 5 4`) and a `verify` suite 184; the
 # largest call that must finish, layer 4 of `nq BnK 5 4` (315 rows), makes
 # 3.71 M in about 0.25 s, and the bound is 2.3 times that. `abelianize PnK
-# 20` passes 591 distinct exponent rows of 24,815 (one zero) and makes 0.15 M.
+# 20` passes the 590 distinct nonzero exponent rows of 24,815 and makes 0.15 M.
 MAX_SMITH_ENTRIES = 1 << 23
 
 
@@ -430,21 +430,25 @@ def catalog(family: str, n: int, g: Optional[int] = None) -> Presentation:
 
 # -- abelianization -----------------------------------------------------
 
-def exponent_matrix(p: Presentation) -> List[List[int]]:
-    """One row of exponent sums per relator, one column per generator."""
-    rows = []
+def exponent_matrix(p: Presentation) -> List[Dict[int, int]]:
+    """The relators' rows of exponent sums, sparse: each maps a generator's
+    column to its nonzero exponent sum, in increasing column order. Zero
+    and repeated rows change neither the row lattice nor its invariants, so
+    only the distinct nonzero rows are kept, in the order relators first
+    give them."""
+    rows: Dict[Tuple[Tuple[int, int], ...], None] = {}
     for path in p.paths:
-        row = [0] * len(p.generators)
+        counts: Dict[int, int] = {}
         for code in path:
-            row[code >> 1] += -1 if code & 1 else 1
-        rows.append(row)
-    return rows
+            counts[code >> 1] = counts.get(code >> 1, 0) + (-1 if code & 1 else 1)
+        key = tuple(sorted((j, x) for j, x in counts.items() if x))
+        if key:
+            rows[key] = None
+    return [dict(key) for key in rows]
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    # zero and repeated rows change neither the row lattice nor the answer
-    rows = dict.fromkeys(map(tuple, exponent_matrix(p)))
-    factors = smith_normal_form(dict(enumerate(row)) for row in rows)
+    factors = smith_normal_form(exponent_matrix(p))
     return AbelianInvariants(len(p.generators) - len(factors),
                              [d for d in factors if d > 1])
 

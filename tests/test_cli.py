@@ -388,8 +388,9 @@ def _child(*argv, **kwargs):
 
 
 class TestWithoutNumpy:
-    """Only finite imports numpy, and only commands that build a finite
-    model import finite."""
+    """numpy is imported only inside `hom_search` and the coset
+    enumeration, so the mod-2 tower, its subgroup images and every verify
+    suite but klein-collapse run without it."""
 
     def test_import_leaves_numpy_out(self):
         proc = _child("-c", "import sys, surfbraid.cli, surfbraid.series, "
@@ -398,12 +399,20 @@ class TestWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_finite_import_leaves_numpy_out(self):
+        proc = _child("-c", "import sys, surfbraid.finite; "
+                      "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_commands_run_without_numpy(self):
         argvs = [["verify", suite] for suite in
                  ("colchete", "section", "action", "center", "torus-derived",
-                  "bnT1-instances", "nonorientable")]
+                  "bnT1-instances", "nonorientable", "gammaP2", "gamma2P2",
+                  "klein-derived", "separation")]
         argvs += [["solve", "2", "a1*a2"], ["catalog", "BnK", "3"],
-                  ["abelianize", "BnK", "3"], ["nq", "BnK", "2", "2"]]
+                  ["abelianize", "BnK", "3"], ["nq", "BnK", "2", "2"],
+                  ["tower", "P2K_reduced", "2", "4"], ["tower", "Pi1K", "1", "9"]]
         # numpy set to None in sys.modules makes any import of it fail
         proc = _child(
             "-c",

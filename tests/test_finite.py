@@ -1,14 +1,14 @@
 import functools
 import itertools
+import math
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfbraid import finite
+from surfbraid import finite, series
 from surfbraid.finite import (FiniteModel, Overflow, SubgroupDescription,
                               adjoin_kernel_relators, hom_search,
                               reidemeister_schreier, schreier_generator_words,
@@ -55,16 +55,25 @@ def _table_lists(t):
 
 
 def _columns(perms, n):
-    """Coset-table columns of permutations of range(n): each permutation,
-    then its inverse by a scatter. The tower builds its inverse columns by a
-    broadcast instead, so models built here are an independent reference."""
+    """Coset-table columns, as lists, of permutations of range(n): each
+    permutation, then its inverse by a scatter. The tower moves by flip
+    lists over the stage below instead, so models built here are an
+    independent reference."""
     out = []
     for perm in perms:
-        perm = np.asarray(perm, dtype=np.int64)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(n)
-        out += [perm, inv]
+        inv = [0] * n
+        for x, y in enumerate(perm):
+            inv[y] = x
+        out += [list(perm), inv]
     return out
+
+
+def _perms(model):
+    """A model's permutations as lists, walked by the model point by point:
+    perms[col][x] is the point column col sends x to. A tower stage the
+    tower has not extended has no columns, and is read only this way."""
+    return [[model._walk([col], x) for x in range(model.npoints)]
+            for col in range(2 * len(model.generators))]
 
 
 def _a5():
@@ -205,7 +214,7 @@ class _ReferenceSchreier:
     walk."""
 
     def __init__(self, columns, n):
-        self.columns = [col.tolist() for col in columns]
+        self.columns = [[int(x) for x in col] for col in columns]
         self.paths = {0: []}
         # parent coset and entering column of each coset, and the order the
         # queue meets them in
@@ -271,8 +280,9 @@ def _transitive_models(draw):
 
 
 def _assert_tree_matches_reference(model):
-    ref = _ReferenceSchreier(model.columns, model.npoints)
-    assert finite._schreier_tree(model.columns, model.npoints) \
+    perms = _perms(model)
+    ref = _ReferenceSchreier(perms, model.npoints)
+    assert finite._schreier_tree(perms, model.npoints) \
         == (ref.parent, ref.letter, ref.order)
 
 
@@ -280,9 +290,9 @@ def _assert_edges_match_bits(model):
     # edge k is the (coset, generator) pair whose forward move crosses bit
     # 1 << k, and the edges come in (coset, generator) order, one for each
     # move the n - 1 tree edges leave off
-    n, ngens = model.npoints, len(model.columns) // 2
-    bits, edges = finite._edge_bits(
-        model.columns, finite._schreier_tree(model.columns, n))
+    n, ngens = model.npoints, len(model.generators)
+    perms = _perms(model)
+    bits, edges = finite._edge_bits(perms, finite._schreier_tree(perms, n))
     assert all(bits[2 * g][c] == 1 << k for k, (c, g) in enumerate(edges))
     assert edges == [(c, g) for c in range(n) for g in range(ngens)
                      if bits[2 * g][c]]
@@ -467,39 +477,43 @@ class TestCosetAction:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_tree(model):
-    """Parent and letter lists of the BFS tree of a model's points, built
-    apart from the model, so its own `_tree` stays as the package left it."""
-    return finite._schreier_tree(model.columns, model.npoints)[:2]
+def _reference(model):
+    """A model's permutations (`_perms`) and the parent and letter lists of
+    their BFS tree, built apart from the model, so its own `_tree` stays as
+    the package left it."""
+    perms = _perms(model)
+    return (perms, *finite._schreier_tree(perms, model.npoints)[:2])
 
 
 def _tree_product(model, a, b):
-    """a times b in a regular model, by b's BFS tree path walked from a: a
-    route that shares nothing with the products through the stage below."""
-    path = finite._tree_path(*_reference_tree(model), b)
-    return int(finite._trace(model.columns, path, a))
+    """a times b in a regular model, by b's BFS tree path walked from a
+    over the model's permutations: a route that shares nothing with the
+    products through the stage below."""
+    perms, parent, letter = _reference(model)
+    return finite._trace(perms, finite._tree_path(parent, letter, b), a)
 
 
 def _point_mul(model, a, b):
     """Product of the group elements with base-point images a and b, by the
     route `subgroup_image` multiplies by (`_mul_route`)."""
     path, bits = model._mul_route(b)
-    return int(finite._trace(model.columns, path, a ^ bits))
+    return model._walk(path, a ^ bits)
 
 
 def _point_inv(model, a):
     """Inverse of the group element with base-point image a in a regular
     model: a's BFS tree path walked backwards from the base point."""
-    path = finite._tree_path(*_reference_tree(model), a)
-    return int(finite._trace(model.columns, [x ^ 1 for x in reversed(path)], 0))
+    perms, parent, letter = _reference(model)
+    path = finite._tree_path(parent, letter, a)
+    return finite._trace(perms, [x ^ 1 for x in reversed(path)], 0)
 
 
 def _assert_inverse_columns(models):
     # every inverse column undoes its generator's column on every point
     for m in models:
-        identity = np.arange(m.npoints)
-        for fwd, back in zip(m.columns[::2], m.columns[1::2]):
-            assert np.array_equal(back[fwd], identity)
+        perms = _perms(m)
+        for fwd, back in zip(perms[::2], perms[1::2]):
+            assert [back[x] for x in fwd] == list(range(m.npoints))
 
 
 def _inverse_round_trip(models, p):
@@ -703,7 +717,7 @@ def _per_coset_tower(p, depth):
     ngens = len(p.generators)
     rel_paths = [p.codes(r) for r in p.relators]
     model = FiniteModel(p, _columns([[0]] * ngens, 1), 1)
-    out = [[col.tolist() for col in model.columns]]
+    out = [model.columns]
     for _ in range(depth - 1):
         n = model.npoints
         sch = _ReferenceSchreier(model.columns, n)
@@ -720,10 +734,10 @@ def _per_coset_tower(p, depth):
         for g in range(ngens):
             cocycle = [_f2_project(sch.parity([2 * g], c), pivots, free_pos)
                        for c in range(n)]
-            perms.append([(int(model.columns[2 * g][c]) << d) | (v ^ cocycle[c])
+            perms.append([(model.columns[2 * g][c] << d) | (v ^ cocycle[c])
                           for c in range(n) for v in range(1 << d)])
         model = FiniteModel(p, _columns(perms, n << d), n << d)
-        out.append([col.tolist() for col in model.columns])
+        out.append(model.columns)
     return out
 
 
@@ -827,6 +841,14 @@ class TestTwoQuotientTower:
         stages = two_quotient_tower(catalog("P2K_reduced", 2), 4)
         assert [m.npoints for m in stages] == [1, 16, 512, 65536]
 
+    def test_only_extended_stages_are_written_out(self):
+        # stage 4 of P2K_reduced, 65,536 points, walks through stage 3's
+        # columns and writes none of its own; the stages the tower extended
+        # hold theirs as lists
+        stages = two_quotient_tower(catalog("P2K_reduced", 2), 4)
+        assert [m.columns is None for m in stages] == [False, False, False, True]
+        assert all(type(col) is list for m in stages[:3] for col in m.columns)
+
     def test_point_bound(self, monkeypatch):
         monkeypatch.setattr(finite, "MAX_POINTS", 1000)
         with pytest.raises(Overflow, match="stage 4 would need 65536 points"):
@@ -846,7 +868,7 @@ class TestTwoQuotientTower:
             for m in stages[1:]:
                 t = todd_coxeter(adjoin_kernel_relators(p, t), [], max_cosets=200000)
                 assert t.index == m.npoints
-                assert _table_lists(t) == _standardize(m.columns, m.npoints)
+                assert _table_lists(t) == _standardize(_perms(m), m.npoints)
 
     @given(_small_presentations(), st.just(3))
     @example(catalog("P2K_reduced", 2), 4)
@@ -854,8 +876,7 @@ class TestTwoQuotientTower:
     @settings(max_examples=40, deadline=None)
     def test_matches_per_coset_relators(self, p, depth):
         stages = two_quotient_tower(p, depth)
-        assert [[col.tolist() for col in m.columns] for m in stages] \
-            == _per_coset_tower(p, depth)
+        assert [_perms(m) for m in stages] == _per_coset_tower(p, depth)
 
     @given(st.integers(1, 60).flatmap(lambda ncols: st.tuples(
         st.just(ncols), st.lists(st.sets(st.integers(0, ncols - 1), max_size=8),
@@ -932,12 +953,17 @@ def stage3():
     return two_quotient_tower(catalog("P2K_reduced", 2), 3)[2]
 
 
+@pytest.fixture(scope="module")
+def stage4():
+    return two_quotient_tower(catalog("P2K_reduced", 2), 4)[3]
+
+
 def _normal_closure_points(model, seeds):
     """Brute-force normal closure by point arithmetic: close the seed points
     under conjugation by the generators and their inverses, then multiply
     out from the identity until nothing new appears."""
-    gens = [(int(col[0]), _point_inv(model, int(col[0])))
-            for col in model.columns[::2]]
+    gens = [(g, _point_inv(model, g)) for g in
+            (model._walk([2 * i], 0) for i in range(len(model.generators)))]
     conj = set(seeds) - {0}
     frontier = list(conj)
     while frontier:
@@ -1006,8 +1032,41 @@ class TestSubgroupImage:
     def test_matches_point_closure_random(self, stage3, words):
         seeds = {stage3.apply_word(w, 0) for w in words}
         desc = SubgroupDescription(_P2K, words)
-        assert (subgroup_image(stage3, desc).points
-                == _normal_closure_points(stage3, seeds))
+        img = subgroup_image(stage3, desc)
+        assert img.points == _normal_closure_points(stage3, seeds)
+        # each kept generator at least doubles the subgroup
+        assert img.kept <= math.log2(stage3.npoints)
+
+    @given(st.lists(_p2k_words, min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_point_closure_random_squares(self, stage4, words):
+        # squares lie in the kernel onto stage 2, 4,096 of the 65,536
+        # points of stage 4, which is never written out: the image and the
+        # reference both walk it through stage 3
+        words = [w * w for w in words]
+        seeds = {stage4.apply_word(w, 0) for w in words}
+        img = subgroup_image(stage4, SubgroupDescription(_P2K, words))
+        assert img.points == _normal_closure_points(stage4, seeds)
+        assert img.kept <= math.log2(stage4.npoints)
+        assert stage4.columns is None
+
+    def test_gamma2_stage4_work(self, stage4):
+        # the claimed gamma2 at n = 2 is the kernel onto stage 2: 4,096
+        # points in 32 blocks over stage 3, grown by 8 kept generators of
+        # the 12 that 2^12 points allow, in 542 route walks
+        img = subgroup_image(stage4, series.gamma2_p2k_claimed(2))
+        assert len(img) == 4096
+        assert len({x >> 7 for x in img.points}) == 32
+        assert (img.kept, img.walks) == (8, 542)
+
+    def test_a_kept_generator_must_grow_the_subgroup(self, stage3, monkeypatch):
+        # with its Schreier generators dropped, the image never holds the
+        # layer bits a kept generator brings, and would keep generators
+        # forever; past log2(npoints) of them it stops
+        monkeypatch.setattr(finite, "_f2_insert", lambda row, pivots: 0)
+        desc = SubgroupDescription(_P2K, [Word.from_syms(g) for g in _P2K.generators])
+        with pytest.raises(AssertionError, match="did not grow"):
+            subgroup_image(stage3, desc)
 
     def test_kernel_image_block(self):
         stages = two_quotient_tower(catalog("P2K_reduced", 2), 3)

@@ -201,10 +201,22 @@ class TestCatalog:
             catalog(family, n, g)
 
     def test_exponent_matrix_shape(self):
-        p = catalog("BnK", 3)
-        rows = exponent_matrix(p)
-        assert len(rows) == len(p.relators)
-        assert all(len(row) == len(p.generators) for row in rows)
+        # the relators' distinct nonzero rows of exponent sums, sparse, in
+        # increasing column order and in the order the relators first give
+        # them, against dense rows counted from the words
+        for p in (catalog("BnK", 3), catalog("PnK", 3), catalog("P2K_reduced", 2)):
+            dense = []
+            for r in p.relators:
+                row = [0] * len(p.generators)
+                for sym, e in r.letters:
+                    row[p.generators.index(sym)] += e
+                if any(row) and row not in dense:
+                    dense.append(row)
+            rows = exponent_matrix(p)
+            assert all(list(row) == sorted(row) and all(row.values())
+                       for row in rows)
+            assert [[row.get(j, 0) for j in range(len(p.generators))]
+                    for row in rows] == dense
 
 
 _CATALOG = [catalog("PnT", 2), catalog("PnK", 3), catalog("BnT", 3),
