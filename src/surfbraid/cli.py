@@ -1,5 +1,8 @@
 """Command-line front end: catalog dumping, single-shot computations, and
-named verification suites emitting JSON reports."""
+named verification suites emitting JSON reports.
+
+Only `words` is imported at the top: each command and suite imports the
+layers it runs, so a fresh process loads (and compiles) no other."""
 
 from __future__ import annotations
 
@@ -10,17 +13,15 @@ import os
 import re
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional,
+                    Tuple)
 
-from . import klein, series
-from .klein import ActionTable, action_table, fiber_basis, normal_form
-from .nilpotent import (MAX_CLASS, ClassUnsupported, NilpotentImage,
-                        nilpotent_quotient)
-from .presentations import (BadParameters, Presentation, SubgroupDescription,
-                            abelianization, catalog, check_homomorphism,
-                            derived_relation_instances)
-from .words import (ImageTable, Overflow, Sym, Word, colchete_rhs, commutator,
-                    parse_word, print_word, substitute)
+from .words import (MAX_CLASS, ClassUnsupported, ImageTable, Overflow, Sym,
+                    Word, colchete_rhs, commutator, parse_word, print_word,
+                    substitute)
+
+if TYPE_CHECKING:
+    from .nilpotent import NilpotentImage
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -125,6 +126,7 @@ def _all_pass(report: List[Tuple[str, bool]]) -> Tuple[bool, Optional[str]]:
 
 
 def _suite_section(result: SuiteResult, args) -> None:
+    from . import klein
     for n in (1, 2, 3):
         result.run(f"section-n{n}", lambda n=n: _all_pass(klein.verify_section(n)))
     def control():
@@ -135,29 +137,34 @@ def _suite_section(result: SuiteResult, args) -> None:
 
 
 def _suite_action(result: SuiteResult, args) -> None:
+    from . import klein
     for n in (1, 2, 3):
         result.run(f"action-n{n}", lambda n=n: _all_pass(klein.verify_action(n)))
 
 
 def _suite_center(result: SuiteResult, args) -> None:
+    from . import klein
     for n in (1, 2, 3):
         result.run(f"center-n{n}", lambda n=n: _all_pass(klein.verify_central(n)))
     def control():
         b2 = Word.from_syms(Sym("b", (2,)))
         a2 = Word.from_syms(Sym("a", (2,)))
-        e = normal_form(commutator(b2 * b2, a2), n=2)
+        e = klein.normal_form(commutator(b2 * b2, a2), n=2)
         return (not e.is_identity()), "[b2^2, a2] collapsed to the identity"
     result.run("center-negative-control", control)
 
 
 def _need_depth(args, least: int) -> None:
+    from .series import DepthUnsupported
     if args.depth < least:
-        raise series.DepthUnsupported(
+        raise DepthUnsupported(
             f"suite {args.suite} needs --depth >= {least}, got {args.depth}")
 
 
 def _suite_gammaP2(result: SuiteResult, args) -> None:
+    from . import series
     from .finite import two_quotient_tower
+    from .presentations import catalog
     _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
@@ -172,7 +179,9 @@ def _suite_gammaP2(result: SuiteResult, args) -> None:
 
 
 def _suite_gamma2P2(result: SuiteResult, args) -> None:
+    from . import series
     from .finite import subgroup_image, tower_kernel_image, two_quotient_tower
+    from .presentations import catalog
     _need_depth(args, 2)
     p = catalog("P2K_reduced", 2)
     tower = two_quotient_tower(p, args.depth)
@@ -192,6 +201,8 @@ def _suite_gamma2P2(result: SuiteResult, args) -> None:
 
 def _suite_klein_collapse(result: SuiteResult, args) -> None:
     from .finite import hom_search
+    from .nilpotent import NilpotentImage, nilpotent_quotient
+    from .presentations import Presentation, catalog
     for n in (3, 4):
         def check(n=n):
             lay = nilpotent_quotient(catalog("BnK", n), 2)[1]
@@ -240,8 +251,10 @@ def _suite_klein_collapse(result: SuiteResult, args) -> None:
 
 
 def _suite_klein_derived(result: SuiteResult, args) -> None:
+    from . import klein, series
     from .finite import subgroup_image, two_quotient_tower
-    at = action_table(1)
+    from .presentations import Presentation, SubgroupDescription
+    at = klein.action_table(1)
     a2 = Word.from_syms(Sym("a", (2,)))
     b2 = Word.from_syms(Sym("b", (2,)))
     K2, L2, V2 = series.serie_generators(at, series.pi1k_base_lcs, 2)
@@ -267,10 +280,10 @@ def _suite_klein_derived(result: SuiteResult, args) -> None:
         return ok, "b2^2 landed inside the Wtilde_2 closure"
     result.run("klein-derived-b2sq-outside-W2", negative)
 
-    basis = fiber_basis(3)
+    basis = klein.fiber_basis(3)
     free3 = Presentation("F3", basis, [])
     ftower = two_quotient_tower(free3, 3)
-    at2 = action_table(2)
+    at2 = klein.action_table(2)
 
     def p2k_lcs(i):
         if i == 1:
@@ -289,7 +302,7 @@ def _suite_klein_derived(result: SuiteResult, args) -> None:
     def pi1_context():
         a1, b1 = Sym("a", (1,)), Sym("b", (1,))
         inv = {a1: ~Word.from_syms(a1)}
-        at1 = ActionTable(1, {b1: inv}, {b1: inv})
+        at1 = klein.ActionTable(1, {b1: inv}, {b1: inv})
         def lcs(i):
             return [Word.from_syms(b1)] if i == 1 else []
         _, L3s, _ = series.serie_generators(
@@ -311,6 +324,8 @@ def _torus_quotient(n: int) -> Tuple[NilpotentImage, Dict[Sym, Word]]:
     normal closure of the relators in the free group F on s, a, b, and
     `contains_word` at class 2, which decides w in N gamma_3(F), decides
     w in N, which is w = 1 in G."""
+    from .nilpotent import NilpotentImage
+    from .presentations import catalog
     quotient = NilpotentImage.of(catalog("TorusMetabelian", n), 2)
     a, b, s = Sym("a"), Sym("b"), Word.from_syms(Sym("s"))
     images = {a: Word.from_syms(a), b: Word.from_syms(b)}
@@ -320,6 +335,7 @@ def _torus_quotient(n: int) -> Tuple[NilpotentImage, Dict[Sym, Word]]:
 
 
 def _suite_torus_derived(result: SuiteResult, args) -> None:
+    from .presentations import catalog, check_homomorphism
     n = 5
     s = Word.from_syms(Sym("s"))
     quotient, images = _torus_quotient(n)
@@ -343,6 +359,8 @@ def _suite_torus_derived(result: SuiteResult, args) -> None:
 
 
 def _suite_bnt1(result: SuiteResult, args) -> None:
+    from .nilpotent import NilpotentImage
+    from .presentations import catalog, derived_relation_instances
     n = 5
     p = catalog("BnT", n)
     rng = range(-1, 2)
@@ -370,6 +388,9 @@ def _suite_bnt1(result: SuiteResult, args) -> None:
 
 
 def _suite_nonorientable(result: SuiteResult, args) -> None:
+    from .nilpotent import nilpotent_quotient
+    from .presentations import abelianization, catalog
+
     def nq33():
         lay = nilpotent_quotient(catalog("BnNg", 3, g=3), 2)[1]
         ok = lay.free_rank == 0 and not lay.torsion
@@ -385,7 +406,10 @@ def _suite_nonorientable(result: SuiteResult, args) -> None:
 
 
 def _suite_separation(result: SuiteResult, args) -> None:
+    from . import series
     from .finite import tower_kernel_image, two_quotient_tower
+    from .klein import fiber_basis
+    from .presentations import Presentation, catalog
     p = catalog("P2K_reduced", 2)
     a2 = Word.from_syms(Sym("a", (2,)))
     b2 = Word.from_syms(Sym("b", (2,)))
@@ -435,6 +459,7 @@ SUITES = tuple(_SUITE_IMPL)
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_catalog(args) -> int:
+    from .presentations import catalog
     p = catalog(args.family, args.n, args.g)
     print(f"{p.label}")
     print("generators:", " ".join(str(g) for g in p.generators))
@@ -444,11 +469,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
+    from .presentations import abelianization, catalog
     print(_fmt_invariants(abelianization(catalog(args.family, args.n, args.g))))
     return 0
 
 
 def _cmd_nq(args) -> int:
+    from .nilpotent import nilpotent_quotient
+    from .presentations import catalog
     layers = nilpotent_quotient(catalog(args.family, args.n, args.g), args.c)
     for k, lay in enumerate(layers, start=1):
         print(f"layer{k}: {_fmt_invariants(lay)}")
@@ -456,7 +484,8 @@ def _cmd_nq(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    # usage errors come before numpy and the finite layer are loaded
+    from .presentations import BadParameters, catalog
+    # usage errors come before the finite layer is loaded
     if args.depth < 1:
         raise BadParameters(f"depth must be >= 1, got {args.depth}")
     p = catalog(args.family, args.n, args.g)
@@ -467,6 +496,7 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .klein import normal_form
     w = _parse_cli_word(args.word)
     e = normal_form(w, n=args.n)
     if e.is_identity():
@@ -476,12 +506,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Raise BadParameters; presentations, which defines it, is loaded only
+    on this error path."""
+    from .presentations import BadParameters
+    raise BadParameters(message) from None
+
+
 def _cmd_verify(args) -> int:
     if not 0 <= args.hom_degree <= 5:
-        raise BadParameters(f"--hom-degree must be 0..5, got {args.hom_degree}")
+        _usage_error(f"--hom-degree must be 0..5, got {args.hom_degree}")
     if not 1 <= args.class_bound <= MAX_CLASS:
-        raise BadParameters(
-            f"--class must be 1..{MAX_CLASS}, got {args.class_bound}")
+        _usage_error(f"--class must be 1..{MAX_CLASS}, got {args.class_bound}")
     # open the report file before the suite runs, so that a path that
     # cannot be written is a usage error and costs no computation; it opens
     # to append, so a suite that stops leaves an earlier report as it was,
@@ -490,7 +526,7 @@ def _cmd_verify(args) -> int:
     try:
         fh = open(args.json, "a") if args.json else contextlib.nullcontext()
     except OSError as e:
-        raise BadParameters(f"cannot write --json file: {e}") from None
+        _usage_error(f"cannot write --json file: {e}")
     bounds = {"class": args.class_bound, "depth": args.depth,
               "hom_degree": args.hom_degree}
     result = SuiteResult(args.suite, bounds)

@@ -11,7 +11,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .words import (IDENTITY, ImageTable, Overflow, Sym, Word, _block_images,
                     _join, commutator, substitute)
-from .presentations import catalog
 
 
 DEFAULT_MAX_LEVEL = 5
@@ -253,6 +252,15 @@ class NotInvertible(RuntimeError):
     pass
 
 
+def _seam(left: Tuple[int, ...], right: Tuple[int, ...]) -> int:
+    """How many letters cancel at the seam of the product of two reduced
+    code tuples."""
+    k, m = 0, min(len(left), len(right))
+    while k < m and left[-1 - k] ^ right[k] == 1:
+        k += 1
+    return k
+
+
 def invert_automorphism(basis: Sequence[Sym],
                         images: Mapping[Sym, Word]) -> Dict[Sym, Word]:
     """Invert a free-group automorphism phi given on a basis, by Nielsen
@@ -264,7 +272,11 @@ def invert_automorphism(basis: Sequence[Sym],
     many words, so the loop ends. Once every u is a letter x^e, its v is
     psi(x)^e; the inverse is unique, so what it returns does not depend on how
     the process numbers the symbols. Where no move descends and the u are
-    not all letters, the descent is stuck and raises NotInvertible."""
+    not all letters, the descent is stuck and raises NotInvertible.
+
+    A product of reduced words u_i and u_j^e is len(u_i) + len(u_j) - 2k
+    letters long, k the letters that cancel at its seam, so it can lower
+    u_i's key only when len(u_j) <= 2k; the product is built only then."""
     us = [images[x] for x in basis]
     vs = [Word.from_syms(x) for x in basis]
     moved = True
@@ -274,7 +286,10 @@ def invert_automorphism(basis: Sequence[Sym],
             for e in (1, -1):
                 uj = us[j] if e == 1 else ~us[j]
                 for left in (False, True):
-                    u = uj * us[i] if left else us[i] * uj
+                    first, second = (uj, us[i]) if left else (us[i], uj)
+                    if len(uj) > 2 * _seam(first.codes, second.codes):
+                        continue
+                    u = first * second
                     if (len(u), u.codes) < (len(us[i]), us[i].codes):
                         vj = vs[j] if e == 1 else ~vs[j]
                         vs[i] = vj * vs[i] if left else vs[i] * vj
@@ -505,6 +520,7 @@ def verify_section(n: int, corrupted: bool = False) -> List[Tuple[str, bool]]:
     each relator's image must normalize to the identity one level up. The
     `corrupted` flag drops the second factor of the a_n image, which must
     break at least one relation (negative control)."""
+    from .presentations import catalog
     table = _section_table(n)
     if corrupted:
         images = section_images(n)
@@ -523,6 +539,7 @@ def verify_action(n: int) -> List[Tuple[str, bool]]:
     """Certify the action: every table automorphism inverts, and conjugation
     along any defining relation of the base group fixes the fiber basis.
     Every substitution reads the action table's own image tables."""
+    from .presentations import catalog
     table = action_table(n)
     fiber = [Word.from_syms(y) for y in fiber_basis(n + 1)]
     report = []

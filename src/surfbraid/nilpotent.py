@@ -20,14 +20,10 @@ from .presentations import (
     Presentation,
     smith_normal_form,
 )
-from .words import Overflow, Sym, Word
+from .words import MAX_CLASS, ClassUnsupported, Overflow, Sym, Word
 
 Monomial = Tuple[int, ...]
 Series = Dict[Monomial, int]  # truncated: keys of length <= class bound
-
-
-class ClassUnsupported(ValueError):
-    pass
 
 
 # NilpotentImage.add_words raises Overflow once it has sifted this many
@@ -37,9 +33,6 @@ class ClassUnsupported(ValueError):
 # 2-core VM. PnK n=3 and PnT n=3 at class 4 pass 10,000 sifts within about a
 # second, where their closure or layer 4 would run for minutes.
 MAX_SIFTS = 10_000
-
-# the largest class bound NilpotentImage accepts
-MAX_CLASS = 4
 
 
 # -- truncated series ----------------------------------------------------
@@ -289,6 +282,7 @@ class NilpotentImage:
         self._pivots: Dict[int, Dict[Monomial, List[Series]]] = {
             k: {} for k in range(1, c + 1)}
         self.sifts = 0  # elements sifted by add_words, bounded by MAX_SIFTS
+        self.idle_sifts = 0  # of those, the sifts that made or replaced no pivot
 
     @classmethod
     def of(cls, p: Presentation, c: int,
@@ -356,7 +350,10 @@ class NilpotentImage:
             if self.sifts > MAX_SIFTS:
                 raise Overflow(f"normal closure passed {MAX_SIFTS} sifts "
                                f"at class {c}")
-            for ser in self._sift(s):
+            changed = self._sift(s)
+            if not changed:
+                self.idle_sifts += 1
+            for ser in changed:
                 for g, gi in conjugators:
                     queue.append(series_mul(series_mul(g, ser, c), gi, c))
 

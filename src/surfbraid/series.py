@@ -11,14 +11,16 @@ import itertools
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
-from .klein import ActionTable, fiber_basis, _top_d_expansion
-from .nilpotent import NilpotentImage, hall_basis, hall_word
 from .presentations import (BadParameters, Presentation, SubgroupDescription,
                             catalog)
 from .words import Sym, Word, commutator, left_normed
 
+# klein, nilpotent and finite are imported in the functions that use them,
+# so a process that compares in one of them loads none of the others
 if TYPE_CHECKING:
     from .finite import FiniteModel
+    from .klein import ActionTable
+    from .nilpotent import NilpotentImage
 
 EQUAL = "EqualInOracle"
 A_IN_B = "AStrictlyInB"
@@ -122,6 +124,7 @@ def wn_tilde(n: int) -> SubgroupDescription:
     two-strand group: a_2^(2^(n-1)) together with every basic commutator
     of weight i in the rank-two fiber raised to the 2^(n-i)-th power,
     2 <= i <= n."""
+    from .nilpotent import hall_basis, hall_word
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     a2, b2 = _p2k_fiber()
@@ -201,6 +204,7 @@ def ztilde(n: int, m: int) -> SubgroupDescription:
     splitting, at stage m >= 2: the 2^(m-2)-th powers of the A-letters
     together with the brackets [x_1..x_i]^(2^(m-i-k)) having k A-entries,
     2 <= i <= m and 0 <= k <= m - i (those of `elm_generators(2, m, ...)`)."""
+    from .klein import _top_d_expansion, fiber_basis
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     if m < 2:
@@ -234,7 +238,7 @@ def lower_central_description(p: Presentation, n: int) -> SubgroupDescription:
 
 # -- comparison oracles ----------------------------------------------------
 
-# finite, and with it numpy, is imported only where a finite model is used
+# a finite model or a nilpotency class bound
 Oracle = Union["FiniteModel", int]
 
 
@@ -249,6 +253,7 @@ def _same_ambient(a: SubgroupDescription, b: SubgroupDescription) -> None:
 
 
 def _nilpotent_image(desc: SubgroupDescription, c: int) -> NilpotentImage:
+    from .nilpotent import NilpotentImage
     return NilpotentImage.of(desc.ambient, c, desc.normal_generators)
 
 

@@ -17,6 +17,16 @@ class Overflow(RuntimeError):
     """A computation passed one of its stated work bounds."""
 
 
+class ClassUnsupported(ValueError):
+    """A nilpotency class bound outside 1..MAX_CLASS."""
+
+
+# the largest class bound `nilpotent.NilpotentImage` accepts; defined here,
+# beside Overflow, so that the command line checks it without loading the
+# nilpotent layer
+MAX_CLASS = 4
+
+
 _SYM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SYMS: Dict[Tuple[str, Tuple[int, ...]], "Sym"] = {}
 # the registry's numbering: symbol i has the letter codes 2i and 2i + 1

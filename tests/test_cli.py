@@ -231,7 +231,7 @@ class TestVerify:
                 return p
             a = Word.from_syms(Sym("a"))
             return Presentation(p.label, list(p.generators), list(p.relators) + [a])
-        monkeypatch.setattr(cli, "catalog", with_a)
+        monkeypatch.setattr("surfbraid.presentations.catalog", with_a)
         code, rep = self._report(capsys, "torus-derived")
         assert code == 1
         claim = {c["id"]: c for c in rep["claims"]}["torus-derived-B5T-relators"]
@@ -322,7 +322,7 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("suite ran before the degree was checked")
 
-        monkeypatch.setattr("surfbraid.cli.nilpotent_quotient", no_work)
+        monkeypatch.setattr("surfbraid.nilpotent.nilpotent_quotient", no_work)
         monkeypatch.setattr("surfbraid.finite.hom_search", no_work)
         code, out, err = run(capsys, "verify", "klein-collapse",
                              "--hom-degree", degree)
@@ -336,7 +336,7 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("suite ran before the class was checked")
 
-        monkeypatch.setattr("surfbraid.cli.action_table", no_work)
+        monkeypatch.setattr("surfbraid.klein.action_table", no_work)
         code, out, err = run(capsys, "verify", "klein-derived",
                              "--class", bound)
         assert code == 2
@@ -439,6 +439,56 @@ class TestWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "2 False False"
         assert proc.stderr == "error: depth must be >= 1, got 0\n"
+
+
+# the package modules a fresh process loads: each module imports at its top
+# only what its own module-level code needs, and each command the layers it
+# runs, so a process compiles no layer it does not use
+_IMPORTS = [
+    ("import surfbraid.cli", "cli words"),
+    ("import surfbraid.klein", "klein words"),
+    ("from surfbraid import finite, nilpotent, series",
+     "finite nilpotent presentations series words"),
+    (["verify", "colchete"], "cli words"),
+    (["verify", "center"], "cli klein words"),
+    (["solve", "2", "a1*a2"], "cli klein words"),
+    (["verify", "section"], "cli klein presentations words"),
+    (["verify", "action"], "cli klein presentations words"),
+    (["verify", "torus-derived"], "cli nilpotent presentations words"),
+    (["verify", "bnT1-instances"], "cli nilpotent presentations words"),
+    (["verify", "nonorientable"], "cli nilpotent presentations words"),
+    (["nq", "BnK", "2", "2"], "cli nilpotent presentations words"),
+    (["verify", "klein-collapse"],
+     "cli finite nilpotent presentations words"),
+    (["verify", "gammaP2"], "cli finite nilpotent presentations series words"),
+    (["verify", "gamma2P2"],
+     "cli finite nilpotent presentations series words"),
+    (["verify", "separation"], "cli finite klein presentations series words"),
+    (["verify", "klein-derived"],
+     "cli finite klein nilpotent presentations series words"),
+    (["catalog", "BnK", "3"], "cli presentations words"),
+    (["abelianize", "BnK", "3"], "cli presentations words"),
+    (["tower", "P2K_reduced", "2", "4"], "cli finite presentations words"),
+]
+
+
+@pytest.mark.parametrize(
+    "run_, loaded", _IMPORTS,
+    ids=[r if isinstance(r, str) else " ".join(r) for r, _ in _IMPORTS])
+def test_fresh_process_loads_only_the_layers_it_runs(run_, loaded):
+    if isinstance(run_, str):
+        stmt = run_ + "\ncode = 0\n"
+    else:
+        stmt = ("from surfbraid import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({run_!r})\n")
+    proc = _child(
+        "-c",
+        "import contextlib, io, sys\n" + stmt +
+        "print(code, *sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                    if m.startswith('surfbraid.')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *loaded.split()]
 
 
 def test_deterministic_reports(capsys):

@@ -67,6 +67,44 @@ def _reference_normal_form(w, n):
     return e
 
 
+def _reference_inverse(basis, images):
+    """The Nielsen descent `invert_automorphism` replaced, kept as a
+    reference: it builds the product of every candidate move before it
+    compares keys."""
+    from itertools import permutations
+    us = [images[x] for x in basis]
+    vs = [Word.from_syms(x) for x in basis]
+    moved = True
+    while moved:
+        moved = False
+        for i, j in permutations(range(len(us)), 2):
+            for e in (1, -1):
+                uj = us[j] if e == 1 else ~us[j]
+                for left in (False, True):
+                    u = uj * us[i] if left else us[i] * uj
+                    if (len(u), u.codes) < (len(us[i]), us[i].codes):
+                        vj = vs[j] if e == 1 else ~vs[j]
+                        vs[i] = vj * vs[i] if left else vs[i] * vj
+                        us[i] = u
+                        moved = True
+    out = {}
+    for u, v in zip(us, vs):
+        if len(u) != 1:
+            raise klein.NotInvertible("Nielsen descent did not reach a basis")
+        code, = u.codes
+        out[Sym.from_code(code)] = ~v if code & 1 else v
+    if set(out) != set(basis):
+        raise klein.NotInvertible("reduced tuple is not the free basis")
+    return out
+
+
+def _inverse_outcome(invert, basis, images):
+    try:
+        return invert(basis, images)
+    except klein.NotInvertible as e:
+        return f"NotInvertible: {e}"
+
+
 def _outcome(solve, w, n):
     try:
         return solve(w, n)
@@ -134,6 +172,34 @@ class TestAction:
                 w = Word.from_syms(y)
                 assert at.apply_base_word(~u, at.apply_base_word(u, w)) == w
                 assert at.apply_base_word(u, at.apply_base_word(~u, w)) == w
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_descent_matches_reference(self, data):
+        # an automorphism of the free group of rank 2-5, as the product of up
+        # to 12 Nielsen moves on the basis: x_i -> x_i^-1, or x_i -> x_i x_j^e
+        # or x_j^e x_i; the same inverse (or the same refusal) as the
+        # reference, and an inverse that composes to the identity
+        rank = data.draw(st.integers(2, 5))
+        basis = [Sym("x", (k,)) for k in range(1, rank + 1)]
+        us = [Word.from_syms(x) for x in basis]
+        for _ in range(data.draw(st.integers(0, 12))):
+            i, j = data.draw(st.permutations(range(rank)))[:2]
+            e = data.draw(st.sampled_from((1, -1)))
+            move = data.draw(st.sampled_from(("invert", "left", "right")))
+            if move == "invert":
+                us[i] = ~us[i]
+            elif move == "left":
+                us[i] = us[j] ** e * us[i]
+            else:
+                us[i] = us[i] * us[j] ** e
+        images = dict(zip(basis, us))
+        got = _inverse_outcome(klein.invert_automorphism, basis, images)
+        assert got == _inverse_outcome(_reference_inverse, basis, images)
+        if isinstance(got, dict):
+            table = ImageTable(images)
+            for x in basis:
+                assert substitute(got[x], table) == Word.from_syms(x)
 
     def test_non_surjective_endomorphism_is_refused(self):
         # a -> a^2, b -> b is injective but not onto: every move makes a

@@ -345,6 +345,16 @@ class TestSiftBound:
         got = [img.layer(k) for k in range(1, c + 1)]
         assert [(lay.free_rank, lay.torsion) for lay in got] == layers
 
+    @pytest.mark.parametrize("p, sifts, idle", [
+        (catalog("BnK", 4), 516, 424),
+        (catalog("BnNg", 3, g=3), 461, 378),
+    ], ids=["B4K", "B3N3"])
+    def test_idle_sifts_are_counted(self, p, sifts, idle):
+        # the closure `nilpotent_quotient` builds at class 3: most sifts
+        # reduce to nothing and create or replace no pivot
+        img = NilpotentImage.of(p, 3)
+        assert (img.sifts, img.idle_sifts) == (sifts, idle)
+
 
 class TestNilpotentImage:
     def test_power_membership(self):
