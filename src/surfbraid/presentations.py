@@ -1,7 +1,7 @@
 """Finitely presented groups: a catalog of surface braid presentations,
 normal-closure subgroup descriptions, abelianization via Smith normal form,
-relation checking, and the derived-subgroup generator expansion for torus
-braid groups."""
+relation checking, and the instances of the relations among the generators
+of the derived subgroup of the torus braid group."""
 
 from __future__ import annotations
 
@@ -471,58 +471,41 @@ def check_homomorphism(
 
 # -- derived subgroup of the torus braid group ---------------------------
 
-_DERIVED_ARITY = {"b": 2, "d": 2, "a": 2, "th": 3, "rh": 3}
-
-
-def expand_derived_generator(sym: Sym, n: int) -> Word:
-    """Expand one of the coset generators b/d/a/th/rh of the commutator
-    subgroup of the n-strand torus braid group into a word over a, b, s[i]."""
-    if sym.name not in _DERIVED_ARITY:
-        raise BadParameters(f"unknown derived generator {sym}")
-    if len(sym.indices) != _DERIVED_ARITY[sym.name]:
-        raise BadParameters(f"{sym.name} needs {_DERIVED_ARITY[sym.name]} indices, got {sym}")
-    A, B = Word.from_syms(Sym("a")), Word.from_syms(Sym("b"))
-    if sym.name in ("th", "rh"):
-        i, k, m = sym.indices
-        if not 1 <= i <= n - 1:
-            raise BadParameters(f"strand index {i} out of range for n={n}")
-    else:
-        k, m = sym.indices
-        i = None
-    prefix = B ** k * A ** m
-    if sym.name == "b":
-        core, suffix = B, ~B * ~(B ** k)
-    elif sym.name == "d":
-        S1 = Word.from_syms(_s(1))
-        core, suffix = S1 * B * ~S1, ~B * ~(B ** k)
-    elif sym.name == "a":
-        S1 = Word.from_syms(_s(1))
-        core, suffix = S1 * A * ~S1 * ~A, ~(B ** k)
-    elif sym.name == "th":
-        Si, S1 = Word.from_syms(_s(i)), Word.from_syms(_s(1))
-        core, suffix = Si * ~S1, ~(B ** k)
-    else:  # rh
-        Si, S1 = Word.from_syms(_s(i)), Word.from_syms(_s(1))
-        core, suffix = S1 * Si, ~(B ** k)
-    return prefix * core * ~(A ** m) * suffix
-
-
 def derived_relation_instances(n: int, k_range: Sequence[int],
                                m_range: Sequence[int]) -> List[Word]:
     """Instantiate the identities satisfied by the coset generators of the
-    commutator subgroup of the n-strand torus braid group, expanded to words
-    over a, b, s[i]."""
+    commutator subgroup of the n-strand torus braid group, as words over
+    a, b, s[i]. Each generator is b^k a^m c a^-m t b^-k, with the core c
+    and tail t of its kind (s_i = sigma_i, 1 <= i <= n - 1):
+
+        kind         c                  t
+        b[k,m]       b                  b^-1
+        d[k,m]       s_1 b s_1^-1       b^-1
+        a[k,m]       s_1 a s_1^-1 a^-1  1
+        th[i,k,m]    s_i s_1^-1         1
+        rh[i,k,m]    s_1 s_i            1
+    """
     if n < 3:
         raise BadParameters(f"need n >= 3, got {n}")
+    A, B = Word.from_syms(Sym("a")), Word.from_syms(Sym("b"))
+    S = [Word.from_syms(_s(i)) for i in range(1, n)]  # S[i-1] = sigma_i
+    # (kind,) or (kind, i) -> (c, t)
+    forms = {("b",): (B, ~B), ("d",): (S[0] * B * ~S[0], ~B),
+             ("a",): (S[0] * A * ~S[0] * ~A, IDENTITY)}
+    for i in range(1, n):
+        forms["th", i] = (S[i - 1] * ~S[0], IDENTITY)
+        forms["rh", i] = (S[0] * S[i - 1], IDENTITY)
 
     # the identities meet each generator many times: expand it once
-    expanded: Dict[Sym, Word] = {}
+    expanded: Dict[Tuple, Word] = {}
 
     def gen(name: str, *indices: int) -> Word:
-        sym = Sym(name, indices)
-        if sym not in expanded:
-            expanded[sym] = expand_derived_generator(sym, n)
-        return expanded[sym]
+        key = (name,) + indices
+        if key not in expanded:
+            core, tail = forms[key[:-2]]
+            k, m = indices[-2:]
+            expanded[key] = B ** k * A ** m * core * ~(A ** m) * tail * ~(B ** k)
+        return expanded[key]
 
     th, rh, bb, dd, aa = (partial(gen, name) for name in ("th", "rh", "b", "d", "a"))
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import surfbraid
-from surfbraid import cli, words
+from surfbraid import cli, klein, words
 from surfbraid.cli import SUITES, main
+from surfbraid.nilpotent import NilpotentImage
 from surfbraid.presentations import Presentation, catalog
-from surfbraid.words import Overflow, Sym, Word, left_normed
+from surfbraid.words import IDENTITY, Overflow, Sym, Word, left_normed
 
 
 def run(capsys, *argv):
@@ -237,6 +238,37 @@ class TestVerify:
         claim = {c["id"]: c for c in rep["claims"]}["torus-derived-B5T-relators"]
         assert claim["verdict"] == "FAIL"
         assert claim["witness"] == "relator a acts nontrivially"
+
+    def _claim(self, capsys, suite, cid):
+        code, rep = self._report(capsys, suite)
+        assert code == 1
+        return {c["id"]: c for c in rep["claims"]}[cid]
+
+    def test_center_control_fails_when_the_commutator_collapses(
+            self, capsys, monkeypatch):
+        normal_form = klein.normal_form
+        monkeypatch.setattr(klein, "normal_form",
+                            lambda w, n=None: normal_form(IDENTITY, n))
+        claim = self._claim(capsys, "center", "center-negative-control")
+        assert claim["verdict"] == "FAIL"
+        assert claim["witness"] == "[b2^2, a2] collapsed to the identity"
+
+    def test_sigma_claim_fails_when_the_image_is_nonzero(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(NilpotentImage, "contains_word",
+                            lambda self, w: False)
+        claim = self._claim(capsys, "klein-collapse",
+                            "klein-collapse-sigma-abelianized")
+        assert claim["verdict"] == "FAIL"
+        assert claim["witness"] == "s2^-1*s1 is nonzero in the abelianization"
+
+    def test_b2sq_claim_fails_inside_the_closure(self, capsys, monkeypatch):
+        monkeypatch.setattr(NilpotentImage, "contains_word",
+                            lambda self, w: True)
+        claim = self._claim(capsys, "klein-derived",
+                            "klein-derived-b2sq-outside-W2")
+        assert claim["verdict"] == "FAIL"
+        assert claim["witness"] == "b2^2 landed inside the Wtilde_2 closure"
 
     @pytest.mark.parametrize("suite", ["action", "gammaP2", "gamma2P2",
                                        "torus-derived", "klein-derived",

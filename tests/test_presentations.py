@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surfbraid
 from surfbraid.cli import _torus_quotient
 from surfbraid.finite import FiniteModel, todd_coxeter
 from surfbraid.nilpotent import NilpotentImage
@@ -18,7 +23,8 @@ from surfbraid.presentations import (MAX_CATALOG_GENUS, MAX_CATALOG_N,
                                      derived_relation_instances,
                                      exponent_matrix,
                                      smith_normal_form)
-from surfbraid.words import Overflow, Sym, Word, commutator, substitute
+from surfbraid.words import (Overflow, Sym, Word, commutator, print_word,
+                             substitute)
 
 
 def _det(a):
@@ -367,9 +373,37 @@ class TestTorusMetabelian:
 
 
 class TestDerivedInstances:
-    def test_instance_count(self):
-        inst = derived_relation_instances(5, range(-1, 2), range(-1, 2))
-        assert len(inst) == 288
+    @pytest.mark.parametrize("n, count", [(3, 126), (4, 198), (5, 288), (6, 396)])
+    def test_instance_count(self, n, count):
+        inst = derived_relation_instances(n, range(-1, 2), range(-1, 2))
+        assert len(inst) == count
+
+    def test_instance_words_frozen(self):
+        # the first 16 hex digits of the sha256 of every instance word, each
+        # printed and followed by "|", over n = 3..6 and k, m in -2..2
+        h = hashlib.sha256()
+        for n in (3, 4, 5, 6):
+            for w in derived_relation_instances(n, range(-2, 3), range(-2, 3)):
+                h.update((print_word(w) + "|").encode())
+        assert h.hexdigest()[:16] == "5f543ef4ec3b3b9b"
+
+    def test_interns_no_symbol(self):
+        # the instances are words over the generators a, b, s[i] of B_5(T),
+        # which the catalog has interned; a fresh interpreter, so that no
+        # other test has interned a symbol the call would
+        src = os.path.dirname(os.path.dirname(os.path.abspath(surfbraid.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", (
+            "from surfbraid import words\n"
+            "from surfbraid.presentations import catalog, derived_relation_instances\n"
+            "catalog('BnT', 5)\n"
+            "before = len(words._SYM_LIST)\n"
+            "derived_relation_instances(5, range(-1, 2), range(-1, 2))\n"
+            "print(len(words._SYM_LIST) - before)\n")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_needs_three_strands(self):
         with pytest.raises(BadParameters):
